@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .domains import INTEGERS, CoeffDomain
+from .domains import INTEGERS, CoeffDomain, _is_prime_int
 
 
 @dataclass(frozen=True)
@@ -132,19 +132,6 @@ def _isqrt_ceil(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def _is_prime_trial(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _det_crt(matrix: ExactMatrix) -> int:
     n = matrix.rows
     if n == 0:
@@ -154,7 +141,7 @@ def _det_crt(matrix: ExactMatrix) -> int:
     prod = 1
     candidate = (1 << 24) + 1
     while prod < bound:
-        if _is_prime_trial(candidate):
+        if _is_prime_int(candidate):
             primes.append(candidate)
             prod *= candidate
         candidate += 2

@@ -616,3 +616,12 @@ def monomials_up_to_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ..
     for d in range(degree, -1, -1):
         out.extend(monomials_of_degree(nvars, d))
     return tuple(out)
+
+
+def eval_monomial(dom: CoeffDomain, exps: tuple[int, ...], coords):
+    """The monomial x^exps at the coordinates, computed in dom."""
+    acc = dom.one
+    for x, e in zip(coords, exps):
+        if e:
+            acc = dom.mul(acc, dom.pow(dom.coerce(x), e))
+    return acc

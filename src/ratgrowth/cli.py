@@ -131,7 +131,7 @@ def cmd_cover(args) -> dict:
         result = cover_pipeline_affine(f, args.height, params)
     else:
         f = poly_parse(args.poly, 3, field.integer_domain())
-        params = CoverParams(M=args.M, N=args.N, a=args.a)
+        params = CoverParams(M=args.M, N=args.N)
         result = cover_pipeline(f, args.height, params)
     payload = result.to_json_dict()
     if args.out:

@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .algebra.domains import CoeffDomain
-from .algebra.fqpoly import FqPoly
+from .algebra.fqpoly import FqPoly, fq_lcm
 from .algebra.linalg import ExactMatrix, det_exact, kernel_basis
-from .algebra.multipoly import MultiPoly, monomials_of_degree, monomials_up_to_degree
+from .algebra.multipoly import (
+    MultiPoly,
+    eval_monomial,
+    monomials_of_degree,
+    monomials_up_to_degree,
+)
 from .algebra.primes import PrimeIdealDesc, primes_in_range
 from .baselines import EMU_A_BASELINE
 from .enumeration import (
@@ -25,7 +31,14 @@ from .enumeration import (
     enum_curve_points_proj,
     field_for_poly,
 )
-from .globalfield import GlobalField, ProjPoint, ResiduePoint, reduce_point_mod_p
+from .globalfield import (
+    GlobalField,
+    ProjPoint,
+    ResiduePoint,
+    _ord_int,
+    _ord_poly,
+    reduce_point_mod_p,
+)
 from .reduction import mult_at_point, reduce_curve_mod_p
 
 
@@ -79,20 +92,9 @@ def _norm_of(field: GlobalField, value) -> int:
 def _valuation_of(field: GlobalField, value, prime: PrimeIdealDesc) -> int | float:
     if not value:
         return math.inf
-    v = 0
     if field.is_rational:
-        n = abs(value)
-        p = prime.generator
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-    pi = prime.generator
-    while True:
-        quo, rem = divmod(value, pi)
-        if rem:
-            return v
-        value, v = quo, v + 1
+        return _ord_int(value, prime.generator)
+    return _ord_poly(value, prime.generator)
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def interp_det_certificate(
 
     dom = field.integer_domain()
     rows = [
-        [_eval_monomial_generic(dom, exps, p.coords) for exps in basis.monomials]
+        [eval_monomial(dom, exps, p.coords) for exps in basis.monomials]
         for p in points
     ]
     delta = det_exact(ExactMatrix.from_rows(dom, rows))
@@ -217,14 +219,6 @@ def interp_det_certificate(
     )
 
 
-def _eval_monomial_generic(dom: CoeffDomain, exps, coords):
-    acc = dom.one
-    for x, e in zip(coords, exps):
-        if e:
-            acc = dom.mul(acc, dom.pow(dom.coerce(x), e))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # auxiliary polynomials for residue classes
 # ---------------------------------------------------------------------------
@@ -239,12 +233,10 @@ class AuxPoly:
 
 def _kernel_poly(field: GlobalField, monomials, points_coords, nvars: int) -> MultiPoly | None:
     """A nonzero polynomial on the monomial list vanishing at all the given
-    coordinate tuples, with O_K coefficients, or None at full rank."""
+    coordinate tuples, with O_K coefficients, or None at full rank.  The
+    vanishing is checked exactly before the polynomial is returned."""
     kdom = field.element_domain()
-    rows = [
-        [_eval_monomial_generic(kdom, exps, coords) for exps in monomials]
-        for coords in points_coords
-    ]
+    rows = [[eval_monomial(kdom, exps, coords) for exps in monomials] for coords in points_coords]
     basis = kernel_basis(ExactMatrix.from_rows(kdom, rows))
     if not basis:
         return None
@@ -257,22 +249,24 @@ def _kernel_poly(field: GlobalField, monomials, points_coords, nvars: int) -> Mu
         g = 0
         for c in ints:
             g = math.gcd(g, abs(c))
-        ints = [c // g for c in ints]
+        coeffs = [c // g for c in ints]
         dom = CoeffDomain.integers()
-        return MultiPoly(dom, nvars, dict(zip(monomials, ints)))
-    from .algebra.fqpoly import fq_lcm
-
-    denom = FqPoly.one(field.q)
-    for c in vec:
-        if c:
-            denom = fq_lcm(denom, c.den)
-    polys = []
-    for c in vec:
-        scaled = c * denom
-        assert scaled.is_integral
-        polys.append(scaled.num)
-    dom = CoeffDomain.poly_ring(field.q)
-    return MultiPoly(dom, nvars, dict(zip(monomials, polys)))
+    else:
+        denom = FqPoly.one(field.q)
+        for c in vec:
+            if c:
+                denom = fq_lcm(denom, c.den)
+        coeffs = []
+        for c in vec:
+            scaled = c * denom
+            assert scaled.is_integral
+            coeffs.append(scaled.num)
+        dom = CoeffDomain.poly_ring(field.q)
+    poly = MultiPoly(dom, nvars, dict(zip(monomials, coeffs)))
+    for coords in points_coords:
+        if not dom.is_zero(poly.evaluate(coords)):
+            raise AssertionError("interpolant fails to vanish on its points")
+    return poly
 
 
 def aux_poly_for_residue_class(
@@ -303,14 +297,9 @@ def aux_poly_for_residue_class(
             field_for_poly(f).integer_domain(), basis.monomials[0], 1
         )
         return AuxPoly(poly=poly, status="empty_class", class_size=0)
-    field = klass[0].field
-    poly = _kernel_poly(field, basis.monomials, [p.coords for p in klass], f.nvars)
-    if poly is None:
-        return AuxPoly(poly=None, status="full_rank", class_size=len(klass))
-    for p in klass:
-        if not poly.domain.is_zero(poly.evaluate(p.coords)):
-            raise AssertionError("auxiliary polynomial fails to vanish on its class")
-    return AuxPoly(poly=poly, status="ok", class_size=len(klass))
+    poly = _kernel_poly(klass[0].field, basis.monomials, [p.coords for p in klass], f.nvars)
+    status = "ok" if poly is not None else "full_rank"
+    return AuxPoly(poly=poly, status=status, class_size=len(klass))
 
 
 # ---------------------------------------------------------------------------
@@ -343,25 +332,17 @@ def regime_check(d: int, H: float, variant: str = "CurveQ", N: float = 2.0) -> R
     return RegimeReport(variant=variant, ok=lhs < d < rhs, lhs=lhs, d=d, rhs=rhs)
 
 
-# ---------------------------------------------------------------------------
-# the covering pipeline (plane curves)
-# ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverParams:
-    M: float = 4.0
-    N: float = 4.0
-    a: float = EMU_A_BASELINE
-    kappa: int = 12
-    c: float = 1.0
-    budget: int = 50_000_000
+# ---------------------------------------------------------------------------
+# the covering core, shared by the plane-curve and affine pipelines
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ClassRecord:
     prime: PrimeIdealDesc
-    residue_point: ResiduePoint
+    residue_point: ResiduePoint | tuple
     mu: int
     class_size: int
     aux_status: str
@@ -410,19 +391,218 @@ class CoverResult:
         }
 
 
-def _good_primes(f: MultiPoly, field: GlobalField, H: int, M: float):
-    log_h = math.log(H)
-    hi = M * log_h**4
-    if hi <= log_h + 1:
-        hi = log_h + 2
-    tag = "Q" if field.is_rational else field.q
-    primes = primes_in_range(log_h, hi, tag)
+@dataclass(frozen=True)
+class _Chart:
+    """What the covering core needs to know about the ambient space.
+
+    The functions look the reduction helpers up at call time, so wrappers
+    installed on the module attributes see every call.
+    """
+
+    residue: Callable  # (field, point, prime) -> residue point
+    mult: Callable  # (reduced polynomial, residue point) -> multiplicity
+    monomials: Callable  # (nvars, degree) -> monomial exponent tuples
+    coords: Callable  # point -> coordinate tuple
+    sort_key: Callable  # residue point -> class sort key
+
+
+# points are ProjPoints, residues ResiduePoints; forms are homogeneous
+_PROJECTIVE = _Chart(
+    residue=lambda field, p, prime: reduce_point_mod_p(p, prime),
+    mult=lambda f_p, rp: mult_at_point(f_p, rp.coords).mu,
+    monomials=lambda nvars, degree: monomial_basis(nvars, degree).monomials,
+    coords=lambda p: p.coords,
+    sort_key=lambda rp: rp.sort_key(),
+)
+
+# points and residues are plain coordinate tuples; forms have degree <= d'
+_AFFINE = _Chart(
+    residue=lambda field, p, prime: tuple(field.residue_of(c, prime) for c in p),
+    mult=lambda f_p, rp: mult_at_point(f_p, rp, projective=False).mu,
+    monomials=monomials_up_to_degree,
+    coords=lambda p: p,
+    sort_key=lambda rp: tuple(map(str, rp)),
+)
+
+
+def _good_reductions(f: MultiPoly, primes) -> list:
+    """(prime, reduced polynomial) for each prime of good reduction, in order."""
     good = []
     for prime in primes:
         reduced = reduce_curve_mod_p(f, prime)
         if reduced.good:
             good.append((prime, reduced))
     return good
+
+
+def _prime_window(f: MultiPoly, field: GlobalField, log_h: float, M: float, exponent: float):
+    """The good primes with norm in (log H, M (log H)^exponent)."""
+    hi = M * log_h**exponent
+    if hi <= log_h + 1:
+        hi = log_h + 2
+    tag = "Q" if field.is_rational else field.q
+    return _good_reductions(f, primes_in_range(log_h, hi, tag))
+
+
+def _multiplicity_table(field: GlobalField, chart: _Chart, points, good) -> dict:
+    """point -> {prime: (residue point, its multiplicity on the reduction)}."""
+    table = {p: {} for p in points}
+    for prime, reduced in good:
+        mu_cache = {}
+        for p in points:
+            rp = chart.residue(field, p, prime)
+            if rp not in mu_cache:
+                mu_cache[rp] = chart.mult(reduced.f_p, rp)
+            table[p][prime] = (rp, mu_cache[rp])
+    return table
+
+
+def _high_mult_audit(field: GlobalField, primes, d_prime: int, log_h: float) -> dict:
+    """The prime product against the coarse determinant norm cap."""
+    return {
+        "d_prime": d_prime,
+        "num_primes": len(primes),
+        "log_prime_product": sum(math.log(p.norm) for p in primes),
+        "log_norm_cap": 2.0 * field.d_K * d_prime**3 * log_h,
+    }
+
+
+def _chunked_interpolants(field: GlobalField, monomials, coords_list, nvars: int):
+    """Cover a point list by interpolants on chunks of size s-1 (each chunk
+    is rank-deficient by pigeonhole, so a nonzero form always exists)."""
+    chunk_size = max(len(monomials) - 1, 1)
+    for i in range(0, len(coords_list), chunk_size):
+        poly = _kernel_poly(field, monomials, coords_list[i : i + chunk_size], nvars)
+        assert poly is not None, "rank-deficient chunk must have a kernel"
+        yield poly
+
+
+def _interpolate(field, monomials, low_monomials, coords_list, nvars, regime_ok, what):
+    """(forms, status): one form on `monomials` through all the points, or,
+    at full rank, chunked forms on the degree d-1 `low_monomials`.
+
+    The fallback is only taken out of regime; in regime a full-rank set
+    contradicts the determinant bound and is an error.
+    """
+    poly = _kernel_poly(field, monomials, coords_list, nvars)
+    if poly is not None:
+        return [poly], "ok"
+    if regime_ok:
+        raise PipelineError(f"irrecoverable {what}: no interpolant exists at full rank")
+    return list(_chunked_interpolants(field, low_monomials, coords_list, nvars)), "chunked"
+
+
+def _cover(f, H, field, chart, points, good, regime, threshold, audit, params) -> CoverResult:
+    """The covering argument on one chart.
+
+    Points of low multiplicity at some prime are grouped into residue
+    classes (first qualifying prime in canonical order) and each class is
+    interpolated at degree d-1; the points that stay high-multiplicity
+    everywhere get one extra form of degree audit["d_prime"], clamped to
+    [1, d-1].  The cover is verified pointwise.
+    """
+    n, d = f.nvars, f.degree
+    primes = [prime for prime, _ in good]
+    table = _multiplicity_table(field, chart, points, good)
+
+    # partition: each point joins the first prime where its reduction has
+    # low multiplicity; otherwise it is high-multiplicity everywhere
+    classes: dict[tuple, list] = {}
+    xi_s = []
+    for p in points:
+        for prime in primes:
+            rp, mu = table[p][prime]
+            if mu < threshold:
+                classes.setdefault((prime, rp), []).append(p)
+                break
+        else:
+            xi_s.append(p)
+
+    low = chart.monomials(n, d - 1)
+    aux_polys = []
+    class_records = []
+    for prime, rp in sorted(classes, key=lambda key: (key[0].sort_key(), chart.sort_key(key[1]))):
+        klass = classes[(prime, rp)]
+        polys, status = _interpolate(
+            field, low, low, [chart.coords(p) for p in klass], n, regime.ok,
+            f"class at prime {prime.generator}, point {rp}",
+        )
+        if status == "ok":
+            aux_polys.append((polys[0], f"low_mult:{prime.generator}:{rp}"))
+        else:
+            aux_polys.extend(
+                (poly, f"low_mult_chunk:{prime.generator}:{rp}:{i}") for i, poly in enumerate(polys)
+            )
+        class_records.append(
+            ClassRecord(
+                prime=prime,
+                residue_point=rp,
+                mu=table[klass[0]][prime][1],
+                class_size=len(klass),
+                aux_status=status,
+                aux_poly="; ".join(map(str, polys)),
+            )
+        )
+
+    audit["xi_s_size"] = len(xi_s)
+    high_poly = None
+    if not xi_s:
+        audit["status"] = "empty_class"
+    else:
+        degree = min(max(audit["d_prime"], 1), d - 1)
+        polys, audit["status"] = _interpolate(
+            field, chart.monomials(n, degree), low, [chart.coords(p) for p in xi_s], n,
+            regime.ok, "high-multiplicity set",
+        )
+        if audit["status"] == "ok":
+            high_poly = polys[0]
+            aux_polys.append((high_poly, "high_mult_global"))
+        else:
+            aux_polys.extend((poly, f"high_mult_chunk:{i}") for i, poly in enumerate(polys))
+
+    # pointwise cover verification, exact
+    uncovered = [
+        p
+        for p in points
+        if not any(poly.domain.is_zero(poly.evaluate(chart.coords(p))) for poly, _ in aux_polys)
+    ]
+
+    counts = {
+        "points": len(points),
+        "aux": len(aux_polys),
+        "bound_rhs": params.c * math.log(H) ** params.kappa,
+        "xi_s": len(xi_s),
+        "num_primes": len(primes),
+        "max_aux_degree": max((poly.degree for poly, _ in aux_polys), default=0),
+    }
+    return CoverResult(
+        curve=f,
+        H=H,
+        regime=regime,
+        aux_polys=aux_polys,
+        classes=class_records,
+        high_mult={
+            "poly": str(high_poly) if high_poly is not None else None,
+            "degree": high_poly.degree if high_poly is not None else None,
+            **audit,
+        },
+        uncovered=uncovered,
+        counts=counts,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the covering pipeline (plane curves)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoverParams:
+    M: float = 4.0
+    N: float = 4.0
+    kappa: int = 12
+    c: float = 1.0
+    budget: int = 50_000_000
 
 
 def cover_high_mult(
@@ -449,82 +629,44 @@ def cover_high_mult(
         raise RegimeViolation(
             f"interpolation degree {d_prime} reaches the curve degree {d}"
         )
-    if d_prime < 1:
-        d_prime = 1
+    d_prime = max(d_prime, 1)
     field = field_for_poly(f)
     if points is None:
         points = enum_curve_points_proj(f, H).points
     threshold = d / log_h
     if not primes:
-        primes = [prime for prime, _ in _good_primes(f, field, H, M_const)]
+        good = _prime_window(f, field, log_h, M_const, 4)
+        primes = [prime for prime, _ in good]
+    elif mu_table is None:
+        good = _good_reductions(f, primes)
     if mu_table is None:
-        mu_table = _multiplicity_table(f, field, points, primes)
-    xi_s = []
-    for p in points:
-        mus = mu_table.get(p)
-        if mus and all(mu >= threshold for mu in mus.values()):
-            xi_s.append(p)
-    log_prime_product = sum(math.log(p.norm) for p in primes)
-    audit = {
-        "d_prime": d_prime,
-        "num_primes": len(primes),
-        "log_prime_product": log_prime_product,
-        "log_norm_cap": 2.0 * field.d_K * d_prime**3 * log_h,
-        "xi_s_size": len(xi_s),
-    }
+        table = _multiplicity_table(field, _PROJECTIVE, points, good)
+        mu_table = {p: {prime: mu for prime, (_, mu) in row.items()} for p, row in table.items()}
+    xi_s = [
+        p
+        for p in points
+        if mu_table.get(p) and all(mu >= threshold for mu in mu_table[p].values())
+    ]
+    audit = _high_mult_audit(field, primes, d_prime, log_h)
+    audit["xi_s_size"] = len(xi_s)
     if not xi_s:
         audit["status"] = "empty_class"
         return None, audit
     basis = monomial_basis(f.nvars, d_prime)
     poly = _kernel_poly(field, basis.monomials, [p.coords for p in xi_s], f.nvars)
-    if poly is None:
-        audit["status"] = "full_rank"
-        return None, audit
-    for p in xi_s:
-        if not poly.domain.is_zero(poly.evaluate(p.coords)):
-            raise AssertionError("high-multiplicity interpolant fails to vanish")
-    audit["status"] = "ok"
+    audit["status"] = "ok" if poly is not None else "full_rank"
     return poly, audit
-
-
-def _chunked_interpolants(field: GlobalField, monomials, coords_list, nvars: int):
-    """Cover a point list by interpolants on chunks of size s-1 (each chunk
-    is rank-deficient by pigeonhole, so a nonzero form always exists)."""
-    s = len(monomials)
-    chunk_size = max(s - 1, 1)
-    for i in range(0, len(coords_list), chunk_size):
-        chunk = coords_list[i : i + chunk_size]
-        poly = _kernel_poly(field, monomials, chunk, nvars)
-        assert poly is not None, "rank-deficient chunk must have a kernel"
-        yield poly
-
-
-def _multiplicity_table(f, field, points, primes):
-    """point -> {prime: multiplicity of its reduction on the reduced curve}."""
-    table = {p: {} for p in points}
-    for prime in primes:
-        reduced = reduce_curve_mod_p(f, prime)
-        if not reduced.good:
-            continue
-        mu_cache: dict[ResiduePoint, int] = {}
-        for p in points:
-            rp = reduce_point_mod_p(p, prime)
-            if rp not in mu_cache:
-                mu_cache[rp] = mult_at_point(reduced.f_p, rp.coords).mu
-            table[p][prime] = mu_cache[rp]
-    return table
 
 
 def cover_pipeline(f: MultiPoly, H: int, params: CoverParams | None = None) -> CoverResult:
     """Cover every height-<=H rational point of the plane curve by
     low-degree auxiliary forms.
 
-    Points of low multiplicity at some prime are grouped into residue
-    classes (first qualifying prime in canonical order) and each class is
-    interpolated at degree d-1; the points that stay high-multiplicity
-    everywhere get one extra form of degree floor(N log H).  The result
-    records class data, verifies the cover pointwise, and reports the
-    count against c (log H)^kappa.
+    Low multiplicity means below d / log H at a prime of norm in
+    (log H, M (log H)^4); the everywhere-high-multiplicity points get one
+    form of degree floor(N log H), clamped to [1, d-1].  The result records
+    class data, verifies the cover pointwise, and reports the count
+    against c (log H)^kappa.
     """
     params = params or CoverParams()
     if f.is_zero or f.nvars != 3 or not f.is_homogeneous:
@@ -534,133 +676,12 @@ def cover_pipeline(f: MultiPoly, H: int, params: CoverParams | None = None) -> C
         raise NotApplicable("degree must be >= 2 so that degree d-1 forms exist")
     field = field_for_poly(f)
     regime = regime_check(d, H, "CurveQ" if field.is_rational else "CurveK")
-
-    options = EnumOptions(collect=True, budget=params.budget)
-    points = enum_curve_points_proj(f, H, options).points
-
-    good = _good_primes(f, field, H, params.M)
-    primes = [prime for prime, _ in good]
-    reduced_by_prime = dict(good)
+    points = enum_curve_points_proj(f, H, EnumOptions(collect=True, budget=params.budget)).points
     log_h = math.log(H)
-    threshold = d / log_h
-
-    mu_table = _multiplicity_table(f, field, points, primes)
-
-    # partition: each point joins the first prime where its reduction has
-    # low multiplicity; otherwise it is high-multiplicity everywhere
-    classes: dict[tuple, list] = {}
-    xi_s = []
-    for p in points:
-        assigned = False
-        for prime in primes:
-            mu = mu_table[p].get(prime)
-            if mu is not None and mu < threshold:
-                rp = reduce_point_mod_p(p, prime)
-                classes.setdefault((prime, rp), []).append(p)
-                assigned = True
-                break
-        if not assigned:
-            xi_s.append(p)
-
-    basis_low = monomial_basis(f.nvars, d - 1)
-    aux_polys = []
-    class_records = []
-    for (prime, rp) in sorted(classes, key=lambda key: (key[0].sort_key(), key[1].sort_key())):
-        klass = classes[(prime, rp)]
-        mu = mu_table[klass[0]][prime]
-        aux = aux_poly_for_residue_class(f, H, prime, rp, points=klass)
-        status = aux.status
-        poly_text = None
-        if aux.poly is not None:
-            aux_polys.append((aux.poly, f"low_mult:{prime.generator}:{rp}"))
-            poly_text = str(aux.poly)
-        elif aux.status == "full_rank":
-            if regime.ok:
-                raise PipelineError(
-                    f"irrecoverable class at prime {prime.generator}, point {rp}: "
-                    "no degree d-1 interpolant exists"
-                )
-            # out of regime there is no guarantee; fall back to covering the
-            # class with several degree d-1 forms on rank-deficient chunks
-            status = "chunked"
-            chunk_texts = []
-            for i, chunk_poly in enumerate(
-                _chunked_interpolants(field, basis_low.monomials, [p.coords for p in klass], f.nvars)
-            ):
-                aux_polys.append(
-                    (chunk_poly, f"low_mult_chunk:{prime.generator}:{rp}:{i}")
-                )
-                chunk_texts.append(str(chunk_poly))
-            poly_text = "; ".join(chunk_texts)
-        class_records.append(
-            ClassRecord(
-                prime=prime,
-                residue_point=rp,
-                mu=mu,
-                class_size=len(klass),
-                aux_status=status,
-                aux_poly=poly_text,
-            )
-        )
-
-    d_eff = min(int(params.N * log_h), d - 1)
-    high_poly, audit = cover_high_mult(
-        f,
-        H,
-        primes,
-        params.N,
-        params.M,
-        points=points,
-        mu_table=mu_table,
-        degree_override=max(d_eff, 1),
-    )
-    if high_poly is not None:
-        aux_polys.append((high_poly, "high_mult_global"))
-    elif xi_s and audit.get("status") == "full_rank":
-        if regime.ok:
-            raise PipelineError(
-                "high-multiplicity set admits no interpolant at degree d'"
-            )
-        audit["status"] = "chunked"
-        for i, chunk_poly in enumerate(
-            _chunked_interpolants(field, basis_low.monomials, [p.coords for p in xi_s], f.nvars)
-        ):
-            aux_polys.append((chunk_poly, f"high_mult_chunk:{i}"))
-
-    # pointwise cover verification, exact
-    uncovered = []
-    for p in points:
-        covered = False
-        for poly, _ in aux_polys:
-            if poly.domain.is_zero(poly.evaluate(p.coords)):
-                covered = True
-                break
-        if not covered:
-            uncovered.append(p)
-
-    bound_value = params.c * (log_h**params.kappa)
-    counts = {
-        "points": len(points),
-        "aux": len(aux_polys),
-        "bound_rhs": bound_value,
-        "xi_s": len(xi_s),
-        "num_primes": len(primes),
-        "max_aux_degree": max((poly.degree for poly, _ in aux_polys), default=0),
-    }
-    return CoverResult(
-        curve=f,
-        H=H,
-        regime=regime,
-        aux_polys=aux_polys,
-        classes=class_records,
-        high_mult={
-            "poly": str(high_poly) if high_poly is not None else None,
-            "degree": high_poly.degree if high_poly is not None else None,
-            **audit,
-        },
-        uncovered=uncovered,
-        counts=counts,
-    )
+    good = _prime_window(f, field, log_h, params.M, 4)
+    d_prime = max(min(int(params.N * log_h), d - 1), 1)
+    audit = _high_mult_audit(field, [prime for prime, _ in good], d_prime, log_h)
+    return _cover(f, H, field, _PROJECTIVE, points, good, regime, d / log_h, audit, params)
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +708,13 @@ def cover_pipeline_affine(
     """Covering pipeline for an affine hypersurface over O_K.
 
     Multiplicities are taken at the reduced affine points; low
-    multiplicity means below d/(log B)^alpha.  Interpolation uses all
-    monomials of degree < d (equivalently, homogeneous degree d-1 forms
-    after prepending a homogenizing coordinate), and the residual
+    multiplicity means below d/(log B)^alpha at a prime of norm in
+    (log B, M (log B)^ell), or at the supplied primes.  Interpolation uses
+    all monomials of degree < d (equivalently, homogeneous degree d-1
+    forms after prepending a homogenizing coordinate), and the residual
     everywhere-high-multiplicity set gets a single form of degree
-    floor((log B)^C).  The valuation monitor exponent for the
-    homogenized certificates is recorded per class, never asserted.
+    floor((log B)^C), clamped to [1, d-1].  The valuation monitor exponent
+    for the homogenized certificates is recorded per class, never asserted.
     """
     params = params or AffineCoverParams()
     if f.is_zero or f.nvars < 2:
@@ -705,156 +727,36 @@ def cover_pipeline_affine(
     field = field_for_poly(f)
     n = f.nvars
     regime = regime_check(d, B, "AffinePila")
-    log_b = math.log(B) if B > 1 else 1.0
-
-    options = EnumOptions(collect=True, budget=params.budget)
-    points = enum_affine_hypersurface(f, B, options).points
+    log_b = math.log(B)
+    points = enum_affine_hypersurface(f, B, EnumOptions(collect=True, budget=params.budget)).points
 
     if params.primes is not None:
-        primes = list(params.primes)
-        reduced_by_prime = {}
-        for prime in primes:
-            reduced = reduce_curve_mod_p(f, prime)
-            if not reduced.good:
+        good = _good_reductions(f, params.primes)
+        kept = {prime for prime, _ in good}
+        for prime in params.primes:
+            if prime not in kept:
                 raise PipelineError(f"supplied prime {prime.generator} has bad reduction")
-            reduced_by_prime[prime] = reduced
     else:
-        hi = params.M * log_b**params.ell
-        if hi <= log_b + 1:
-            hi = log_b + 2
-        tag = "Q" if field.is_rational else field.q
-        candidates = primes_in_range(log_b, hi, tag)
-        primes = []
-        reduced_by_prime = {}
-        for prime in candidates:
-            reduced = reduce_curve_mod_p(f, prime)
-            if reduced.good:
-                primes.append(prime)
-                reduced_by_prime[prime] = reduced
-    if not primes:
+        good = _prime_window(f, field, log_b, params.M, params.ell)
+    if not good:
         raise PipelineError("no usable primes in the requested window")
 
-    threshold = d / (log_b**params.alpha)
-
-    # multiplicities of reduced affine points
-    mu_table: dict[tuple, dict] = {p: {} for p in points}
-    residue_of_point: dict[tuple, dict] = {p: {} for p in points}
-    for prime in primes:
-        reduced = reduced_by_prime[prime]
-        dom_res = reduced.f_p.domain
-        mu_cache: dict[tuple, int] = {}
-        for p in points:
-            rp = tuple(field.residue_of(c, prime) for c in p)
-            residue_of_point[p][prime] = rp
-            if rp not in mu_cache:
-                mu_cache[rp] = mult_at_point(reduced.f_p, rp, projective=False).mu
-            mu_table[p][prime] = mu_cache[rp]
-
-    classes: dict[tuple, list] = {}
-    xi_s = []
-    for p in points:
-        assigned = False
-        for prime in primes:
-            if mu_table[p][prime] < threshold:
-                rp = residue_of_point[p][prime]
-                classes.setdefault((prime, rp), []).append(p)
-                assigned = True
-                break
-        if not assigned:
-            xi_s.append(p)
-
-    monos = monomials_up_to_degree(n, d - 1)
-    s = len(monos)
-    aux_polys = []
-    class_records = []
-    bis_exponent = (
-        lambda mu: (math.factorial(n - 1) / mu) ** (1.0 / (n - 1))
-        * (n - 1)
-        / n
-        * s ** (1.0 + 1.0 / (n - 1))
-        - params.a * s
+    result = _cover(
+        f, B, field, _AFFINE, points, good, regime, d / (log_b**params.alpha),
+        {"d_prime": int(log_b**params.C)}, params,
     )
-    monitors = []
-    for (prime, rp) in sorted(
-        classes, key=lambda key: (key[0].sort_key(), tuple(map(str, key[1])))
-    ):
-        klass = classes[(prime, rp)]
-        mu = mu_table[klass[0]][prime]
-        poly = _kernel_poly(field, monos, klass, n)
-        if poly is None:
-            raise PipelineError(
-                f"irrecoverable affine class at prime {prime.generator}: full rank"
-            )
-        for p in klass:
-            if not poly.domain.is_zero(poly.evaluate(p)):
-                raise AssertionError("affine auxiliary polynomial fails to vanish")
-        aux_polys.append((poly, f"low_mult:{prime.generator}:{rp}"))
-        class_records.append(
-            ClassRecord(
-                prime=prime,
-                residue_point=rp,  # affine residue tuple, not projective
-                mu=mu,
-                class_size=len(klass),
-                aux_status="ok",
-                aux_poly=str(poly),
-            )
-        )
-        monitors.append(
-            {
-                "prime": str(prime.generator),
-                "mu": mu,
-                "class_size": len(klass),
-                "valuation_monitor_rhs": bis_exponent(mu),
-            }
-        )
-
-    d_prime = int(log_b**params.C)
-    high_poly = None
-    audit = {"d_prime": d_prime, "xi_s_size": len(xi_s)}
-    if xi_s:
-        if d_prime >= d:
-            raise RegimeViolation(
-                f"degree floor((log B)^C) = {d_prime} reaches the degree {d}"
-            )
-        monos_high = monomials_up_to_degree(n, max(d_prime, 1))
-        high_poly = _kernel_poly(field, monos_high, xi_s, n)
-        if high_poly is None:
-            raise PipelineError("residual high-multiplicity set admits no interpolant")
-        for p in xi_s:
-            if not high_poly.domain.is_zero(high_poly.evaluate(p)):
-                raise AssertionError("affine high-multiplicity interpolant fails")
-        aux_polys.append((high_poly, "high_mult_global"))
-        audit["status"] = "ok"
-    else:
-        audit["status"] = "empty_class"
-
-    uncovered = []
-    for p in points:
-        if not any(
-            poly.domain.is_zero(poly.evaluate(p)) for poly, _ in aux_polys
-        ):
-            uncovered.append(p)
-
-    counts = {
-        "points": len(points),
-        "aux": len(aux_polys),
-        "bound_rhs": params.c * log_b**params.kappa,
-        "xi_s": len(xi_s),
-        "num_primes": len(primes),
-        "max_aux_degree": max((poly.degree for poly, _ in aux_polys), default=0),
-        "monitors": monitors,
-    }
-    return CoverResult(
-        curve=f,
-        H=B,
-        regime=regime,
-        aux_polys=aux_polys,
-        classes=class_records,
-        high_mult={
-            "poly": str(high_poly) if high_poly is not None else None,
-            "degree": high_poly.degree if high_poly is not None else None,
-            **audit,
-        },
-        uncovered=uncovered,
-        counts=counts,
-    )
+    s = len(monomials_up_to_degree(n, d - 1))
+    result.counts["monitors"] = [
+        {
+            "prime": str(c.prime.generator),
+            "mu": c.mu,
+            "class_size": c.class_size,
+            "valuation_monitor_rhs": (math.factorial(n - 1) / c.mu) ** (1.0 / (n - 1))
+            * (n - 1)
+            / n
+            * s ** (1.0 + 1.0 / (n - 1))
+            - params.a * s,
+        }
+        for c in result.classes
+    ]
+    return result

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .algebra.multipoly import MultiPoly, poly_parse
@@ -131,17 +130,17 @@ _BUILTIN_FAMILIES = {f.name: f for f in (CUSPIDAL_FAMILY, LINE_FAMILY)}
 
 
 def _integer_nth_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) exactly."""
+    """floor(x ** (1/n)) exactly, by integer Newton steps from above."""
     if x < 0 or n < 1:
         raise ValueError
     if x == 0:
         return 0
-    r = int(round(x ** (1.0 / n)))
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    r = 1 << -(-x.bit_length() // n)  # 2^ceil(bits/n) > x^(1/n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def count_p1_points(field: GlobalField, H: int) -> int:
@@ -165,8 +164,10 @@ def family_count(
             X = _integer_nth_root(H, d)
             return count_p1_points(field, max(X, 1))
         # function field: height q^(d * max deg) <= H
-        j = int(math.floor(math.log(H, field.q) / d))
-        return count_p1_points(field, field.q**j if j >= 0 else 1)
+        j = 0
+        while field.q ** (d * (j + 1)) <= H:
+            j += 1
+        return count_p1_points(field, field.q**j)
     poly = family.polynomial(d, field)
     options = EnumOptions(collect=False, budget=budget) if budget else EnumOptions(collect=False)
     return enum_curve_points_proj(poly, H, options).count
@@ -279,7 +280,7 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
     Config keys: families (list), fields (descriptor strings), heights,
     degrees (optional, default [3]), bounds {theorem?, c, kappa},
     seed, budget.  Deterministic for a fixed config and seed;
-    RATGROWTH_SEED overrides the seed, RATGROWTH_THREADS caps workers.
+    RATGROWTH_SEED overrides the seed.
     """
     families = [_resolve_family(e) for e in config.get("families", [])]
     fields = [GlobalField.parse(s) for s in config.get("fields", ["Q"])]
@@ -294,16 +295,7 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
         kappa=int(bounds_cfg.get("kappa", 12)),
     )
 
-    tasks = [
-        (family, field, d, H)
-        for family in families
-        for field in fields
-        for d in degrees
-        for H in heights
-    ]
-
-    def run_one(task) -> ExperimentRow:
-        family, field, d, H = task
+    def run_one(family, field, d, H) -> ExperimentRow:
         t0 = time.perf_counter()
         status = "ok"
         count: int | None = None
@@ -317,7 +309,7 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
         ratio = (count / bound) if (count is not None and bound > 0) else None
         return ExperimentRow(
             family=family.name,
-            field=field.kind if field.is_rational else f"Fq(t):q={field.q}",
+            field=_field_str(field),
             d=d,
             H=H,
             count=count,
@@ -328,16 +320,13 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
             status=status,
         )
 
-    workers = int(os.environ.get("RATGROWTH_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, tasks))
-    else:
-        rows = [run_one(t) for t in tasks]
-
-    # deterministic assembly independent of execution order
-    keyed = {(r.family, r.field, r.d, r.H): r for r in rows}
-    rows = [keyed[(f.name, _field_str(fl), d, H)] for f in families for fl in fields for d in degrees for H in heights]
+    rows = [
+        run_one(family, field, d, H)
+        for family in families
+        for field in fields
+        for d in degrees
+        for H in heights
+    ]
 
     reports = []
     for family in families:

@@ -21,7 +21,7 @@ from math import comb
 
 from .algebra.domains import CoeffDomain
 from .algebra.linalg import ExactMatrix, kernel_basis
-from .algebra.multipoly import MultiPoly, monomials_of_degree
+from .algebra.multipoly import MultiPoly, eval_monomial, monomials_of_degree
 from .algebra.primes import PrimeIdealDesc
 from .globalfield import GlobalField
 
@@ -598,9 +598,7 @@ def high_mult_locus(
         monos = monomials_of_degree(n, degree)
         rows = []
         for pt in locus:
-            rows.append(
-                [_eval_monomial(dom, exps, pt) for exps in monos]
-            )
+            rows.append([eval_monomial(dom, exps, pt) for exps in monos])
         basis = kernel_basis(ExactMatrix.from_rows(dom, rows))
         if basis:
             vec = basis[0]
@@ -614,14 +612,6 @@ def high_mult_locus(
 class BudgetExceededScan(RuntimeError):
     def __init__(self, npoints: int, budget: int):
         super().__init__(f"point scan of size {npoints} exceeds budget {budget}")
-
-
-def _eval_monomial(dom: CoeffDomain, exps: tuple[int, ...], point: tuple):
-    acc = dom.one
-    for x, e in zip(point, exps):
-        if e:
-            acc = dom.mul(acc, dom.pow(x, e))
-    return acc
 
 
 # ---------------------------------------------------------------------------

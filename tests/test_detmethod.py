@@ -205,7 +205,8 @@ class TestCoverHighMult:
         # full multiplicity scans over the primes with norms in (3, 81)
         from ratgrowth.algebra.linalg import ExactMatrix, rank
         from ratgrowth.algebra.primes import primes_in_range
-        from ratgrowth.detmethod import monomial_basis, _eval_monomial_generic
+        from ratgrowth.algebra.multipoly import eval_monomial
+        from ratgrowth.detmethod import monomial_basis
         from ratgrowth.enumeration import enum_curve_points_proj
         from ratgrowth.reduction import mult_at_point, reduce_curve_mod_p
 
@@ -240,7 +241,7 @@ class TestCoverHighMult:
 
         qq = _CD.rationals()
         rows = [
-            [_eval_monomial_generic(qq, exps, p.coords) for exps in basis.monomials]
+            [eval_monomial(qq, exps, p.coords) for exps in basis.monomials]
             for p in xi_s
         ]
         assert rank(ExactMatrix.from_rows(qq, rows)) < basis.s
@@ -294,12 +295,17 @@ class TestCoverPipeline:
             "uncovered",
             "counts",
         }
+        assert payload["classes"]
         for cls in payload["classes"]:
-            assert {"prime", "prime_norm", "point", "mu", "aux_poly", "class_size"} >= {
+            assert list(cls) == [
                 "prime",
                 "prime_norm",
-            } or True
-            assert "mu" in cls and "class_size" in cls
+                "point",
+                "mu",
+                "aux_poly",
+                "class_size",
+                "aux_status",
+            ]
 
 
 class TestAffinePipeline:
@@ -353,6 +359,31 @@ class TestAffinePipeline:
         expected_sizes = sorted(buckets.values())
         assert sorted(c.class_size for c in res.classes) == expected_sizes
         assert res.counts["xi_s"] == stranded
+
+    def test_full_rank_class_out_of_regime_is_chunked(self):
+        # mod 3 the class (3, 4), (-3, 4), (0, -5) is not collinear, so no
+        # degree-1 form passes through it; the projective circle at the
+        # same height is chunked too (tests/test_cover_golden.py)
+        f = poly_parse("x0^2 + x1^2 - 25", 2, ZZ)
+        res = cover_pipeline_affine(f, 5)
+        assert res.regime.ok is False
+        assert res.uncovered == []
+        assert "chunked" in {c.aux_status for c in res.classes}
+
+    def test_high_mult_degree_clamped_out_of_regime(self):
+        # floor((log 8)^2) = 4 reaches d = 2: the form degree is clamped to
+        # d - 1 = 1 and the full-rank residual set is chunked, as in the
+        # projective pipeline
+        f = poly_parse("x0^2 + x1^2 - 25", 2, ZZ)
+        res = cover_pipeline_affine(f, 8)
+        assert res.regime.ok is False
+        assert res.uncovered == []
+        assert res.high_mult["status"] == "chunked"
+        assert res.counts["aux"] == 6
+        proj = cover_pipeline(poly_parse("x0^2 + x1^2 - 25*x2^2", 3, ZZ), 8)
+        assert proj.high_mult["status"] == "chunked"
+        assert proj.counts["aux"] == 6
+        assert proj.uncovered == []
 
     def test_monitors_recorded(self):
         f = poly_parse("x0*x1*x2 - 1", 3, ZZ)

@@ -76,6 +76,25 @@ class TestFamilies:
         direct = enum_curve_points_proj(poly, 8).count
         assert direct == family_count(CUSPIDAL_FAMILY, 3, 8, F2)
 
+    def test_ff_exact_power_height(self):
+        # H = 3^5 = q^(d j) with j = 1; float log(H, q) / d falls just below 1
+        F3 = GlobalField.function_field(3)
+        assert family_count(CUSPIDAL_FAMILY, 5, 3**5, F3) == 28  # #P^1(F_3(t), 3)
+        for H, j in ((3**5 - 1, 0), (3**10 - 1, 1), (3**10, 2)):
+            assert family_count(CUSPIDAL_FAMILY, 5, H, F3) == enum_proj_points(1, 3**j, F3).count
+
+    def test_huge_height_over_q(self):
+        # X = floor((10^400)^(1/200)) = 100; the height exceeds float range
+        assert family_count(CUSPIDAL_FAMILY, 200, 10**400, Q) == 12176  # #P^1(Q, 100)
+
+    def test_integer_nth_root_exact(self):
+        from ratgrowth.harness import _integer_nth_root
+
+        for x in (1, 2, 7, 8, 9, 10**18 - 1, 10**18, 10**400, 3**500 + 1):
+            for n in (1, 2, 3, 7, 200):
+                r = _integer_nth_root(x, n)
+                assert r**n <= x < (r + 1) ** n
+
     def test_line_family_is_p1(self):
         for H in (2, 5, 10):
             assert family_count(LINE_FAMILY, 1, H, Q) == enum_proj_points(1, H, Q).count
@@ -177,15 +196,6 @@ class TestExperiment:
             ",".join(line.split(",")[:8]) for line in text.splitlines()
         ]
         assert strip(a) == strip(b)
-
-    def test_threaded_rows_identical(self, monkeypatch):
-        serial = run_experiment(self.CONFIG)[1]
-        monkeypatch.setenv("RATGROWTH_THREADS", "3")
-        threaded = run_experiment(self.CONFIG)[1]
-        strip = lambda text: [
-            ",".join(line.split(",")[:8]) for line in text.splitlines()
-        ]
-        assert strip(serial) == strip(threaded)
 
     def test_in_regime_rows_within_fitted_bound(self):
         from ratgrowth.baselines import BOUND_C_FIT
