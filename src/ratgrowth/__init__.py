@@ -13,6 +13,7 @@ from .algebra import (
     chebyshev_theta,
     det_exact,
     kernel_basis,
+    kernel_vector,
     poly_parse,
     primes_in_range,
 )

@@ -2,7 +2,7 @@
 
 from .domains import CoeffDomain
 from .fqpoly import FqPoly, FqRational, fq_gcd, fq_lcm, fq_xgcd
-from .linalg import ExactMatrix, det_exact, kernel_basis, rank, rref
+from .linalg import ExactMatrix, det_exact, kernel_basis, kernel_vector, rank, rref
 from .multipoly import (
     MultiPoly,
     ParseError,
@@ -26,6 +26,7 @@ __all__ = [
     "fq_lcm",
     "fq_xgcd",
     "kernel_basis",
+    "kernel_vector",
     "monomials_of_degree",
     "monomials_up_to_degree",
     "poly_parse",

@@ -2,9 +2,12 @@
 
 det_exact runs fraction-free Bareiss elimination (exact division keeps
 every intermediate value in the domain); integer matrices also have a
-modular/CRT route that must agree bit-exactly.  kernel_basis does plain
-Gauss-Jordan over a field with a fixed pivot rule, so results are
-deterministic.
+modular/CRT route that must agree bit-exactly.  kernel_vector is the
+interpolation solver: the same fraction-free elimination over Z, F_q[t]
+or a finite field, one column at a time, stopping at the first column
+that depends on the ones before it.  kernel_basis does plain Gauss-Jordan
+over a field with a fixed pivot rule, so results are deterministic; it
+is the oracle kernel_vector is tested against.
 """
 
 from __future__ import annotations
@@ -230,6 +233,60 @@ def kernel_basis(matrix: ExactMatrix) -> list[tuple]:
             v[pc] = dom.neg(reduced.entries[r_idx][fc])
         basis.append(tuple(v))
     return basis
+
+
+def kernel_vector(matrix: ExactMatrix) -> tuple | None:
+    """A nonzero v with M v = 0 supported on columns 0..fc, where fc is the
+    first column that depends on the columns before it; None at full
+    column rank.
+
+    Fraction-free over any integral domain (Z, F_q[t] or a field): columns
+    are taken one at a time and brought up to date through the Bareiss
+    steps already taken, each division exact, and elimination stops at
+    column fc.  Back-substitution then gives v[fc] = the last pivot (1 when
+    fc = 0) and v[j] = its Cramer numerator for j < fc, so v lies in the
+    domain and is kernel_basis(M)[0] scaled by v[fc].  The work is about
+    rows * fc^2 ring operations.
+    """
+    dom = matrix.domain
+    mul, sub, exact_div = dom.mul, dom.sub, dom.exact_div
+    nrows = matrix.rows
+    order = list(range(nrows))  # row position -> row of the matrix
+    done: list[list] = []  # column i as it stood at step i, by row position
+    pivots = [dom.one]  # pivots[i + 1] is the pivot of step i
+    for c in range(matrix.cols):
+        col = [matrix.entries[r][c] for r in order]
+        for i, steps in enumerate(done):
+            piv, prev, top = pivots[i + 1], pivots[i], col[i]
+            col[i + 1 :] = [
+                exact_div(sub(mul(piv, x), mul(m, top)), prev)
+                for x, m in zip(col[i + 1 :], steps[i + 1 :])
+            ]
+        k = len(done)
+        pivot_row = next((j for j in range(k, nrows) if not dom.is_zero(col[j])), None)
+        if pivot_row is None:
+            return _back_substitute(dom, done, pivots, col, matrix.cols)
+        if pivot_row != k:
+            for seq in (order, col, *done):
+                seq[k], seq[pivot_row] = seq[pivot_row], seq[k]
+        done.append(col)
+        pivots.append(col[k])
+    return None
+
+
+def _back_substitute(dom, done, pivots, col, ncols: int) -> tuple:
+    """Solve the triangular system of the pivot rows fraction-free for the
+    kernel vector whose coordinate at the dependent column `col` is the
+    last pivot."""
+    k = len(done)
+    v = [dom.zero] * ncols
+    v[k] = pivots[k]
+    for i in range(k - 1, -1, -1):
+        acc = dom.mul(pivots[k], col[i])
+        for j in range(i + 1, k):
+            acc = dom.add(acc, dom.mul(done[j][i], v[j]))
+        v[i] = dom.exact_div(dom.neg(acc), pivots[i + 1])
+    return tuple(v)
 
 
 def rank(matrix: ExactMatrix) -> int:

@@ -10,13 +10,15 @@ zero locus of few low-degree forms.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
 
-from .algebra.domains import CoeffDomain
-from .algebra.fqpoly import FqPoly, fq_lcm
-from .algebra.linalg import ExactMatrix, det_exact, kernel_basis
+from .algebra.fqpoly import FqPoly, fq_gcd
+from .algebra.linalg import ExactMatrix, det_exact, kernel_vector
 from .algebra.multipoly import (
     MultiPoly,
     eval_monomial,
@@ -233,36 +235,25 @@ class AuxPoly:
 
 def _kernel_poly(field: GlobalField, monomials, points_coords, nvars: int) -> MultiPoly | None:
     """A nonzero polynomial on the monomial list vanishing at all the given
-    coordinate tuples, with O_K coefficients, or None at full rank.  The
-    vanishing is checked exactly before the polynomial is returned."""
-    kdom = field.element_domain()
-    rows = [[eval_monomial(kdom, exps, coords) for exps in monomials] for coords in points_coords]
-    basis = kernel_basis(ExactMatrix.from_rows(kdom, rows))
-    if not basis:
+    coordinate tuples, with O_K coefficients, or None at full rank.
+
+    The coefficients are the kernel vector at the first dependent column,
+    divided by their content and made positive (over Z) or monic (over
+    F_q[t]) at that column.  The vanishing is checked exactly before the
+    polynomial is returned."""
+    dom = field.integer_domain()
+    rows = [[eval_monomial(dom, exps, coords) for exps in monomials] for coords in points_coords]
+    vec = kernel_vector(ExactMatrix.from_rows(dom, rows))
+    if vec is None:
         return None
-    vec = basis[0]
+    lead = next(c for c in reversed(vec) if c)
     if field.is_rational:
-        denom = 1
-        for c in vec:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in vec]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, abs(c))
-        coeffs = [c // g for c in ints]
-        dom = CoeffDomain.integers()
+        content = math.gcd(*vec)
+        unit = content if lead > 0 else -content
     else:
-        denom = FqPoly.one(field.q)
-        for c in vec:
-            if c:
-                denom = fq_lcm(denom, c.den)
-        coeffs = []
-        for c in vec:
-            scaled = c * denom
-            assert scaled.is_integral
-            coeffs.append(scaled.num)
-        dom = CoeffDomain.poly_ring(field.q)
-    poly = MultiPoly(dom, nvars, dict(zip(monomials, coeffs)))
+        content = reduce(fq_gcd, (c for c in vec if c), FqPoly.zero(field.q))
+        unit = content.scale(lead.leading_coeff)
+    poly = MultiPoly(dom, nvars, {exps: c // unit for exps, c in zip(monomials, vec)})
     for coords in points_coords:
         if not dom.is_zero(poly.evaluate(coords)):
             raise AssertionError("interpolant fails to vanish on its points")
@@ -316,22 +307,45 @@ class RegimeReport:
     rhs: float
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def float_power(base: float, exponent: float) -> float:
+    """base ** exponent as a float, or inf beyond the float range.
+
+    Only a base or a power too large for a float goes through logarithms,
+    so every value that fits is the plain power.
+    """
+    try:
+        return float(base**exponent)
+    except OverflowError:
+        log_value = exponent * math.log(base)
+        return math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
+
+
+def json_float(value: float) -> float | None:
+    """value as a JSON document writes it: a power beyond the float range
+    (inf, see float_power) becomes null, since strict JSON has no Infinity."""
+    return None if math.isinf(value) else value
+
+
 def regime_check(d: int, H: float, variant: str = "CurveQ", N: float = 2.0) -> RegimeReport:
     """The inequality window in which the covering pipeline is guaranteed:
     (log H)^2 < d < H^(3/2) for plane curves, (log H)^N < d < H for the
-    affine hypersurface variant."""
+    affine hypersurface variant.  The upper end is decided exactly, as
+    d^2 < H^3 and d < H."""
     if d < 1 or H <= 2:
         raise ValueError("need d >= 1 and H > 2")
     log_h = math.log(H)
     if variant in ("CurveQ", "CurveK"):
-        lhs, rhs = log_h**2, H**1.5
+        lhs, rhs = log_h**2, float_power(H, 1.5)
+        below = d * d < Fraction(H) ** 3
     elif variant == "AffinePila":
-        lhs, rhs = log_h**N, float(H)
+        lhs, rhs = log_h**N, float_power(H, 1)
+        below = d < H
     else:
         raise ValueError(f"unknown regime variant {variant!r}")
-    return RegimeReport(variant=variant, ok=lhs < d < rhs, lhs=lhs, d=d, rhs=rhs)
-
-
+    return RegimeReport(variant=variant, ok=lhs < d and below, lhs=lhs, d=d, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +382,7 @@ class CoverResult:
                 "ok": self.regime.ok,
                 "lhs": self.regime.lhs,
                 "d": self.regime.d,
-                "rhs": self.regime.rhs,
+                "rhs": json_float(self.regime.rhs),
             },
             "classes": [
                 {

@@ -132,15 +132,18 @@ def enum_proj_points(
     values = _box_values(field, H)
     positives = [v for v in values if (v > 0 if field.is_rational else bool(v) and v.is_monic)]
     visited = 0
+    count = 0
     points: list[ProjPoint] = []
 
     def extend_filtered(prefix: list, g, remaining: int):
-        # same as extend but only keeps unit-gcd completions
-        nonlocal visited
+        # only unit-gcd completions are points; count mode builds none
+        nonlocal visited, count
         if remaining == 0:
             if _is_unit_gcd(field, g):
-                coords = tuple(prefix)
-                points.append(ProjPoint(field, coords, height_of_primitive(field, coords)))
+                count += 1
+                if options.collect:
+                    coords = tuple(prefix)
+                    points.append(ProjPoint(field, coords, height_of_primitive(field, coords)))
             return
         for v in values:
             visited += 1
@@ -163,7 +166,7 @@ def enum_proj_points(
     points.sort(key=ProjPoint.sort_key)
     elapsed = time.perf_counter() - start
     return PointSetResult(
-        count=len(points),
+        count=count,
         points=tuple(points) if options.collect else None,
         elapsed=elapsed,
     )
@@ -400,17 +403,23 @@ def enum_affine_hypersurface(
     values = _box_values(field, B)
     nvals = len(values)
 
-    sieve_data = []
-    if options.sieve:
-        sieve_data = _sieve_root_sets(f, field, options.sieve)
-        residue_maps = []
-        for prime, roots in sieve_data:
-            residue_maps.append(
-                (roots, [field.residue_of(v, prime) for v in values])
-            )
-
     solve = min(range(n), key=lambda i: len({e[i] for e in f.terms}))
     others = [i for i in range(n) if i != solve]
+
+    # per sieve prime: the residue of each box value, and for each residue
+    # tuple of the other coordinates the box indices of the solve
+    # coordinate that complete it to a root
+    sieve_maps = []
+    for prime, roots in _sieve_root_sets(f, field, options.sieve or ()):
+        value_residues = [field.residue_of(v, prime) for v in values]
+        indices_of: dict = {}
+        for iv, r in enumerate(value_residues):
+            indices_of.setdefault(r, []).append(iv)
+        solve_indices: dict[tuple, set] = {}
+        for root in roots:
+            key = tuple(root[i] for i in others)
+            solve_indices.setdefault(key, set()).update(indices_of.get(root[solve], ()))
+        sieve_maps.append((value_residues, solve_indices))
     tables = {i: _power_table(field, values, [e[i] for e in f.terms]) for i in range(n)}
 
     grouped: dict[int, list] = {}
@@ -443,21 +452,17 @@ def enum_affine_hypersurface(
                     acc = acc + term
                 if acc:
                     coeffs[k] = acc
+            passing = None  # the solve indices no sieve prime rejects
+            for value_residues, solve_indices in sieve_maps:
+                ok = solve_indices.get(tuple(value_residues[i] for i in prefix_idx), set())
+                passing = ok if passing is None else passing & ok
             for iv in range(nvals):
                 visited += 1
                 if visited > options.budget:
                     raise BudgetExceededError(options.budget, visited)
-                if sieve_data:
-                    candidate = _assemble(prefix_idx, iv)
-                    ok = True
-                    for roots, value_residues in residue_maps:
-                        residues = tuple(value_residues[i] for i in candidate)
-                        if residues not in roots:
-                            ok = False
-                            break
-                    if not ok:
-                        rejections += 1
-                        continue
+                if passing is not None and iv not in passing:
+                    rejections += 1
+                    continue
                 if coeffs and _eval_grouped(coeffs, tables[solve], iv, zero_elem):
                     continue
                 point_idx = _assemble(prefix_idx, iv)

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .algebra.multipoly import MultiPoly, poly_parse
-from .detmethod import regime_check
+from .detmethod import float_power, json_float, regime_check
 from .enumeration import (
     BudgetExceededError,
     EnumOptions,
@@ -67,25 +67,25 @@ def bound_value(spec: BoundSpec, d: int, H: float, n: int = 2) -> float:
     dim_x = n - 1
     t = spec.theorem
     if t == "Curve":
-        return spec.c * d * d * H ** (2.0 * spec.d_K / d) * log_pow
+        return spec.c * d * d * float_power(H, 2.0 * spec.d_K / d) * log_pow
     if t == "AffineCurve":
-        return spec.c * d * d * H ** (1.0 / d) * log_pow
+        return spec.c * d * d * float_power(H, 1.0 / d) * log_pow
     if t == "AffineHypersurface":
-        return spec.c * d * d * H ** (n - 2 + 1.0 / d) * log_pow
+        return spec.c * d * d * float_power(H, n - 2 + 1.0 / d) * log_pow
     if t == "DimGrowthProj":
         if d >= 4:
-            return spec.c * d * d * H ** (spec.d_K * dim_x) * log_pow
+            return spec.c * d * d * float_power(H, spec.d_K * dim_x) * log_pow
         if d == 3:
-            return spec.c * H ** (spec.d_K * (dim_x - 1 + 2.0 / math.sqrt(3.0))) * log_pow
+            return spec.c * float_power(H, spec.d_K * (dim_x - 1 + 2.0 / math.sqrt(3.0))) * log_pow
         raise UnsupportedBound(f"DimGrowthProj needs d >= 3, got {d}")
     if t == "DimGrowthAff":
         if d >= 4:
-            return spec.c * d * d * H ** (dim_x - 1) * log_pow
+            return spec.c * d * d * float_power(H, dim_x - 1) * log_pow
         if d == 3:
-            return spec.c * H ** (dim_x - 2 + 2.0 / math.sqrt(3.0)) * log_pow
+            return spec.c * float_power(H, dim_x - 2 + 2.0 / math.sqrt(3.0)) * log_pow
         raise UnsupportedBound(f"DimGrowthAff needs d >= 3, got {d}")
     if t == "PilaK":
-        return spec.c * d * d * H ** (dim_x - 1 + 1.0 / d) * log_pow
+        return spec.c * d * d * float_power(H, dim_x - 1 + 1.0 / d) * log_pow
     raise AssertionError(t)
 
 
@@ -427,7 +427,7 @@ def report_to_json(reports) -> str:
                     {
                         "H": r.H,
                         "count": r.count,
-                        "bound": r.bound,
+                        "bound": json_float(r.bound),
                         "ratio": r.ratio,
                         "regime_ok": r.regime_ok,
                         "status": r.status,

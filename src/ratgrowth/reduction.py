@@ -20,7 +20,7 @@ from itertools import product
 from math import comb
 
 from .algebra.domains import CoeffDomain
-from .algebra.linalg import ExactMatrix, kernel_basis
+from .algebra.linalg import ExactMatrix, kernel_vector
 from .algebra.multipoly import MultiPoly, eval_monomial, monomials_of_degree
 from .algebra.primes import PrimeIdealDesc
 from .globalfield import GlobalField
@@ -599,10 +599,10 @@ def high_mult_locus(
         rows = []
         for pt in locus:
             rows.append([eval_monomial(dom, exps, pt) for exps in monos])
-        basis = kernel_basis(ExactMatrix.from_rows(dom, rows))
-        if basis:
-            vec = basis[0]
-            h = MultiPoly(dom, n, {exps: c for exps, c in zip(monos, vec)})
+        vec = kernel_vector(ExactMatrix.from_rows(dom, rows))
+        if vec is not None:
+            scale = dom.inv(next(c for c in reversed(vec) if c))
+            h = MultiPoly(dom, n, {exps: dom.mul(c, scale) for exps, c in zip(monos, vec)})
             for pt in locus:
                 assert dom.is_zero(h.evaluate(pt)), "interpolant fails to vanish"
             return HighMultLocus("ok", h, degree, tuple(locus), threshold)

@@ -32,8 +32,8 @@ def _fixture(name):
     return lambda: cover_pipeline(*corpus.cover_fixture_poly(name))
 
 
-def _projective(text, H):
-    return lambda: cover_pipeline(poly_parse(text, 3, ZZ), H)
+def _projective(text, H, domain=ZZ):
+    return lambda: cover_pipeline(poly_parse(text, 3, domain), H)
 
 
 def _affine(text, B, params=None):
@@ -65,6 +65,15 @@ CASES = {
     "conic_r5_H5_proj": (
         _projective("x0^2 + x1^2 - 25*x2^2", 5),
         "8456bc3bc4aa165d59cfcf829c3419b7d41656f7b185c105c0ccab61d40f24b7",
+    ),
+    # in regime, with classes of 11 to 49 points and non-trivial kernels
+    "arrangement_H4_F2t": (
+        _projective("x0*x1*x2*(x0+x1)*(x1+x2)", 4, CoeffDomain.poly_ring(2)),
+        "d15698784ae832c7d09ddc428e5a9ce64e7908e9c1a57eb4ca464ffecf50ce57",
+    ),
+    "signed_sextic_H6_Q": (
+        _projective("x0*x1*x2*(x0-x1)*(x1+x2)*(x0+x2)", 6),
+        "c78b4c828577ffa7d91c8e13c657f0469f3f8b17d0a73aa26328fc60c9b9fdbe",
     ),
     "product_one_B4_affine": (
         _affine("x0*x1*x2 - 1", 4),

@@ -1,5 +1,6 @@
 """Certificates, auxiliary polynomials, the covering pipelines."""
 
+import json
 import math
 import random
 
@@ -11,6 +12,7 @@ from ratgrowth.algebra.primes import PrimeIdealDesc
 from ratgrowth.detmethod import (
     AffineCoverParams,
     CoverParams,
+    CoverResult,
     NotApplicable,
     PointsNotCongruent,
     RegimeViolation,
@@ -255,6 +257,27 @@ class TestRegime:
         assert not regime_check(10**6, 100).ok  # above H^(3/2)
         r = regime_check(26, 20)
         assert math.isclose(r.lhs, math.log(20) ** 2)
+
+    def test_huge_height_decided_exactly(self):
+        # H^(3/2) = 10^600 exceeds the float range; d < H^(3/2) is d^2 < H^3
+        H = 10**400
+        r = regime_check(200, H)
+        assert not r.ok and r.rhs == math.inf  # 200 < (log H)^2 = 8.5e5
+        assert regime_check(10**600 - 1, H).ok
+        assert not regime_check(10**600, H).ok
+        r = regime_check(10**6, H, "AffinePila", N=2.0)
+        assert r.ok and r.rhs == math.inf
+
+    def test_huge_height_cover_json_is_strict(self):
+        # strict JSON has no Infinity: the out-of-range rhs is written as null
+        f = poly_parse("x0*x2 - x1^2", 3, CoeffDomain.integers())
+        result = CoverResult(f, 10**400, regime_check(200, 10**400), [], [], {}, [], {})
+
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        payload = json.loads(json.dumps(result.to_json_dict()), parse_constant=reject)
+        assert payload["regime"]["rhs"] is None and payload["regime"]["d"] == 200
 
     def test_affine_variant(self):
         r = regime_check(9, 20, "AffinePila", N=2.0)

@@ -79,6 +79,15 @@ class TestProjectiveSpace:
         with pytest.raises(BudgetExceededError):
             enum_proj_points(2, 30, Q, EnumOptions(budget=100))
 
+    @pytest.mark.parametrize("field, heights", [(Q, (1, 2, 5, 9)), (F2, (1, 2, 4, 8))])
+    def test_count_mode_matches_collect(self, field, heights):
+        for n in (1, 2):
+            for H in heights:
+                counted = enum_proj_points(n, H, field, EnumOptions(collect=False))
+                collected = enum_proj_points(n, H, field)
+                assert counted.points is None
+                assert counted.count == collected.count == len(collected.points)
+
 
 class TestCurvePoints:
     def test_conic_h4(self):
@@ -170,6 +179,16 @@ class TestAffine:
             f, 2, EnumOptions(sieve=(PrimeIdealDesc(3, 3),))
         )
         assert sieved.sieve_rejections > 0
+
+    def test_sieve_rejections_exact(self):
+        # a candidate is rejected iff f(x) is nonzero modulo some sieve prime
+        f = poly_parse("x0^2 + x1*x2 - 7", 3, ZZ)
+        for primes in [(3,), (3, 5), (5, 7)]:
+            sieve = tuple(PrimeIdealDesc(p, p) for p in primes)
+            got = enum_affine_hypersurface(f, 3, EnumOptions(sieve=sieve)).sieve_rejections
+            box = range(-3, 4)
+            values = [f.evaluate((a, b, c)) for a in box for b in box for c in box]
+            assert got == sum(1 for v in values if any(v % p for p in primes))
 
     def test_ff_affine(self):
         f = poly_parse("x0*x1 - 1", 2, F2T)

@@ -45,6 +45,12 @@ class TestBoundValue:
         assert bound_value(BoundSpec("DimGrowthProj"), 4, 50, n=3) > 0
         assert bound_value(BoundSpec("DimGrowthProj"), 3, 50, n=3) > 0
 
+    def test_huge_height_bound(self):
+        # H = 10^400 exceeds the float range, H^(2/d) = 10^4 does not
+        v = bound_value(BoundSpec("Curve", c=1, kappa=0), 200, 10**400)
+        assert v == pytest.approx(200 * 200 * 10**4)
+        assert bound_value(BoundSpec("DimGrowthProj", kappa=0), 4, 10**400) == math.inf
+
     def test_unsupported_combination(self):
         with pytest.raises(UnsupportedBound):
             bound_value(BoundSpec("DimGrowthProj"), 2, 50, n=3)
@@ -154,6 +160,34 @@ class TestExperiment:
         counts = [r.count for r in reports[0].rows]
         expected = [enum_proj_points(1, h, F2).count for h in (2, 4, 8, 16)]
         assert counts == expected
+
+    def test_huge_height_row(self):
+        config = {"families": [{"name": "cuspidal_monomial"}], "fields": ["Q"], "degrees": [200], "heights": [10**400]}
+        reports, csv_text = run_experiment(config)
+        row = reports[0].rows[0]
+        assert row.count == 12176  # #P^1(Q, 100)
+        assert row.bound == pytest.approx(200 * 200 * 10**4 * math.log(10**400) ** 12)
+        assert not row.regime_ok  # d = 200 is below (log H)^2
+        assert parse_csv(csv_text)[0].count == 12176
+
+    def test_huge_height_report_json_is_strict(self):
+        # H^1 = 10^400 is beyond the float range: the CSV keeps inf, the JSON writes null
+        config = {
+            "families": [{"name": "cuspidal_monomial"}],
+            "degrees": [200],
+            "heights": [10**400],
+            "bounds": {"theorem": "DimGrowthProj"},
+        }
+        reports, csv_text = run_experiment(config)
+        assert reports[0].rows[0].bound == math.inf
+        assert parse_csv(csv_text)[0].bound == math.inf
+
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        payload = json.loads(report_to_json(reports), parse_constant=reject)
+        row = payload[0]["rows"][0]
+        assert (row["count"], row["bound"], row["ratio"]) == (12176, None, 0.0)
 
     def test_empty_config(self):
         reports, csv_text = run_experiment({"families": [], "heights": []})

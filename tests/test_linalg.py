@@ -13,6 +13,7 @@ from ratgrowth.algebra.linalg import (
     NonSquareMatrixError,
     det_exact,
     kernel_basis,
+    kernel_vector,
     mat_vec,
     rank,
 )
@@ -157,3 +158,71 @@ class TestKernel:
     def test_deterministic(self):
         m = ExactMatrix.from_rows(GF5, [[1, 2, 3], [2, 4, 1]])
         assert kernel_basis(m) == kernel_basis(m)
+
+
+def _oracle_vector(dom, rows):
+    """kernel_basis(M)[0] over the fraction field (or the field itself),
+    or None at full column rank."""
+    field = dom.fraction_field()
+    basis = kernel_basis(ExactMatrix.from_rows(field, rows))
+    return basis[0] if basis else None
+
+
+def _as_oracle(dom, v):
+    """v scaled to 1 at its last nonzero coordinate, in the fraction field."""
+    field = dom.fraction_field()
+    lead = field.coerce(next(x for x in reversed(v) if not dom.is_zero(x)))
+    return tuple(field.div(field.coerce(x), lead) for x in v)
+
+
+KERNEL_DOMAINS = [ZZ, CoeffDomain.poly_ring(2), CoeffDomain.poly_ring(3), GF5, CoeffDomain.prime_field(7)]
+
+
+class TestKernelVector:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_matches_first_oracle_vector(self, seed):
+        # a product of r x k and k x c factors has rank <= k, so many
+        # draws are rank-deficient with dependent columns in any position
+        rng = random.Random(seed)
+        dom = rng.choice(KERNEL_DOMAINS)
+        r, c = rng.randint(1, 6), rng.randint(1, 7)
+        k = rng.randint(0, min(r, c))
+        left = [[dom.sample(rng) for _ in range(k)] for _ in range(r)]
+        right = [[dom.sample(rng) for _ in range(c)] for _ in range(k)]
+        rows = [
+            [sum((dom.mul(left[i][t], right[t][j]) for t in range(k)), dom.zero) for j in range(c)]
+            for i in range(r)
+        ]
+        m = ExactMatrix.from_rows(dom, rows)
+        v = kernel_vector(m)
+        expected = _oracle_vector(dom, rows)
+        if expected is None:
+            assert v is None
+            return
+        assert all(dom.is_zero(x) for x in mat_vec(m, v))
+        assert _as_oracle(dom, v) == expected
+
+    def test_zero_first_column(self):
+        for dom in KERNEL_DOMAINS:
+            m = ExactMatrix.from_rows(dom, [[0, 1, 2], [0, 3, 1]])
+            assert kernel_vector(m) == (dom.one, dom.zero, dom.zero)
+
+    def test_full_column_rank_is_none(self):
+        for dom in KERNEL_DOMAINS:
+            m = ExactMatrix.from_rows(dom, [[1, 0], [1, 1], [0, 1]])
+            assert kernel_vector(m) is None
+
+    def test_more_rows_than_columns(self):
+        # columns 0, 1 independent, column 2 = 2 * column 0 - 3 * column 1
+        rows = [[1, 2, -4], [3, 1, 3], [0, 5, -15], [2, 2, -2], [7, 0, 14]]
+        v = kernel_vector(ExactMatrix.from_rows(ZZ, rows))
+        assert _as_oracle(ZZ, v) == (Fraction(-2), Fraction(3), Fraction(1))
+        assert v[2] == det_exact(ExactMatrix.from_rows(ZZ, [r[:2] for r in rows[:2]]))
+
+    def test_row_pivoting(self):
+        # the first pivot sits below a zero; the dependent column is the last
+        rows = [[0, 1, 1], [2, 0, 2]]
+        for dom in (ZZ, CoeffDomain.poly_ring(3)):
+            v = kernel_vector(ExactMatrix.from_rows(dom, rows))
+            assert _as_oracle(dom, v) == _oracle_vector(dom, rows)
