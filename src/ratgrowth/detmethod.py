@@ -325,8 +325,9 @@ def float_power(base: float, exponent: float) -> float:
 
 def json_float(value: float) -> float | None:
     """value as a JSON document writes it: a power beyond the float range
-    (inf, see float_power) becomes null, since strict JSON has no Infinity."""
-    return None if math.isinf(value) else value
+    (inf, see float_power) or a bound that is not reported (nan) becomes
+    null, since strict JSON has neither Infinity nor NaN."""
+    return value if math.isfinite(value) else None
 
 
 def regime_check(d: int, H: float, variant: str = "CurveQ", N: float = 2.0) -> RegimeReport:

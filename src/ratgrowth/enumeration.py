@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 
-from .algebra.fqpoly import FqPoly, fq_gcd, poly_to_index
+from .algebra.fqpoly import FqPoly, all_polys, fq_gcd, monic_irreducibles_of_degree, poly_to_index
 from .algebra.multipoly import MultiPoly
-from .algebra.primes import PrimeIdealDesc
-from .globalfield import GlobalField, ProjPoint, height_of_primitive
+from .algebra.primes import PrimeIdealDesc, rational_primes_below
+from .globalfield import GlobalField, ProjPoint, height_of_primitive, primitive_tuple
+from .reduction import integral_primitive_part
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -86,8 +88,6 @@ def _box_values(field: GlobalField, bound: int) -> list:
     max_deg = 0
     while q ** (max_deg + 1) <= bound:
         max_deg += 1
-    from .algebra.fqpoly import all_polys
-
     return list(all_polys(q, max_deg))
 
 
@@ -111,7 +111,7 @@ def _gcd_step(field: GlobalField, g, x):
     return x.monic() if not g else fq_gcd(g, x)
 
 
-def _zero_gcd(field: GlobalField):
+def _field_zero(field: GlobalField):
     return 0 if field.is_rational else FqPoly.zero(field.q)
 
 
@@ -153,7 +153,7 @@ def enum_proj_points(
             extend_filtered(prefix, _gcd_step(field, g, v), remaining - 1)
             prefix.pop()
 
-    zero = 0 if field.is_rational else FqPoly.zero(field.q)
+    zero = _field_zero(field)
     for lead_pos in range(n + 1):
         rest = n - lead_pos
         for lead in positives:
@@ -161,7 +161,7 @@ def enum_proj_points(
             if visited > options.budget:
                 raise BudgetExceededError(options.budget, visited)
             prefix = [zero] * lead_pos + [lead]
-            extend_filtered(prefix, _gcd_step(field, _zero_gcd(field), lead), rest)
+            extend_filtered(prefix, _gcd_step(field, zero, lead), rest)
 
     points.sort(key=ProjPoint.sort_key)
     elapsed = time.perf_counter() - start
@@ -210,32 +210,104 @@ def _power_table(field: GlobalField, values: list, exponents) -> dict[int, list]
     return table
 
 
-def _normalize_tuple_int(coords: tuple[int, ...]) -> tuple[int, ...] | None:
-    from math import gcd
-
-    g = 0
-    for c in coords:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return None
-    out = tuple(c // g for c in coords)
-    first = next(c for c in out if c)
-    return out if first > 0 else tuple(-c for c in out)
+def _grouped_terms(f: MultiPoly, solve: int) -> dict[int, list]:
+    """f's terms grouped by the exponent of the solve variable, each as
+    (exponents of the other variables, coefficient)."""
+    grouped: dict[int, list] = {}
+    for exps, c in f.terms.items():
+        rest = exps[:solve] + exps[solve + 1 :]
+        grouped.setdefault(exps[solve], []).append((rest, c))
+    return grouped
 
 
-def _normalize_tuple_poly(coords: tuple) -> tuple | None:
-    q = coords[0].q
-    g = FqPoly.zero(q)
-    for c in coords:
-        if c:
-            g = c.monic() if not g else fq_gcd(g, c)
-    if not g:
-        return None
-    out = tuple(c // g for c in coords)
-    first = next(c for c in out if c)
-    if first.leading_coeff != 1:
-        inv = pow(first.leading_coeff, q - 2, q)
-        out = tuple(c.scale(inv) for c in out)
+def _univariate(grouped: dict, tables: list, idx, zero) -> dict:
+    """The coefficients, by solve exponent, of f with the other coordinates
+    fixed at the power-table indices idx; {} if it vanishes identically."""
+    coeffs = {}
+    for k, terms in grouped.items():
+        acc = zero
+        for exps, c in terms:
+            for table, e, i in zip(tables, exps, idx):
+                if e:
+                    c = c * table[e][i]
+            acc = acc + c
+        if acc:
+            coeffs[k] = acc
+    return coeffs
+
+
+def _eval_grouped(coeffs: dict, table: dict, iv: int, zero):
+    acc = zero
+    for k, c in coeffs.items():
+        acc = acc + c * table[k][iv]
+    return acc
+
+
+def _solve_sieve_primes(field: GlobalField, nvals: int) -> list[PrimeIdealDesc]:
+    """The primes that sieve the solve coordinate of a box of nvals values
+    per coordinate: largest norm first among those of norm at most nvals/4,
+    until the product of the norms exceeds nvals.  Empty for small boxes."""
+    if field.is_rational:
+        pool = [PrimeIdealDesc(p, p) for p in reversed(rational_primes_below(nvals // 4 + 1))]
+    else:
+        q, deg = field.q, 0
+        while 4 * q ** (deg + 1) <= nvals:
+            deg += 1
+        pool = [
+            PrimeIdealDesc(g, q**k)
+            for k in range(deg, 0, -1)
+            for g in monic_irreducibles_of_degree(q, k)
+        ]
+    chosen, modulus = [], 1
+    for prime in pool:
+        if modulus > nvals:
+            break
+        chosen.append(prime)
+        modulus *= prime.norm
+    return chosen
+
+
+def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: list) -> list:
+    """Per prime: the residue class of each box value, and for each tuple
+    of residue classes of the other coordinates the frozenset of box
+    indices whose value completes it to a zero of f modulo the prime.
+
+    Classes are numbered by their canonical representatives: 0..p-1 over
+    Q, the polynomials of degree below deg(pi) by index over F_q(t).  The
+    zeros come from exact evaluation of the primitive part of f at those
+    representatives with the grouped power-table evaluation of the scan,
+    then one reduction of the value, so no residue-field arithmetic is
+    needed.  The primitive part vanishes where f does, and a prime that
+    divides the content of f still sieves."""
+    if not primes:
+        return []
+    f = integral_primitive_part(f)
+    n = f.nvars
+    grouped = _grouped_terms(f, solve)
+    zero = f.domain.zero
+    out = []
+    for prime in primes:
+        gen = prime.generator
+        reps = list(range(gen)) if field.is_rational else list(all_polys(field.q, gen.degree - 1))
+        powers = [_power_table(field, reps, [e[i] for e in f.terms]) for i in range(n)]
+        fixed = powers[:solve] + powers[solve + 1 :]
+        residues = [_elem_key(field, v % gen) for v in values]
+        buckets: list[list[int]] = [[] for _ in reps]
+        for iv, r in enumerate(residues):
+            buckets[r].append(iv)
+        by_roots: dict[tuple, frozenset] = {}
+        table = {}
+        for key in product(range(len(reps)), repeat=n - 1):
+            coeffs = _univariate(grouped, fixed, key, zero)
+            roots = tuple(
+                r
+                for r in range(len(reps))
+                if not _eval_grouped(coeffs, powers[solve], r, zero) % gen
+            )
+            if roots not in by_roots:
+                by_roots[roots] = frozenset(iv for r in roots for iv in buckets[r])
+            table[key] = by_roots[roots]
+        out.append((residues, table))
     return out
 
 
@@ -244,9 +316,12 @@ def enum_curve_points_proj(
 ) -> PointSetResult:
     """Exactly the height-<=H rational points of the plane curve f = 0.
 
-    Strategy: pick a solve variable, iterate the other two coordinates
-    over the box, collapse f to a univariate and scan its zeros; then
-    normalize and deduplicate.
+    Strategy: pick a solve variable and iterate the other two coordinates
+    over the box, skipping pairs whose first nonzero coordinate is not
+    canonical (a unit multiple of the pair is visited instead).  For each
+    pair, the solve values that survive the residue sieve of
+    `_solve_sieve_primes` are checked by exact evaluation of the collapsed
+    univariate; the zeros are normalized and deduplicated.
     """
     if f.is_zero:
         raise ValueError("curve polynomial must be nonzero")
@@ -264,52 +339,43 @@ def enum_curve_points_proj(
     others = [i for i in range(3) if i != solve]
 
     values = _box_values(field, H)
-    tables = {
-        i: _power_table(field, values, [e[i] for e in f.terms]) for i in others
-    }
-    solve_exps = sorted({e[solve] for e in f.terms})
-    solve_table = _power_table(field, values, solve_exps)
-
-    # terms grouped by the solve-variable exponent
-    grouped: dict[int, list] = {}
-    for exps, c in f.terms.items():
-        grouped.setdefault(exps[solve], []).append((exps[others[0]], exps[others[1]], c))
-
-    dom = f.domain
-    zero_elem = 0 if field.is_rational else FqPoly.zero(field.q)
-    visited = 0
-    found: set[tuple] = set()
-    normalize = _normalize_tuple_int if field.is_rational else _normalize_tuple_poly
-
     nvals = len(values)
-    for ia in range(nvals):
-        for ib in range(nvals):
-            visited += nvals
-            if visited > options.budget:
-                raise BudgetExceededError(options.budget, visited)
-            coeffs = {}
-            for k, terms in grouped.items():
-                acc = zero_elem
-                for ea, eb, c in terms:
-                    acc = acc + c * tables[others[0]][ea][ia] * tables[others[1]][eb][ib]
-                if acc:
-                    coeffs[k] = acc
-            if not coeffs:
-                solutions = range(nvals)
-            else:
-                solutions = [
-                    iv
-                    for iv in range(nvals)
-                    if not _eval_grouped(coeffs, solve_table, iv, zero_elem)
-                ]
-            for iv in solutions:
-                raw = [None, None, None]
-                raw[others[0]] = values[ia]
-                raw[others[1]] = values[ib]
-                raw[solve] = values[iv]
-                norm = normalize(tuple(raw))
-                if norm is not None:
-                    found.add(norm)
+    # the budget counts every cell of the box, N per fixed pair, whatever
+    # the sieve and the unit symmetry skip
+    if nvals**3 > options.budget:
+        raise BudgetExceededError(options.budget, max(options.budget // nvals + 1, 1) * nvals)
+    tables = [_power_table(field, values, [e[i] for e in f.terms]) for i in others]
+    solve_table = _power_table(field, values, [e[solve] for e in f.terms])
+    grouped = _grouped_terms(f, solve)
+    sieve = _sieve_tables(f, field, _solve_sieve_primes(field, nvals), solve, values)
+
+    zero_elem = _field_zero(field)
+    izero = values.index(zero_elem)
+    if field.is_rational:
+        leads = [i for i, v in enumerate(values) if v > 0]
+    else:
+        leads = [i for i, v in enumerate(values) if v and v.is_monic]
+    every = range(nvals)
+    found: set[tuple] = set()
+    for ia in leads + [izero]:
+        for ib in every if ia != izero else [izero] + leads:
+            candidates = None
+            for residues, table in sieve:
+                hits = table[residues[ia], residues[ib]]
+                candidates = hits if candidates is None else candidates & hits
+            if candidates is None:
+                candidates = every
+            elif not candidates:
+                continue
+            coeffs = _univariate(grouped, tables, (ia, ib), zero_elem)
+            for iv in candidates:
+                if not _eval_grouped(coeffs, solve_table, iv, zero_elem):
+                    raw = [None, None, None]
+                    raw[others[0]] = values[ia]
+                    raw[others[1]] = values[ib]
+                    raw[solve] = values[iv]
+                    found.add(primitive_tuple(field, raw))
+    found.discard(None)
 
     points = [
         ProjPoint(field, coords, height_of_primitive(field, coords)) for coords in found
@@ -321,13 +387,6 @@ def enum_curve_points_proj(
         points=tuple(points) if options.collect else None,
         elapsed=elapsed,
     )
-
-
-def _eval_grouped(coeffs: dict, table: dict, iv: int, zero):
-    acc = zero
-    for k, c in coeffs.items():
-        acc = acc + c * table[k][iv]
-    return acc
 
 
 def brute_force_curve_points(f: MultiPoly, H: int) -> set[ProjPoint]:
@@ -356,33 +415,6 @@ def brute_force_curve_points(f: MultiPoly, H: int) -> set[ProjPoint]:
 # ---------------------------------------------------------------------------
 
 
-def _sieve_root_sets(f: MultiPoly, field: GlobalField, primes) -> list[tuple[PrimeIdealDesc, set]]:
-    """For each sieve prime, the exact set of residue tuples where the
-    reduction of f vanishes."""
-    from .reduction import reduce_curve_mod_p
-
-    out = []
-    for prime in primes:
-        reduced = reduce_curve_mod_p(f, prime)
-        dom = reduced.f_p.domain
-        roots = set()
-        elems = list(dom.elements())
-
-        def rec(prefix, remaining):
-            if remaining == 0:
-                if dom.is_zero(reduced.f_p.evaluate(tuple(prefix))):
-                    roots.add(tuple(prefix))
-                return
-            for v in elems:
-                prefix.append(v)
-                rec(prefix, remaining - 1)
-                prefix.pop()
-
-        rec([], f.nvars)
-        out.append((prime, roots))
-    return out
-
-
 def enum_affine_hypersurface(
     f: MultiPoly, B: int, options: EnumOptions | None = None
 ) -> PointSetResult:
@@ -406,27 +438,12 @@ def enum_affine_hypersurface(
     solve = min(range(n), key=lambda i: len({e[i] for e in f.terms}))
     others = [i for i in range(n) if i != solve]
 
-    # per sieve prime: the residue of each box value, and for each residue
-    # tuple of the other coordinates the box indices of the solve
-    # coordinate that complete it to a root
-    sieve_maps = []
-    for prime, roots in _sieve_root_sets(f, field, options.sieve or ()):
-        value_residues = [field.residue_of(v, prime) for v in values]
-        indices_of: dict = {}
-        for iv, r in enumerate(value_residues):
-            indices_of.setdefault(r, []).append(iv)
-        solve_indices: dict[tuple, set] = {}
-        for root in roots:
-            key = tuple(root[i] for i in others)
-            solve_indices.setdefault(key, set()).update(indices_of.get(root[solve], ()))
-        sieve_maps.append((value_residues, solve_indices))
-    tables = {i: _power_table(field, values, [e[i] for e in f.terms]) for i in range(n)}
+    tables = [_power_table(field, values, [e[i] for e in f.terms]) for i in range(n)]
+    fixed = [tables[i] for i in others]
+    grouped = _grouped_terms(f, solve)
+    sieve = _sieve_tables(f, field, options.sieve or (), solve, values)
 
-    grouped: dict[int, list] = {}
-    for exps, c in f.terms.items():
-        grouped.setdefault(exps[solve], []).append((tuple(exps[i] for i in others), c))
-
-    zero_elem = 0 if field.is_rational else FqPoly.zero(field.q)
+    zero_elem = _field_zero(field)
     visited = 0
     rejections = 0
     found: list[tuple] = []
@@ -441,21 +458,11 @@ def enum_affine_hypersurface(
     def rec(prefix_idx: list[int]):
         nonlocal visited, rejections
         if len(prefix_idx) == len(others):
-            coeffs = {}
-            for k, terms in grouped.items():
-                acc = zero_elem
-                for exps, c in terms:
-                    term = c
-                    for j, e in enumerate(exps):
-                        if e:
-                            term = term * tables[others[j]][e][prefix_idx[j]]
-                    acc = acc + term
-                if acc:
-                    coeffs[k] = acc
+            coeffs = _univariate(grouped, fixed, prefix_idx, zero_elem)
             passing = None  # the solve indices no sieve prime rejects
-            for value_residues, solve_indices in sieve_maps:
-                ok = solve_indices.get(tuple(value_residues[i] for i in prefix_idx), set())
-                passing = ok if passing is None else passing & ok
+            for residues, table in sieve:
+                hits = table[tuple(residues[i] for i in prefix_idx)]
+                passing = hits if passing is None else passing & hits
             for iv in range(nvals):
                 visited += 1
                 if visited > options.budget:
@@ -463,7 +470,7 @@ def enum_affine_hypersurface(
                 if passing is not None and iv not in passing:
                     rejections += 1
                     continue
-                if coeffs and _eval_grouped(coeffs, tables[solve], iv, zero_elem):
+                if _eval_grouped(coeffs, tables[solve], iv, zero_elem):
                     continue
                 point_idx = _assemble(prefix_idx, iv)
                 found.append(tuple(values[i] for i in point_idx))

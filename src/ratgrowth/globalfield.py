@@ -8,6 +8,7 @@ logs only appear at reporting boundaries.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -281,59 +282,50 @@ class ProjPoint:
         return (self.height, tuple(poly_to_index(c) for c in self.coords))
 
 
-def _int_gcd_many(values) -> int:
-    from math import gcd
-
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
+def primitive_tuple(field: GlobalField, coords) -> tuple | None:
+    """The canonical representative of a tuple of O_K elements: divided by
+    the gcd of its coordinates, with the first nonzero one positive (over
+    Q) or monic (over F_q(t)).  None for the zero tuple."""
+    if field.is_rational:
+        g = math.gcd(*coords)
+        if not g:
+            return None
+        if next(c for c in coords if c) < 0:
+            g = -g
+        return tuple(c // g for c in coords)
+    g = None
+    for c in coords:
+        if c:
+            g = c if g is None else fq_gcd(g, c)
+    if g is None:
+        return None
+    # the gcd scaled to the leading coefficient of the first nonzero
+    # coordinate, so that coordinate's quotient is monic
+    first = next(c for c in coords if c)
+    g = g.monic().scale(first.leading_coeff)
+    return tuple(c // g for c in coords)
 
 
 def primitive_normalize(field: GlobalField, raw) -> ProjPoint:
-    """Clear denominators, divide by the gcd, fix the unit: the canonical
-    representative of the projective point.  Idempotent."""
+    """Clear denominators, then take the canonical representative of the
+    projective point (`primitive_tuple`).  Idempotent."""
     coords = [field.coerce(x) for x in raw]
     if all(not c for c in coords):
         raise ValueError("all-zero tuple does not define a projective point")
     if field.is_rational:
-        denom = 1
+        denom = math.lcm(*(c.denominator for c in coords))
+        integral = [int(c * denom) for c in coords]
+    else:
+        denom = FqPoly.one(field.q)
         for c in coords:
-            denom = denom * c.denominator // _gcd2(denom, c.denominator)
-        ints = [int(c * denom) for c in coords]
-        g = _int_gcd_many(ints)
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v)
-        if first < 0:
-            ints = [-v for v in ints]
-        tup = tuple(ints)
-        return ProjPoint(field, tup, height_of_primitive(field, tup))
-    q = field.q
-    denom = FqPoly.one(q)
-    for c in coords:
-        denom = fq_lcm(denom, c.den)
-    polys = []
-    for c in coords:
-        scaled = c * FqRational(denom)
-        assert scaled.is_integral
-        polys.append(scaled.num.scale(pow(scaled.den.leading_coeff, q - 2, q)))
-    g = FqPoly.zero(q)
-    for f in polys:
-        if f:
-            g = f.monic() if not g else fq_gcd(g, f)
-    polys = [f // g for f in polys]
-    first = next(f for f in polys if f)
-    if first.leading_coeff != 1:
-        inv = pow(first.leading_coeff, q - 2, q)
-        polys = [f.scale(inv) for f in polys]
-    tup = tuple(polys)
+            denom = fq_lcm(denom, c.den)
+        integral = []
+        for c in coords:
+            scaled = c * FqRational(denom)
+            assert scaled.is_integral
+            integral.append(scaled.num)
+    tup = primitive_tuple(field, integral)
     return ProjPoint(field, tup, height_of_primitive(field, tup))
-
-
-def _gcd2(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def height_of_primitive(field: GlobalField, coords) -> int:

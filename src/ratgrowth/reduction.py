@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 from .algebra.domains import CoeffDomain
+from .algebra.fqpoly import fq_lcm
 from .algebra.linalg import ExactMatrix, kernel_vector
 from .algebra.multipoly import MultiPoly, eval_monomial, monomials_of_degree
 from .algebra.primes import PrimeIdealDesc
@@ -57,6 +59,19 @@ def _field_of_integral_domain(domain: CoeffDomain) -> GlobalField:
     raise ValueError(f"no global field for {domain.describe()}")
 
 
+def integral_primitive_part(f: MultiPoly) -> MultiPoly:
+    """The primitive (content-one) multiple of f with O_K coefficients:
+    denominators cleared over Q or F_q(t), then divided by the content.  It
+    has the same zeros as f."""
+    if f.domain.kind == "rationals":
+        denom = math.lcm(*(c.denominator for c in f.terms.values()))
+        f = f.map_coefficients(CoeffDomain.integers(), lambda c: int(c * denom))
+    elif f.domain.kind == "rational_functions":
+        denom = reduce(fq_lcm, (c.den for c in f.terms.values()))
+        f = f.map_coefficients(CoeffDomain.poly_ring(f.domain.q), lambda c: (c * denom).num)
+    return f.primitive_part()
+
+
 def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurface:
     """Reduce the primitive (content-one) representative of f modulo the
     prime; reports the reduced degree and whether the reduction is still a
@@ -64,15 +79,7 @@ def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurfa
     if f.is_zero:
         raise ValueError("cannot reduce the zero polynomial")
     field = _field_of_integral_domain(f.domain)
-    if f.domain.kind == "rationals":
-        # clear denominators first
-        denom = 1
-        for c in f.terms.values():
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        f = f.scale(denom).map_coefficients(CoeffDomain.integers(), lambda c: int(c))
-    elif f.domain.kind == "rational_functions":
-        raise ValueError("reduce expects O_K coefficients; clear denominators first")
-    primitive = f.primitive_part()
+    primitive = integral_primitive_part(f)
     target = field.residue_domain(prime)
     f_p = primitive.map_coefficients(target, lambda c: field.residue_of(c, prime))
     if f_p.is_zero:

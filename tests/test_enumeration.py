@@ -22,12 +22,15 @@ from ratgrowth.enumeration import (
     run_query,
     sz_bound,
 )
+from ratgrowth.enumeration import _solve_sieve_primes
 from ratgrowth.globalfield import GlobalField, height_proj, primitive_normalize
 
 Q = GlobalField.rationals()
 F2 = GlobalField.function_field(2)
+F3 = GlobalField.function_field(3)
 ZZ = CoeffDomain.integers()
 F2T = CoeffDomain.poly_ring(2)
+F3T = CoeffDomain.poly_ring(3)
 
 
 class TestProjectiveSpace:
@@ -143,6 +146,92 @@ class TestCurvePoints:
         assert enum_curve_points_proj(f.permute_variables([2, 0, 1]), 5).count == base
         assert enum_curve_points_proj(f.scale(-3), 5).count == base
 
+    def test_sieve_prime_rule(self):
+        # largest norms <= N/4 first, until the product of the norms exceeds N
+        def norms(field, nvals):
+            return [(str(p), p.norm) for p in _solve_sieve_primes(field, nvals)]
+
+        assert norms(Q, 7) == []
+        assert norms(Q, 41) == [("7", 7), ("5", 5), ("3", 3)]
+        assert norms(Q, 101) == [("23", 23), ("19", 19)]
+        assert norms(F2, 32) == [("t^3+t+1", 8), ("t^3+t^2+1", 8)]
+        assert norms(F3, 27) == [("t", 3), ("t+1", 3), ("t+2", 3)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sieved_oracle_random_q(self, seed):
+        # cubics and quartics at H = 12..25, where the residue sieve runs;
+        # half of them through a line, so they carry points, and every
+        # third one scaled by a content that a sieve prime divides
+        from ratgrowth.algebra.multipoly import monomials_of_degree
+
+        rng = random.Random(7000 + seed)
+        H = (12, 14, 16, 18, 20, 25)[seed]
+        d = 3 + seed % 2
+
+        def form(deg):
+            f = MultiPoly.zero(ZZ, 3)
+            while f.is_zero:
+                terms = {e: rng.randint(-3, 3) for e in monomials_of_degree(3, deg) if rng.random() < 0.6}
+                f = MultiPoly(ZZ, 3, terms)
+            return f
+
+        f = form(1) * form(d - 1) if seed % 2 else form(d)
+        if seed % 3 == 0:
+            f = f.scale(_solve_sieve_primes(Q, 2 * H + 1)[0].norm * 2)
+        assert _solve_sieve_primes(Q, 2 * H + 1)
+        assert set(enum_curve_points_proj(f, H).points) == brute_force_curve_points(f, H)
+
+    def test_sieved_oracle_identically_vanishing_pairs(self):
+        # x1 is a factor and not the solve variable (it has the most distinct
+        # exponents), so every fixed pair with x1 = 0 collapses to the zero
+        # univariate and all its solve values are points
+        f = poly_parse("x0*x1*(x0-x1)*(x1+x2)", 3, ZZ)
+        res = enum_curve_points_proj(f, 13)
+        assert set(res.points) == brute_force_curve_points(f, 13)
+        assert res.count > 4 * 13
+
+    @pytest.mark.parametrize(
+        "text, dom, H, nvals",
+        [
+            ("(t^3+t+1)*(x0*x2 - x1^2 + t*x0*x1)", F2T, 16, 32),
+            ("(t+1)*(x0*x2 - x1^2)*(x1 + t*x2)", F3T, 9, 27),
+        ],
+    )
+    def test_sieved_oracle_function_field(self, text, dom, H, nvals):
+        # the content is divisible by a sieve prime (t^3+t+1, resp. t+1);
+        # nvals is the number of polynomials of degree <= log_q H
+        f = poly_parse(text, 3, dom)
+        assert _solve_sieve_primes(GlobalField.function_field(dom.q), nvals)
+        res = enum_curve_points_proj(f, H)
+        assert set(res.points) == brute_force_curve_points(f, H)
+        assert res.count > 0
+
+    @pytest.mark.parametrize(
+        "text, dom, H",
+        [
+            ("x0*x2/2 - x1^2/3 + x0*x1", CoeffDomain.rationals(), 12),
+            ("x0*x2/(t+1) - x1^2 + x0*x1", CoeffDomain.rational_functions(2), 4),
+        ],
+    )
+    def test_sieved_oracle_fraction_coefficients(self, text, dom, H):
+        # the sieve tables clear the denominators before they take the content
+        f = poly_parse(text, 3, dom)
+        assert set(enum_curve_points_proj(f, H).points) == brute_force_curve_points(f, H)
+
+    def test_budget_counts_every_box_cell(self):
+        # pinned before the residue sieve: the budget counts N^3 box cells,
+        # N per fixed pair, whatever the sieve and the unit symmetry skip
+        cases = [
+            (poly_parse("x0^3+x1^3-2*x2^3+x0*x1*x2", 3, ZZ), 10, 21, 1),
+            (poly_parse("x0^3+x1^3+x2^3+x0*x1*x2", 3, F2T), 8, 16, 130),
+        ]
+        for f, H, N, count in cases:
+            for budget, visited in [(N**3 - 1, N**3), (1000, 1008), (0, N)]:
+                with pytest.raises(BudgetExceededError) as err:
+                    enum_curve_points_proj(f, H, EnumOptions(budget=budget))
+                assert err.value.visited == visited
+            assert enum_curve_points_proj(f, H, EnumOptions(budget=N**3)).count == count
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             enum_curve_points_proj(poly_parse("0", 3, ZZ), 4)
@@ -189,6 +278,15 @@ class TestAffine:
             box = range(-3, 4)
             values = [f.evaluate((a, b, c)) for a in box for b in box for c in box]
             assert got == sum(1 for v in values if any(v % p for p in primes))
+
+    def test_sieve_rejections_with_divisible_content(self):
+        # pinned before the shared root tables: 3 divides the content, and
+        # the sieve by 3 tests the primitive part
+        f = poly_parse("3*(x0^2+x1^2-x2^2)", 3, ZZ)
+        sieve = (PrimeIdealDesc(3, 3), PrimeIdealDesc(5, 5))
+        for B, count, rejections in [(4, 33, 680), (6, 65, 2028)]:
+            res = enum_affine_hypersurface(f, B, EnumOptions(sieve=sieve))
+            assert (res.count, res.sieve_rejections) == (count, rejections)
 
     def test_ff_affine(self):
         f = poly_parse("x0*x1 - 1", 2, F2T)

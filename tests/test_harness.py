@@ -189,6 +189,27 @@ class TestExperiment:
         row = payload[0]["rows"][0]
         assert (row["count"], row["bound"], row["ratio"]) == (12176, None, 0.0)
 
+    def test_small_height_report_json_is_strict(self):
+        # no bound is reported at H <= 2: the CSV keeps nan, the JSON writes null
+        config = {
+            "families": [{"name": "cuspidal_monomial"}],
+            "fields": ["Q"],
+            "degrees": [3],
+            "heights": [2, 5],
+        }
+        reports, csv_text = run_experiment(config)
+        small, large = reports[0].rows
+        assert math.isnan(small.bound) and math.isfinite(large.bound)
+        assert ",nan," in csv_text.splitlines()[1]
+        assert math.isnan(parse_csv(csv_text)[0].bound)
+
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        rows = json.loads(report_to_json(reports), parse_constant=reject)[0]["rows"]
+        assert (rows[0]["H"], rows[0]["bound"], rows[0]["ratio"]) == (2, None, None)
+        assert rows[1]["bound"] == large.bound
+
     def test_empty_config(self):
         reports, csv_text = run_experiment({"families": [], "heights": []})
         assert reports == []
