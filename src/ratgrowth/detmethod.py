@@ -15,9 +15,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
-from .algebra.fqpoly import FqPoly, fq_gcd
 from .algebra.linalg import ExactMatrix, det_exact, kernel_vector
 from .algebra.multipoly import (
     MultiPoly,
@@ -27,18 +25,14 @@ from .algebra.multipoly import (
 )
 from .algebra.primes import PrimeIdealDesc, primes_in_range
 from .baselines import EMU_A_BASELINE
-from .enumeration import (
-    EnumOptions,
-    enum_affine_hypersurface,
-    enum_curve_points_proj,
-    field_for_poly,
-)
+from .enumeration import EnumOptions, enum_affine_hypersurface, enum_curve_points_proj
 from .globalfield import (
     GlobalField,
     ProjPoint,
     ResiduePoint,
-    _ord_int,
-    _ord_poly,
+    field_for_poly,
+    ord_at,
+    primitive_tuple,
     reduce_point_mod_p,
 )
 from .reduction import mult_at_point, reduce_curve_mod_p
@@ -92,11 +86,7 @@ def _norm_of(field: GlobalField, value) -> int:
 
 
 def _valuation_of(field: GlobalField, value, prime: PrimeIdealDesc) -> int | float:
-    if not value:
-        return math.inf
-    if field.is_rational:
-        return _ord_int(value, prime.generator)
-    return _ord_poly(value, prime.generator)
+    return ord_at(field, value, prime) if value else math.inf
 
 
 @dataclass(frozen=True)
@@ -246,14 +236,8 @@ def _kernel_poly(field: GlobalField, monomials, points_coords, nvars: int) -> Mu
     vec = kernel_vector(ExactMatrix.from_rows(dom, rows))
     if vec is None:
         return None
-    lead = next(c for c in reversed(vec) if c)
-    if field.is_rational:
-        content = math.gcd(*vec)
-        unit = content if lead > 0 else -content
-    else:
-        content = reduce(fq_gcd, (c for c in vec if c), FqPoly.zero(field.q))
-        unit = content.scale(lead.leading_coeff)
-    poly = MultiPoly(dom, nvars, {exps: c // unit for exps, c in zip(monomials, vec)})
+    coeffs = primitive_tuple(field, vec[::-1])[::-1]
+    poly = MultiPoly(dom, nvars, dict(zip(monomials, coeffs)))
     for coords in points_coords:
         if not dom.is_zero(poly.evaluate(coords)):
             raise AssertionError("interpolant fails to vanish on its points")

@@ -17,7 +17,14 @@ from itertools import product
 from .algebra.fqpoly import FqPoly, all_polys, fq_gcd, monic_irreducibles_of_degree, poly_to_index
 from .algebra.multipoly import MultiPoly
 from .algebra.primes import PrimeIdealDesc, rational_primes_below
-from .globalfield import GlobalField, ProjPoint, height_of_primitive, primitive_tuple
+from .globalfield import (
+    GlobalField,
+    ProjPoint,
+    field_for_poly,
+    height_of_primitive,
+    is_canonical_lead,
+    primitive_tuple,
+)
 from .reduction import integral_primitive_part
 
 DEFAULT_BUDGET = 50_000_000
@@ -53,6 +60,10 @@ class PointQuery:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
+        if self.ambient not in ("projective", "affine"):
+            raise ValueError(f"unknown ambient {self.ambient!r}: expected 'projective' or 'affine'")
+        if self.mode not in ("collect", "count"):
+            raise ValueError(f"unknown mode {self.mode!r}: expected 'collect' or 'count'")
         if self.bound < 1:
             raise ValueError("bound must be >= 1")
         if self.f is not None:
@@ -68,15 +79,6 @@ class PointSetResult:
     points: tuple | None
     elapsed: float
     sieve_rejections: int = 0
-
-
-def field_for_poly(f: MultiPoly) -> GlobalField:
-    kind = f.domain.kind
-    if kind in ("integers", "rationals"):
-        return GlobalField.rationals()
-    if kind in ("poly_ring", "rational_functions"):
-        return GlobalField.function_field(f.domain.q)
-    raise ValueError(f"no global field matches coefficients in {f.domain.describe()}")
 
 
 def _box_values(field: GlobalField, bound: int) -> list:
@@ -130,7 +132,7 @@ def enum_proj_points(
     options = options or EnumOptions()
     start = time.perf_counter()
     values = _box_values(field, H)
-    positives = [v for v in values if (v > 0 if field.is_rational else bool(v) and v.is_monic)]
+    positives = [v for v in values if is_canonical_lead(field, v)]
     visited = 0
     count = 0
     points: list[ProjPoint] = []
@@ -271,6 +273,8 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
     """Per prime: the residue class of each box value, and for each tuple
     of residue classes of the other coordinates the frozenset of box
     indices whose value completes it to a zero of f modulo the prime.
+    The sets are stored as rows: keyed by the classes of all other
+    coordinates but the last, then listed by the class of the last.
 
     Classes are numbered by their canonical representatives: 0..p-1 over
     Q, the polynomials of degree below deg(pi) by index over F_q(t).  The
@@ -306,9 +310,45 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
             )
             if roots not in by_roots:
                 by_roots[roots] = frozenset(iv for r in roots for iv in buckets[r])
-            table[key] = by_roots[roots]
+            table.setdefault(key[:-1], []).append(by_roots[roots])
         out.append((residues, table))
     return out
+
+
+def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, sieve: list):
+    """The zeros of f whose other coordinates are the box values at one of
+    the prefix index tuples, as value tuples in scan order, and the number
+    of exact evaluations made.  The prefixes come in rows (head, axis):
+    head + (i,) for each index i in axis.
+
+    For each prefix, only the solve indices that every sieve table admits
+    are evaluated, on the univariate that f collapses to there.  Each row
+    looks up the sieve table of its head once, so a prefix costs one list
+    index per prime."""
+    tables = [_power_table(field, values, [e[i] for e in f.terms]) for i in range(f.nvars)]
+    fixed, solve_table = tables[:solve] + tables[solve + 1 :], tables[solve]
+    grouped = _grouped_terms(f, solve)
+    zero = _field_zero(field)
+    every = range(len(values))
+    zeros, evaluations = [], 0
+    for head, axis in rows:
+        lookups = [(residues, table[tuple(residues[i] for i in head)]) for residues, table in sieve]
+        for last in axis:
+            candidates = every
+            for residues, row in lookups:
+                hits = row[residues[last]]
+                candidates = hits if candidates is every else candidates & hits
+            if not candidates:
+                continue
+            evaluations += len(candidates)
+            idx = head + (last,)
+            coeffs = _univariate(grouped, fixed, idx, zero)
+            for iv in candidates:
+                if not _eval_grouped(coeffs, solve_table, iv, zero):
+                    point = [values[i] for i in idx]
+                    point.insert(solve, values[iv])
+                    zeros.append(tuple(point))
+    return zeros, evaluations
 
 
 def enum_curve_points_proj(
@@ -336,7 +376,6 @@ def enum_curve_points_proj(
     if not appearing:
         raise ValueError("constant polynomial defines no curve")
     solve = min(appearing, key=lambda i: len({e[i] for e in f.terms}))
-    others = [i for i in range(3) if i != solve]
 
     values = _box_values(field, H)
     nvals = len(values)
@@ -344,37 +383,13 @@ def enum_curve_points_proj(
     # the sieve and the unit symmetry skip
     if nvals**3 > options.budget:
         raise BudgetExceededError(options.budget, max(options.budget // nvals + 1, 1) * nvals)
-    tables = [_power_table(field, values, [e[i] for e in f.terms]) for i in others]
-    solve_table = _power_table(field, values, [e[solve] for e in f.terms])
-    grouped = _grouped_terms(f, solve)
     sieve = _sieve_tables(f, field, _solve_sieve_primes(field, nvals), solve, values)
 
-    zero_elem = _field_zero(field)
-    izero = values.index(zero_elem)
-    if field.is_rational:
-        leads = [i for i, v in enumerate(values) if v > 0]
-    else:
-        leads = [i for i, v in enumerate(values) if v and v.is_monic]
-    every = range(nvals)
-    found: set[tuple] = set()
-    for ia in leads + [izero]:
-        for ib in every if ia != izero else [izero] + leads:
-            candidates = None
-            for residues, table in sieve:
-                hits = table[residues[ia], residues[ib]]
-                candidates = hits if candidates is None else candidates & hits
-            if candidates is None:
-                candidates = every
-            elif not candidates:
-                continue
-            coeffs = _univariate(grouped, tables, (ia, ib), zero_elem)
-            for iv in candidates:
-                if not _eval_grouped(coeffs, solve_table, iv, zero_elem):
-                    raw = [None, None, None]
-                    raw[others[0]] = values[ia]
-                    raw[others[1]] = values[ib]
-                    raw[solve] = values[iv]
-                    found.add(primitive_tuple(field, raw))
+    izero = values.index(_field_zero(field))
+    leads = [i for i, v in enumerate(values) if is_canonical_lead(field, v)]
+    rows = [((ia,), range(nvals)) for ia in leads] + [((izero,), [izero] + leads)]
+    zeros, _ = _scan(f, field, values, solve, rows, sieve)
+    found = {primitive_tuple(field, raw) for raw in zeros}
     found.discard(None)
 
     points = [
@@ -430,64 +445,27 @@ def enum_affine_hypersurface(
         raise ValueError("need at least 2 variables")
     options = options or EnumOptions()
     field = field_for_poly(f)
+    for prime in options.sieve or ():
+        if not field.owns_prime(prime):
+            raise ValueError(f"sieve prime {prime.generator} is not a prime of {field.describe()}")
     start = time.perf_counter()
     n = f.nvars
     values = _box_values(field, B)
     nvals = len(values)
+    if nvals**n > options.budget:
+        raise BudgetExceededError(options.budget, options.budget + 1)
 
     solve = min(range(n), key=lambda i: len({e[i] for e in f.terms}))
-    others = [i for i in range(n) if i != solve]
-
-    tables = [_power_table(field, values, [e[i] for e in f.terms]) for i in range(n)]
-    fixed = [tables[i] for i in others]
-    grouped = _grouped_terms(f, solve)
     sieve = _sieve_tables(f, field, options.sieve or (), solve, values)
-
-    zero_elem = _field_zero(field)
-    visited = 0
-    rejections = 0
-    found: list[tuple] = []
-
-    def _assemble(prefix_idx: list[int], iv: int) -> tuple[int, ...]:
-        out = [0] * n
-        for pos, i in zip(others, prefix_idx):
-            out[pos] = i
-        out[solve] = iv
-        return tuple(out)
-
-    def rec(prefix_idx: list[int]):
-        nonlocal visited, rejections
-        if len(prefix_idx) == len(others):
-            coeffs = _univariate(grouped, fixed, prefix_idx, zero_elem)
-            passing = None  # the solve indices no sieve prime rejects
-            for residues, table in sieve:
-                hits = table[tuple(residues[i] for i in prefix_idx)]
-                passing = hits if passing is None else passing & hits
-            for iv in range(nvals):
-                visited += 1
-                if visited > options.budget:
-                    raise BudgetExceededError(options.budget, visited)
-                if passing is not None and iv not in passing:
-                    rejections += 1
-                    continue
-                if _eval_grouped(coeffs, tables[solve], iv, zero_elem):
-                    continue
-                point_idx = _assemble(prefix_idx, iv)
-                found.append(tuple(values[i] for i in point_idx))
-            return
-        for i in range(nvals):
-            prefix_idx.append(i)
-            rec(prefix_idx)
-            prefix_idx.pop()
-
-    rec([])
+    rows = ((head, range(nvals)) for head in product(range(nvals), repeat=n - 2))
+    found, evaluations = _scan(f, field, values, solve, rows, sieve)
     keyed = sorted(found, key=lambda pt: tuple(_elem_key(field, c) for c in pt))
     elapsed = time.perf_counter() - start
     return PointSetResult(
         count=len(keyed),
         points=tuple(keyed) if options.collect else None,
         elapsed=elapsed,
-        sieve_rejections=rejections,
+        sieve_rejections=nvals**n - evaluations,
     )
 
 

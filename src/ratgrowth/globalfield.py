@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .algebra.domains import CoeffDomain
 from .algebra.fqpoly import FqPoly, FqRational, fq_factor, fq_gcd, fq_lcm
+from .algebra.multipoly import MultiPoly
 from .algebra.primes import PrimeIdealDesc
 
 
@@ -85,6 +86,12 @@ class GlobalField:
     def describe(self) -> str:
         return "Q" if self.is_rational else f"F_{self.q}(t)"
 
+    def owns_prime(self, prime: PrimeIdealDesc) -> bool:
+        """Whether the prime is a finite prime of this field."""
+        if self.is_rational or prime.is_rational:
+            return self.is_rational == prime.is_rational
+        return prime.generator.q == self.q
+
     # -- associated domains -------------------------------------------------
 
     def element_domain(self) -> CoeffDomain:
@@ -125,6 +132,22 @@ class GlobalField:
             root = (-pi.coeffs[0]) % self.q
             return x.evaluate(root)
         return x % pi
+
+
+def field_for_poly(f: MultiPoly) -> GlobalField:
+    """The global field whose O_K or K holds the coefficients of f."""
+    kind = f.domain.kind
+    if kind in ("integers", "rationals"):
+        return GlobalField.rationals()
+    if kind in ("poly_ring", "rational_functions"):
+        return GlobalField.function_field(f.domain.q)
+    raise ValueError(f"no global field matches coefficients in {f.domain.describe()}")
+
+
+def is_canonical_lead(field: GlobalField, x) -> bool:
+    """Whether x can lead a primitive representative: positive over Q,
+    monic over F_q(t)."""
+    return x > 0 if field.is_rational else bool(x) and x.is_monic
 
 
 @dataclass(frozen=True)
@@ -195,9 +218,7 @@ def abs_value(field: GlobalField, x, place: Place) -> Fraction:
     prime = place.prime
     if prime is None:
         raise ValueError("finite place without a prime")
-    if field.is_rational and not prime.is_rational:
-        raise ValueError("place/field mismatch")
-    if not field.is_rational and prime.is_rational:
+    if not field.owns_prime(prime):
         raise ValueError("place/field mismatch")
     v = ord_at(field, x, prime)
     return Fraction(1, prime.norm**v) if v >= 0 else Fraction(prime.norm ** (-v))
@@ -379,7 +400,7 @@ def normalize_residue_tuple(domain: CoeffDomain, coords) -> ResiduePoint:
 def reduce_point_mod_p(point: ProjPoint, prime: PrimeIdealDesc) -> ResiduePoint:
     """Coordinate-wise reduction of the primitive representative."""
     field = point.field
-    if field.is_rational != prime.is_rational:
+    if not field.owns_prime(prime):
         raise ValueError("prime does not belong to the point's field")
     if prime.norm <= field.c2:
         warnings.warn(

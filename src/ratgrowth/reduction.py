@@ -25,7 +25,7 @@ from .algebra.fqpoly import fq_lcm
 from .algebra.linalg import ExactMatrix, kernel_vector
 from .algebra.multipoly import MultiPoly, eval_monomial, monomials_of_degree
 from .algebra.primes import PrimeIdealDesc
-from .globalfield import GlobalField
+from .globalfield import field_for_poly
 
 
 class DerivativeIdenticallyZero(ArithmeticError):
@@ -51,14 +51,6 @@ class MultiplicityReport:
     context: str  # "hypersurface" | "cycle"
 
 
-def _field_of_integral_domain(domain: CoeffDomain) -> GlobalField:
-    if domain.kind in ("integers", "rationals"):
-        return GlobalField.rationals()
-    if domain.kind in ("poly_ring", "rational_functions"):
-        return GlobalField.function_field(domain.q)
-    raise ValueError(f"no global field for {domain.describe()}")
-
-
 def integral_primitive_part(f: MultiPoly) -> MultiPoly:
     """The primitive (content-one) multiple of f with O_K coefficients:
     denominators cleared over Q or F_q(t), then divided by the content.  It
@@ -78,7 +70,7 @@ def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurfa
     positive-dimensional hypersurface."""
     if f.is_zero:
         raise ValueError("cannot reduce the zero polynomial")
-    field = _field_of_integral_domain(f.domain)
+    field = field_for_poly(f)
     primitive = integral_primitive_part(f)
     target = field.residue_domain(prime)
     f_p = primitive.map_coefficients(target, lambda c: field.residue_of(c, prime))

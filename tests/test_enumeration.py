@@ -1,12 +1,14 @@
 """Point enumeration: fast paths vs brute-force oracles, sieving, caps."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratgrowth.algebra.domains import CoeffDomain
+from ratgrowth.algebra.fqpoly import FqPoly
 from ratgrowth.algebra.multipoly import MultiPoly, poly_parse
 from ratgrowth.algebra.primes import PrimeIdealDesc
 from ratgrowth.enumeration import (
@@ -293,6 +295,48 @@ class TestAffine:
         res = enum_affine_hypersurface(f, 2)
         assert set(res.points) == brute_force_affine_points(f, 2)
 
+    def test_budget_counts_every_box_cell(self):
+        # pinned before the shared prefix x solve scan: the budget counts
+        # all N^n box cells and a shortfall reports budget + 1 visited
+        for dom, B, N, count in [(ZZ, 3, 7, 25), (F2T, 4, 8, 64)]:
+            f = poly_parse("x0^2+x1^2-x2^2", 3, dom)
+            with pytest.raises(BudgetExceededError) as err:
+                enum_affine_hypersurface(f, B, EnumOptions(budget=N**3 - 1))
+            assert (err.value.budget, err.value.visited) == (N**3 - 1, N**3)
+            res = enum_affine_hypersurface(f, B, EnumOptions(budget=N**3))
+            assert (res.count, res.sieve_rejections) == (count, 0)
+
+    def test_sieved_point_order(self):
+        # pinned before the shared prefix x solve scan: the points come in
+        # coordinate order whichever variable is solved for
+        sieve = (PrimeIdealDesc(3, 3), PrimeIdealDesc(5, 5))
+        f = poly_parse("x0^3+x0*x2+x1-x2^2", 3, ZZ)  # solves for x1
+        res = enum_affine_hypersurface(f, 3, EnumOptions(sieve=sieve))
+        assert res.sieve_rejections == 320
+        assert res.points == (
+            (-1, 1, -1), (-1, 1, 0), (-1, 3, -2), (-1, 3, 1), (0, 0, 0), (0, 1, -1),
+            (0, 1, 1), (1, -1, 0), (1, -1, 1), (1, 1, -1), (1, 1, 2), (2, 0, -2),
+        )
+        f = poly_parse("x0^2+x1*x2+t", 3, F2T)  # solves for x0
+        prime = PrimeIdealDesc(FqPoly.parse(2, "t^2+t+1"), 4)
+        res = enum_affine_hypersurface(f, 4, EnumOptions(sieve=(prime,)))
+        assert res.sieve_rejections == 384
+        assert [" ".join(map(str, p)) for p in res.points] == [
+            "0 1 t", "0 t 1", "1 1 t+1", "1 t+1 1", "t 1 t^2+t", "t t t+1",
+            "t t+1 t", "t t^2+t 1", "t+1 1 t^2+t+1", "t+1 t^2+t+1 1",
+            "t^2 t^2+t t^2+t+1", "t^2 t^2+t+1 t^2+t",
+        ]
+
+    def test_sieve_prime_from_another_field(self):
+        cases = [
+            (poly_parse("x0^2+x1^2-x2^2", 3, F2T), PrimeIdealDesc(3, 3), "F_2(t)"),
+            (poly_parse("x0^2+x1^2-x2^2", 3, ZZ), PrimeIdealDesc(FqPoly.parse(2, "t"), 2), "Q"),
+            (poly_parse("x0^2+x1^2-x2^2", 3, F3T), PrimeIdealDesc(FqPoly.parse(2, "t"), 2), "F_3(t)"),
+        ]
+        for f, prime, name in cases:
+            with pytest.raises(ValueError, match=rf"sieve prime {re.escape(str(prime.generator))}.*{re.escape(name)}"):
+                enum_affine_hypersurface(f, 4, EnumOptions(sieve=(prime,)))
+
 
 class TestQueryAndBounds:
     def test_run_query_projective(self):
@@ -304,6 +348,14 @@ class TestQueryAndBounds:
             PointQuery(field=Q, ambient="projective", nvars=3, f=poly_parse("x0+1", 3, ZZ), bound=2)
         with pytest.raises(ValueError):
             PointQuery(field=Q, ambient="affine", nvars=2, f=None, bound=0)
+
+    def test_query_rejects_unknown_ambient_and_mode(self):
+        with pytest.raises(ValueError, match="ambient"):
+            PointQuery(Q, "proj", 3, None, 5)
+        with pytest.raises(ValueError, match="mode"):
+            PointQuery(Q, "projective", 3, None, 5, mode="cnt")
+        q = PointQuery(Q, "projective", 3, None, 2, mode="count")
+        assert run_query(q).points is None
 
     def test_sz_bound(self):
         assert sz_bound(2, 3, 10) == 20
