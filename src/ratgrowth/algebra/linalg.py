@@ -1,21 +1,21 @@
 """Exact dense linear algebra over the coefficient domains.
 
-det_exact runs fraction-free Bareiss elimination (exact division keeps
-every intermediate value in the domain); integer matrices also have a
-modular/CRT route that must agree bit-exactly.  kernel_vector is the
-interpolation solver: the same fraction-free elimination over Z, F_q[t]
-or a finite field, one column at a time, stopping at the first column
-that depends on the ones before it.  kernel_basis does plain Gauss-Jordan
-over a field with a fixed pivot rule, so results are deterministic; it
-is the oracle kernel_vector is tested against.
+One fraction-free Bareiss elimination, _eliminate, serves Z, F_q[t] and
+the finite fields: it takes one column at a time, keeps every
+intermediate value in the domain by exact division, and stops at the
+first column that depends on the ones before it.  det_exact reads the
+determinant off its last pivot and row-swap count; kernel_vector, the
+interpolation solver, back-substitutes its pivot rows.  rref,
+kernel_basis and rank do plain Gauss-Jordan over a field with a fixed
+pivot rule, so results are deterministic; they are the independent
+oracle the elimination is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .domains import INTEGERS, CoeffDomain, _is_prime_int
+from .domains import CoeffDomain
 
 
 @dataclass(frozen=True)
@@ -67,120 +67,17 @@ class NonSquareMatrixError(ValueError):
     pass
 
 
-def det_exact(matrix: ExactMatrix, method: str = "bareiss"):
-    """Exact determinant.
-
-    method: "bareiss" (default, any integral domain), "crt" (integer
-    matrices only), or "checked" (run both on integer input and assert
-    bit-exact agreement).
-    """
+def det_exact(matrix: ExactMatrix):
+    """Exact determinant over any integral domain: 0 when _eliminate stops
+    at a dependent column, otherwise its last pivot (the determinant of
+    the row-swapped matrix), negated after an odd number of row swaps."""
     if not matrix.is_square:
         raise NonSquareMatrixError(f"{matrix.rows}x{matrix.cols} matrix has no determinant")
-    if method == "bareiss":
-        return _det_bareiss(matrix)
-    if method == "crt":
-        if matrix.domain.kind != INTEGERS:
-            raise ValueError("CRT determinant requires integer entries")
-        return _det_crt(matrix)
-    if method == "checked":
-        d = _det_bareiss(matrix)
-        if matrix.domain.kind == INTEGERS:
-            dc = _det_crt(matrix)
-            if dc != d:
-                raise AssertionError(f"determinant routes disagree: {d} vs {dc}")
-        return d
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _det_bareiss(matrix: ExactMatrix):
     dom = matrix.domain
-    n = matrix.rows
-    if n == 0:
-        return dom.one
-    m = [list(row) for row in matrix.entries]
-    sign = 1
-    prev = dom.one
-    for k in range(n - 1):
-        if dom.is_zero(m[k][k]):
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not dom.is_zero(m[i][k])), None
-            )
-            if pivot_row is None:
-                return dom.zero
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = dom.sub(dom.mul(m[i][j], m[k][k]), dom.mul(m[i][k], m[k][j]))
-                m[i][j] = dom.exact_div(num, prev)
-            m[i][k] = dom.zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return dom.neg(det) if sign < 0 else det
-
-
-def _hadamard_bound(entries) -> int:
-    bound = 1
-    for row in entries:
-        s = sum(x * x for x in row)
-        r = _isqrt_ceil(s)
-        bound *= max(r, 1)
-    return bound
-
-
-def _isqrt_ceil(n: int) -> int:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else r + 1
-
-
-def _det_crt(matrix: ExactMatrix) -> int:
-    n = matrix.rows
-    if n == 0:
-        return 1
-    bound = 2 * _hadamard_bound(matrix.entries) + 1
-    primes: list[int] = []
-    prod = 1
-    candidate = (1 << 24) + 1
-    while prod < bound:
-        if _is_prime_int(candidate):
-            primes.append(candidate)
-            prod *= candidate
-        candidate += 2
-    residues = [_det_mod_p(matrix.entries, p) for p in primes]
-    x = _crt(residues, primes)
-    half = prod // 2
-    return x - prod if x > half else x
-
-
-def _det_mod_p(entries, p: int) -> int:
-    n = len(entries)
-    m = [[x % p for x in row] for row in entries]
-    det = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        inv = pow(m[k][k], p - 2, p)
-        det = det * m[k][k] % p
-        for i in range(k + 1, n):
-            factor = m[i][k] * inv % p
-            if factor:
-                m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[k])]
-    return det % p
-
-
-def _crt(residues, moduli) -> int:
-    total_mod = reduce(lambda a, b: a * b, moduli, 1)
-    x = 0
-    for r, m in zip(residues, moduli):
-        other = total_mod // m
-        x += r * other * pow(other, -1, m)
-    return x % total_mod
+    _, pivots, dependent, swaps = _eliminate(matrix)
+    if dependent is not None:
+        return dom.zero
+    return dom.neg(pivots[-1]) if swaps % 2 else pivots[-1]
 
 
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
@@ -240,20 +137,37 @@ def kernel_vector(matrix: ExactMatrix) -> tuple | None:
     first column that depends on the columns before it; None at full
     column rank.
 
-    Fraction-free over any integral domain (Z, F_q[t] or a field): columns
-    are taken one at a time and brought up to date through the Bareiss
-    steps already taken, each division exact, and elimination stops at
-    column fc.  Back-substitution then gives v[fc] = the last pivot (1 when
-    fc = 0) and v[j] = its Cramer numerator for j < fc, so v lies in the
-    domain and is kernel_basis(M)[0] scaled by v[fc].  The work is about
-    rows * fc^2 ring operations.
+    Back-substitution through the pivot rows of _eliminate gives v[fc] =
+    the last pivot (1 when fc = 0) and v[j] = its Cramer numerator for
+    j < fc, so v lies in the domain and is kernel_basis(M)[0] scaled by
+    v[fc].  The work is about rows * fc^2 ring operations.
+    """
+    done, pivots, dependent, _ = _eliminate(matrix)
+    if dependent is None:
+        return None
+    return _back_substitute(matrix.domain, done, pivots, dependent, matrix.cols)
+
+
+def _eliminate(matrix: ExactMatrix):
+    """Fraction-free Bareiss elimination over any integral domain (Z,
+    F_q[t] or a field), one column at a time, stopping at the first column
+    that depends on the columns before it.
+
+    Each column is brought up to date through the steps already taken,
+    every division exact.  Returns (done, pivots, dependent, swaps): done[i]
+    is column i as it stood at step i, by row position; pivots[i + 1] is
+    the pivot of step i (pivots[0] = 1), so pivots[k] is the k x k leading
+    minor of the row-swapped matrix; dependent is the first dependent
+    column after elimination, or None at full column rank; swaps counts
+    the row swaps.
     """
     dom = matrix.domain
     mul, sub, exact_div = dom.mul, dom.sub, dom.exact_div
     nrows = matrix.rows
     order = list(range(nrows))  # row position -> row of the matrix
-    done: list[list] = []  # column i as it stood at step i, by row position
-    pivots = [dom.one]  # pivots[i + 1] is the pivot of step i
+    done: list[list] = []
+    pivots = [dom.one]
+    swaps = 0
     for c in range(matrix.cols):
         col = [matrix.entries[r][c] for r in order]
         for i, steps in enumerate(done):
@@ -265,13 +179,14 @@ def kernel_vector(matrix: ExactMatrix) -> tuple | None:
         k = len(done)
         pivot_row = next((j for j in range(k, nrows) if not dom.is_zero(col[j])), None)
         if pivot_row is None:
-            return _back_substitute(dom, done, pivots, col, matrix.cols)
+            return done, pivots, col, swaps
         if pivot_row != k:
             for seq in (order, col, *done):
                 seq[k], seq[pivot_row] = seq[pivot_row], seq[k]
+            swaps += 1
         done.append(col)
         pivots.append(col[k])
-    return None
+    return done, pivots, None, swaps
 
 
 def _back_substitute(dom, done, pivots, col, ncols: int) -> tuple:

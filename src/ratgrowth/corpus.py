@@ -21,12 +21,6 @@ SMOOTH_CONICS = ("x0^2 + x1*x2", "x1^2 + x0*x2", "x2^2 + x0*x1")
 SMOOTH_QUADRICS_P3 = ("x0*x3 + x1*x2", "x0*x2 + x1*x3")
 
 
-def _normal_form(p: MultiPoly) -> MultiPoly:
-    dom = p.domain
-    _, lead = p.leading_term()
-    return p.scale(dom.inv(lead))
-
-
 def random_plane_cycle(rng: random.Random, p: int, max_degree: int = 30) -> FactoredCycle:
     """A random effective plane-curve cycle over F_p in factored form."""
     dom = CoeffDomain.prime_field(p)
@@ -45,7 +39,7 @@ def random_plane_cycle(rng: random.Random, p: int, max_degree: int = 30) -> Fact
         else:
             text = f"x1 + {rng.randrange(p)}*x2"
         poly = poly_parse(text, 3, dom)
-        key = hash(_normal_form(poly))
+        key = hash(FactoredCycle._normal_form(poly))
         deg = poly.degree
         if key in seen or degree + mult * deg > max_degree:
             if degree >= 2 and rng.random() < 0.2:
@@ -74,7 +68,7 @@ def random_space_cycle(rng: random.Random, p: int, max_degree: int = 12) -> Fact
             a, b, c = rng.randrange(p), rng.randrange(p), rng.randrange(p)
             text = f"x0 + {a}*x1 + {b}*x2 + {c}*x3"
         poly = poly_parse(text, 4, dom)
-        key = hash(_normal_form(poly))
+        key = hash(FactoredCycle._normal_form(poly))
         if key in seen or degree + mult * poly.degree > max_degree:
             break
         seen.add(key)

@@ -142,6 +142,8 @@ def interp_det_certificate(
     With `curve` supplied, mu is recomputed on the reduced curve and must
     match.  A ViolatesBound verdict is a red flag for the caller.
     """
+    if mu < 1:
+        raise ValueError(f"interp_det_certificate needs multiplicity mu >= 1, got {mu}")
     points = tuple(points)
     if not points:
         raise ValueError("certificate needs points")
@@ -609,21 +611,22 @@ def cover_high_mult(
     H: int,
     primes,
     N_const: float = 4.0,
-    M_const: float = 4.0,
     points=None,
     mu_table=None,
-    degree_override: int | None = None,
 ) -> tuple[MultiPoly | None, dict]:
     """Interpolate the points that stay high-multiplicity at every prime by
     a single form of degree floor(N log H).
 
-    Returns (poly_or_None, audit); the audit compares the prime-product
-    against the coarse determinant norm cap.  Refuses when the degree
-    would reach the curve degree.
+    With no primes given, the good primes of the pipeline's window
+    (log H, M (log H)^4) are used.  Returns (poly_or_None, audit); the
+    audit compares the prime-product against the coarse determinant norm
+    cap.  Refuses when the degree would reach the curve degree.
     """
+    if H < 2:
+        raise ValueError(f"cover_high_mult needs height H >= 2, got {H}")
     d = f.degree
     log_h = math.log(H)
-    d_prime = degree_override if degree_override is not None else int(N_const * log_h)
+    d_prime = int(N_const * log_h)
     if d_prime >= d:
         raise RegimeViolation(
             f"interpolation degree {d_prime} reaches the curve degree {d}"
@@ -634,7 +637,7 @@ def cover_high_mult(
         points = enum_curve_points_proj(f, H).points
     threshold = d / log_h
     if not primes:
-        good = _prime_window(f, field, log_h, M_const, 4)
+        good = _prime_window(f, field, log_h, CoverParams.M, 4)
         primes = [prime for prime, _ in good]
     elif mu_table is None:
         good = _good_reductions(f, primes)

@@ -83,6 +83,14 @@ class TestCertificates:
         with pytest.raises(ValueError):
             interp_det_certificate(pts, 1, p5, mu=1)
 
+    def test_nonpositive_mu_rejected(self):
+        # the bound s^2/(2 mu) - a s means nothing for mu < 1
+        p5 = PrimeIdealDesc(5, 5)
+        pts = [primitive_normalize(Q, t) for t in [(1, 0, 0), (1, 5, 0), (1, 0, 5)]]
+        for mu in (0, -1):
+            with pytest.raises(ValueError, match=f"interp_det_certificate.*got {mu}$"):
+                interp_det_certificate(pts, 1, p5, mu=mu)
+
     def test_congruent_pair_forces_divisibility(self):
         # two distinct points in one residue class force p | det
         rng = random.Random(44)
@@ -201,6 +209,14 @@ class TestCoverHighMult:
         f = poly_parse("x0*x2 - x1^2", 3, ZZ)
         with pytest.raises(RegimeViolation):
             cover_high_mult(f, 20, [PrimeIdealDesc(5, 5)], N_const=4.0)
+
+    def test_height_below_two_rejected(self):
+        # the threshold d / log H needs log H > 0
+        f = poly_parse("x0^26 + x1^26 + x2^26", 3, ZZ)
+        with pytest.raises(ValueError, match="cover_high_mult.*got 1$"):
+            cover_high_mult(f, 1, [PrimeIdealDesc(5, 5)])
+        poly, audit = cover_high_mult(f, 2, [PrimeIdealDesc(5, 5)])
+        assert poly is None and audit["status"] == "empty_class"
 
     def test_degree30_fixture_against_rank_oracle(self):
         # degree-30 curve at H = 20 with the everywhere-high set computed by

@@ -1,4 +1,4 @@
-"""Exact determinants and kernels, dual-route agreement."""
+"""Exact determinants and kernels against independent oracles."""
 
 import random
 from fractions import Fraction
@@ -23,15 +23,18 @@ QQ = CoeffDomain.rationals()
 GF5 = CoeffDomain.prime_field(5)
 
 
-def cofactor_det(rows):
+DET_DOMAINS = [ZZ, QQ, GF5, CoeffDomain.poly_ring(2), CoeffDomain.poly_ring(3)]
+
+
+def cofactor_det(dom, rows):
     """Independent oracle: Laplace expansion along the first row."""
-    n = len(rows)
-    if n == 1:
+    if len(rows) == 1:
         return rows[0][0]
-    total = 0
-    for j in range(n):
+    total = dom.zero
+    for j, entry in enumerate(rows[0]):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * cofactor_det(minor)
+        term = dom.mul(entry, cofactor_det(dom, minor))
+        total = dom.sub(total, term) if j % 2 else dom.add(total, term)
     return total
 
 
@@ -42,7 +45,7 @@ class TestDeterminant:
 
     def test_3x3_cofactor_oracle(self):
         rows = [[1, 0, 0], [1, 5, 0], [1, 0, 5]]
-        expected = cofactor_det(rows)
+        expected = cofactor_det(ZZ, rows)
         assert expected == 25
         assert det_exact(ExactMatrix.from_rows(ZZ, rows)) == expected
 
@@ -59,13 +62,20 @@ class TestDeterminant:
         with pytest.raises(NonSquareMatrixError):
             det_exact(ExactMatrix.from_rows(ZZ, [[1, 2, 3], [4, 5, 6]]))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_cofactor_agreement_random(self, seed):
+        # entries up to 10^6 over Z; a repeated row sends every domain
+        # through the zero returned at the first dependent column
         rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        rows = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
-        assert det_exact(ExactMatrix.from_rows(ZZ, rows)) == cofactor_det(rows)
+        dom = rng.choice(DET_DOMAINS)
+        sample = (lambda r: r.randint(-(10**6), 10**6)) if dom is ZZ else dom.sample
+        n = rng.randint(1, 5)
+        rows = [[sample(rng) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            rows[rng.randrange(1, n)] = rows[0]
+        m = ExactMatrix.from_rows(dom, rows)
+        assert det_exact(m) == cofactor_det(dom, m.entries)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -101,16 +111,6 @@ class TestDeterminant:
         assert det_exact(ExactMatrix.from_rows(ZZ, swapped)) == -det_exact(
             ExactMatrix.from_rows(ZZ, rows)
         )
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10**6))
-    def test_crt_route_bit_exact(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
-        m = ExactMatrix.from_rows(ZZ, rows)
-        assert det_exact(m, "crt") == det_exact(m, "bareiss")
-        assert det_exact(m, "checked") == det_exact(m)
 
     def test_field_domains(self):
         mq = ExactMatrix.from_rows(QQ, [[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
