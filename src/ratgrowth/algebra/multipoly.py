@@ -618,10 +618,25 @@ def monomials_up_to_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-def eval_monomial(dom: CoeffDomain, exps: tuple[int, ...], coords):
-    """The monomial x^exps at the coordinates, computed in dom."""
-    acc = dom.one
-    for x, e in zip(coords, exps):
-        if e:
-            acc = dom.mul(acc, dom.pow(dom.coerce(x), e))
-    return acc
+def monomial_row(dom: CoeffDomain, monomials, coords) -> list:
+    """The monomials x^e, for e in monomials, at the coordinates, in dom.
+
+    The powers of each coordinate are tabulated once, up to the largest
+    exponent in monomials; each entry then costs one multiplication per
+    variable that occurs in it."""
+    one = dom.one
+    top = max(map(max, monomials), default=0)
+    tables = []
+    for x in coords:
+        table = [one, dom.coerce(x)]
+        for _ in range(top - 1):
+            table.append(dom.mul(table[-1], table[1]))
+        tables.append(table)
+    row = []
+    for exps in monomials:
+        acc = one
+        for table, e in zip(tables, exps):
+            if e:
+                acc = dom.mul(acc, table[e])
+        row.append(acc)
+    return row

@@ -60,16 +60,21 @@ def cmd_count(args) -> dict:
         sieve = tuple(_prime_for(field, s) for s in args.sieve.split(","))
     options = EnumOptions(collect=args.collect, sieve=sieve, budget=args.budget)
     if args.projective:
+        if args.box is not None:
+            raise SystemExit("--box bounds an affine count; a projective count takes --height")
+        height = 10 if args.height is None else args.height
         if args.poly:
             f = poly_parse(args.poly, 3, field.integer_domain())
-            result = enum_curve_points_proj(f, args.height, options)
+            result = enum_curve_points_proj(f, height, options)
         else:
-            result = enum_proj_points(args.nvars - 1, args.height, field, options)
+            result = enum_proj_points(args.nvars - 1, height, field, options)
     else:
+        if args.height is not None:
+            raise SystemExit("--height bounds a projective count; an affine count takes --box")
         if not args.poly:
             raise SystemExit("affine counting requires --poly")
         f = poly_parse(args.poly, args.nvars, field.integer_domain())
-        result = enum_affine_hypersurface(f, args.box, options)
+        result = enum_affine_hypersurface(f, 10 if args.box is None else args.box, options)
     payload = {
         "count": result.count,
         "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
@@ -202,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--affine", action="store_true")
     p.add_argument("--poly", default=None)
     p.add_argument("--nvars", type=int, default=3)
-    p.add_argument("--height", type=int, default=10)
-    p.add_argument("--box", type=int, default=10)
+    p.add_argument("--height", type=int, default=None, help="projective height bound (default 10)")
+    p.add_argument("--box", type=int, default=None, help="affine box bound (default 10)")
     p.add_argument("--collect", action="store_true")
     p.add_argument("--sieve", default=None, help="comma-separated primes")
     p.add_argument("--budget", type=int, default=50_000_000)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebra.linalg import ExactMatrix, det_exact, kernel_vector
 from .algebra.multipoly import (
     MultiPoly,
-    eval_monomial,
+    monomial_row,
     monomials_of_degree,
     monomials_up_to_degree,
 )
@@ -166,10 +166,7 @@ def interp_det_certificate(
             raise ValueError(f"stated mu={mu} but reduced curve gives {mu_check}")
 
     dom = field.integer_domain()
-    rows = [
-        [eval_monomial(dom, exps, p.coords) for exps in basis.monomials]
-        for p in points
-    ]
+    rows = [monomial_row(dom, basis.monomials, p.coords) for p in points]
     delta = det_exact(ExactMatrix.from_rows(dom, rows))
     det_norm = _norm_of(field, delta)
     valuation = _valuation_of(field, delta, prime)
@@ -234,7 +231,7 @@ def _kernel_poly(field: GlobalField, monomials, points_coords, nvars: int) -> Mu
     F_q[t]) at that column.  The vanishing is checked exactly before the
     polynomial is returned."""
     dom = field.integer_domain()
-    rows = [[eval_monomial(dom, exps, coords) for exps in monomials] for coords in points_coords]
+    rows = [monomial_row(dom, monomials, coords) for coords in points_coords]
     vec = kernel_vector(ExactMatrix.from_rows(dom, rows))
     if vec is None:
         return None

@@ -23,7 +23,7 @@ from math import comb
 from .algebra.domains import CoeffDomain
 from .algebra.fqpoly import fq_lcm
 from .algebra.linalg import ExactMatrix, kernel_vector
-from .algebra.multipoly import MultiPoly, eval_monomial, monomials_of_degree
+from .algebra.multipoly import MultiPoly, monomial_row, monomials_of_degree
 from .algebra.primes import PrimeIdealDesc
 from .globalfield import field_for_poly
 
@@ -91,42 +91,47 @@ def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurfa
 # ---------------------------------------------------------------------------
 
 
-def _hasse_coefficient(f: MultiPoly, alpha: tuple[int, ...], powers) -> object:
-    """Taylor coefficient of x^alpha for f expanded at the point whose
-    coordinate powers are tabulated in `powers`."""
-    dom = f.domain
-    acc = dom.zero
-    for beta, c in f.terms.items():
-        term = c
-        ok = True
-        for i, (b, a) in enumerate(zip(beta, alpha)):
-            if b < a:
-                ok = False
-                break
-            if b > a:
-                binom = comb(b, a)
-                term = dom.mul(term, dom.mul(dom.coerce(binom), powers[i][b - a]))
-        if ok:
-            acc = dom.add(acc, term)
-    return acc
+def _taylor_order(dom: CoeffDomain, terms: dict, coords) -> int:
+    """Least total degree with a nonzero Taylor coefficient at the
+    coordinates of the polynomial with these {beta: c} terms.
+
+    Each coefficient is summed with the raw operators (F_p and F_q[t]/(pi)
+    elements as their lifts to Z and F_q[t]) and reduced once by dom.coerce:
+    reduction is a ring homomorphism, so the zero test is exact."""
+    char, zero = dom.characteristic, dom.zero
+    items = list(terms.items())
+    powers = []
+    for a, top in zip(coords, map(max, zip(*terms))):
+        row = [dom.one]
+        for _ in range(top):
+            row.append(dom.mul(row[-1], a))
+        powers.append(row)
+    for k in range(max(map(sum, terms)) + 1):
+        for alpha in monomials_of_degree(len(coords), k):
+            acc = zero
+            for beta, c in items:
+                term, binom = c, 1
+                for b, a, row in zip(beta, alpha, powers):
+                    if b < a:
+                        break
+                    if b > a:
+                        binom *= comb(b, a)
+                        term = term * row[b - a]
+                else:
+                    if char:
+                        binom %= char
+                    if binom == 1:
+                        acc = acc + term
+                    elif binom:
+                        acc = acc + term * binom
+            if not dom.is_zero(dom.coerce(acc)):
+                return k
+    raise AssertionError("nonzero polynomial with no Taylor coefficients")
 
 
 def _affine_mult(f: MultiPoly, point) -> int:
     dom = f.domain
-    coords = [dom.coerce(x) for x in point]
-    deg = f.degree
-    powers = []
-    for i, a in enumerate(coords):
-        maxe = f.degree_in(i)
-        row = [dom.one]
-        for _ in range(maxe):
-            row.append(dom.mul(row[-1], a))
-        powers.append(row)
-    for k in range(deg + 1):
-        for alpha in monomials_of_degree(f.nvars, k):
-            if not dom.is_zero(_hasse_coefficient(f, alpha, powers)):
-                return k
-    raise AssertionError("nonzero polynomial with no Taylor coefficients")
+    return _taylor_order(dom, f.terms, [dom.coerce(x) for x in point])
 
 
 def mult_at_point(f: MultiPoly, point, projective: bool | None = None) -> MultiplicityReport:
@@ -153,17 +158,19 @@ def mult_at_point(f: MultiPoly, point, projective: bool | None = None) -> Multip
         return MultiplicityReport(tuple(point), _affine_mult(f, point), "hypersurface")
     if len(point) != f.nvars:
         raise ValueError("projective point arity mismatch")
-    dom = f.domain
-    if not dom.is_field:
-        frac = dom.fraction_field()
-        f = f.map_coefficients(frac, frac.coerce)
-        dom = frac
+    # over Z or F_q[t] the chart coordinates live in the fraction field;
+    # the O_K coefficients multiply them as they are
+    dom = f.domain.fraction_field()
     coords = [dom.coerce(x) for x in point]
     chart = max(i for i, c in enumerate(coords) if not dom.is_zero(c))
     inv = dom.inv(coords[chart])
     affine_point = [dom.mul(c, inv) for i, c in enumerate(coords) if i != chart]
-    chart_poly = f.dehomogenize(chart)
-    mu = _affine_mult(chart_poly, affine_point)
+    # set x_chart = 1: drop its exponent and merge the terms that collide
+    chart_terms: dict = {}
+    for exps, c in f.terms.items():
+        beta = exps[:chart] + exps[chart + 1 :]
+        chart_terms[beta] = chart_terms[beta] + c if beta in chart_terms else c
+    mu = _taylor_order(dom, chart_terms, affine_point)
     return MultiplicityReport(tuple(point), mu, "hypersurface")
 
 
@@ -595,9 +602,7 @@ def high_mult_locus(
         return HighMultLocus("empty", None, 0, (), threshold)
     for degree in range(1, cap_degree + 1):
         monos = monomials_of_degree(n, degree)
-        rows = []
-        for pt in locus:
-            rows.append([eval_monomial(dom, exps, pt) for exps in monos])
+        rows = [monomial_row(dom, monos, pt) for pt in locus]
         vec = kernel_vector(ExactMatrix.from_rows(dom, rows))
         if vec is not None:
             scale = dom.inv(next(c for c in reversed(vec) if c))

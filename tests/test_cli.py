@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ratgrowth.cli import main
 
 
@@ -45,6 +47,28 @@ class TestCount:
             "--height", "2",
         )
         assert code == 0 and payload["count"] == 9
+
+
+class TestCountBounds:
+    def test_affine_count_rejects_height(self, capsys):
+        # an affine count scans --box; --height used to be ignored silently
+        with pytest.raises(SystemExit, match="--height"):
+            main(["count", "--poly", "x0*x2 - x1^2", "--height", "180"])
+        assert capsys.readouterr().out == ""
+
+    def test_projective_count_rejects_box(self, capsys):
+        with pytest.raises(SystemExit, match="--box"):
+            main(["count", "--projective", "--poly", "x0*x2 - x1^2", "--box", "3"])
+        assert capsys.readouterr().out == ""
+
+    def test_unset_bounds_default_to_ten(self, capsys):
+        conic = ("--poly", "x0*x2 - x1^2")
+        _, affine = run_cli(capsys, "count", *conic)
+        _, boxed = run_cli(capsys, "count", *conic, "--box", "10")
+        assert affine["count"] == boxed["count"] == 113
+        _, proj = run_cli(capsys, "count", "--projective", *conic)
+        _, high = run_cli(capsys, "count", "--projective", *conic, "--height", "10")
+        assert proj["count"] == high["count"]
 
 
 class TestMult:

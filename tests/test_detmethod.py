@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ratgrowth.algebra.domains import CoeffDomain
-from ratgrowth.algebra.multipoly import poly_parse
+from ratgrowth.algebra.multipoly import MultiPoly, poly_parse
 from ratgrowth.algebra.primes import PrimeIdealDesc
 from ratgrowth.detmethod import (
     AffineCoverParams,
@@ -223,7 +223,6 @@ class TestCoverHighMult:
         # full multiplicity scans over the primes with norms in (3, 81)
         from ratgrowth.algebra.linalg import ExactMatrix, rank
         from ratgrowth.algebra.primes import primes_in_range
-        from ratgrowth.algebra.multipoly import eval_monomial
         from ratgrowth.detmethod import monomial_basis
         from ratgrowth.enumeration import enum_curve_points_proj
         from ratgrowth.reduction import mult_at_point, reduce_curve_mod_p
@@ -259,7 +258,7 @@ class TestCoverHighMult:
 
         qq = _CD.rationals()
         rows = [
-            [eval_monomial(qq, exps, p.coords) for exps in basis.monomials]
+            [MultiPoly.monomial(qq, exps).evaluate(p.coords) for exps in basis.monomials]
             for p in xi_s
         ]
         assert rank(ExactMatrix.from_rows(qq, rows)) < basis.s

@@ -12,6 +12,7 @@ from ratgrowth.algebra.fqpoly import FqPoly
 from ratgrowth.algebra.multipoly import (
     MultiPoly,
     ParseError,
+    monomial_row,
     monomials_of_degree,
     monomials_up_to_degree,
     poly_parse,
@@ -160,6 +161,31 @@ class TestArithmetic:
         f = poly_parse("x0^2 + x0 + 1", 2, ZZ)
         assert f.homogeneous_part(2) == poly_parse("x0^2", 2, ZZ)
         assert f.lowest_degree() == 0
+
+
+class TestMonomialRow:
+    @pytest.mark.parametrize(
+        "dom",
+        ALL_DOMAINS + [CoeffDomain.residue_field(FqPoly(2, (1, 1, 0, 1)))],
+        ids=lambda d: d.describe(),
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_matches_monomial_evaluation(self, dom, seed):
+        rng = random.Random(seed)
+        nvars = rng.randint(1, 3)
+        monos = [(0,) * nvars] + [
+            tuple(rng.randint(0, 5) for _ in range(nvars)) for _ in range(rng.randint(0, 6))
+        ]
+        rng.shuffle(monos)
+        coords = [dom.sample(rng) for _ in range(nvars)]
+        coords[rng.randrange(nvars)] = 0
+        want = [MultiPoly.monomial(dom, e).evaluate(coords) for e in monos]
+        assert monomial_row(dom, monos, coords) == want
+
+    def test_constant_monomials_only(self):
+        assert monomial_row(GF5, [(0, 0)], (0, 3)) == [1]
+        assert monomial_row(ZZ, [], (2,)) == []
 
 
 class TestCanonicalText:
