@@ -99,7 +99,6 @@ def _taylor_order(dom: CoeffDomain, terms: dict, coords) -> int:
     elements as their lifts to Z and F_q[t]) and reduced once by dom.coerce:
     reduction is a ring homomorphism, so the zero test is exact."""
     char, zero = dom.characteristic, dom.zero
-    items = list(terms.items())
     powers = []
     for a, top in zip(coords, map(max, zip(*terms))):
         row = [dom.one]
@@ -109,7 +108,7 @@ def _taylor_order(dom: CoeffDomain, terms: dict, coords) -> int:
     for k in range(max(map(sum, terms)) + 1):
         for alpha in monomials_of_degree(len(coords), k):
             acc = zero
-            for beta, c in items:
+            for beta, c in terms.items():
                 term, binom = c, 1
                 for b, a, row in zip(beta, alpha, powers):
                     if b < a:
