@@ -180,9 +180,6 @@ class CoeffDomain:
     def is_zero(self, x) -> bool:
         return not x
 
-    def eq(self, a, b) -> bool:
-        return self.coerce(a) == self.coerce(b)
-
     def add(self, a, b):
         if self.kind == RESIDUE_FIELD:
             return (a + b) % self.pi

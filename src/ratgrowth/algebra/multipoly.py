@@ -146,14 +146,7 @@ class MultiPoly:
         dom = self.domain
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            if exps in out:
-                s = dom.add(out[exps], c)
-                if dom.is_zero(s):
-                    del out[exps]
-                else:
-                    out[exps] = s
-            else:
-                out[exps] = c
+            out[exps] = dom.add(out[exps], c) if exps in out else c
         return MultiPoly(dom, self.nvars, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -171,14 +164,7 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 prod = dom.mul(c1, c2)
-                if exps in out:
-                    s = dom.add(out[exps], prod)
-                    if dom.is_zero(s):
-                        del out[exps]
-                    else:
-                        out[exps] = s
-                else:
-                    out[exps] = prod
+                out[exps] = dom.add(out[exps], prod) if exps in out else prod
         return MultiPoly(dom, self.nvars, out)
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -251,14 +237,7 @@ class MultiPoly:
                 continue
             ne = exps[:i] + (e - 1,) + exps[i + 1 :]
             v = dom.mul(c, dom.coerce(e))
-            if dom.is_zero(v):
-                continue
-            if ne in out:
-                v = dom.add(out[ne], v)
-            if dom.is_zero(v):
-                out.pop(ne, None)
-            else:
-                out[ne] = v
+            out[ne] = dom.add(out[ne], v) if ne in out else v
         return MultiPoly(dom, self.nvars, out)
 
     def translate(self, point) -> "MultiPoly":
@@ -287,14 +266,7 @@ class MultiPoly:
                         nxt.append((ne, coeff))
                 partials = nxt
             for ne, nc in partials:
-                if ne in out:
-                    s = dom.add(out[ne], nc)
-                    if dom.is_zero(s):
-                        del out[ne]
-                    else:
-                        out[ne] = s
-                else:
-                    out[ne] = nc
+                out[ne] = dom.add(out[ne], nc) if ne in out else nc
         return MultiPoly(dom, self.nvars, out)
 
     def dehomogenize(self, i: int) -> "MultiPoly":
@@ -303,14 +275,7 @@ class MultiPoly:
         out: dict[tuple[int, ...], object] = {}
         for exps, c in self.terms.items():
             ne = exps[:i] + exps[i + 1 :]
-            if ne in out:
-                s = dom.add(out[ne], c)
-                if dom.is_zero(s):
-                    del out[ne]
-                else:
-                    out[ne] = s
-            else:
-                out[ne] = c
+            out[ne] = dom.add(out[ne], c) if ne in out else c
         return MultiPoly(dom, self.nvars - 1, out)
 
     def homogenize(self, position: int = 0) -> "MultiPoly":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .domains import CoeffDomain, _is_prime_int
 from .fqpoly import (
@@ -53,9 +53,25 @@ class PrimeIdealDesc:
     def q(self) -> int | None:
         return None if self.is_rational else self.generator.q
 
-    @property
-    def residue_degree(self) -> int:
-        return 1 if self.is_rational else self.generator.degree
+    @cached_property
+    def residue_field(self) -> CoeffDomain:
+        """O_K/p, built once per prime: F_p over Q; over F_q(t), F_q for a
+        degree-1 pi (evaluation at its root) and F_q[t]/(pi) otherwise."""
+        g = self.generator
+        if self.is_rational:
+            return CoeffDomain.prime_field(g)
+        if g.degree == 1:
+            return CoeffDomain.prime_field(g.q)
+        return CoeffDomain.residue_field(g)
+
+    def residue(self, x):
+        """The residue in residue_field of an O_K element (int or FqPoly)."""
+        g = self.generator
+        if self.is_rational:
+            return x % g
+        if g.degree == 1:
+            return x.evaluate(-g.coeffs[0] % g.q)
+        return x % g
 
     def sort_key(self):
         if self.is_rational:
@@ -87,37 +103,14 @@ def rational_primes_below(limit: float) -> tuple[int, ...]:
     return tuple(p for p in sieved if p < limit)
 
 
-def _field_context(field) -> tuple[str, int | None]:
-    """Accept 'Q', an int q, or a CoeffDomain and return ('Q'|'FF', q)."""
-    if field is None or field == "Q":
-        return ("Q", None)
-    if isinstance(field, int):
-        return ("FF", field)
-    if isinstance(field, CoeffDomain):
-        if field.kind in ("integers", "rationals"):
-            return ("Q", None)
-        if field.is_function_field_kind:
-            return ("FF", field.q)
-    kind = getattr(field, "kind", None)
-    if kind == "Q":
-        return ("Q", None)
-    if kind == "Fq(t)":
-        return ("FF", field.q)
-    raise TypeError(f"cannot interpret field tag {field!r}")
-
-
-def primes_in_range(lo: float, hi: float, field="Q") -> list[PrimeIdealDesc]:
-    """All prime ideals with lo < norm < hi (strict), sorted by norm and
-    then by the canonical generator order."""
+def primes_in_range(lo: float, hi: float, q: int | None = None) -> list[PrimeIdealDesc]:
+    """All prime ideals with lo < norm < hi (strict) of Q (q None) or of
+    F_q(t), sorted by norm and then by the canonical generator order."""
     if not (1 <= lo < hi):
         raise ValueError(f"need 1 <= lo < hi, got ({lo}, {hi})")
-    tag, q = _field_context(field)
+    if q is None:
+        return [PrimeIdealDesc(p, p) for p in rational_primes_below(hi) if p > lo]
     out: list[PrimeIdealDesc] = []
-    if tag == "Q":
-        for p in rational_primes_below(hi):
-            if p > lo:
-                out.append(PrimeIdealDesc(p, p))
-        return out
     deg = 1
     while q**deg < hi:
         norm = q**deg
@@ -129,16 +122,16 @@ def primes_in_range(lo: float, hi: float, field="Q") -> list[PrimeIdealDesc]:
     return out
 
 
-def chebyshev_theta(T: float, field="Q") -> float:
-    """sum of log(norm) over prime ideals of norm < T (strict).
+def chebyshev_theta(T: float, q: int | None = None) -> float:
+    """sum of log(norm) over prime ideals of Q (q None) or F_q(t) of
+    norm < T (strict).
 
     Diagnostic only; function-field counts use the exact irreducible-count
     formula rather than enumeration so large T stays cheap.
     """
     if T < 2:
         raise ValueError("need T >= 2")
-    tag, q = _field_context(field)
-    if tag == "Q":
+    if q is None:
         return float(sum(math.log(p) for p in rational_primes_below(T)))
     total = 0.0
     deg = 1

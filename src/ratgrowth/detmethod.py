@@ -397,7 +397,7 @@ class _Chart:
     installed on the module attributes see every call.
     """
 
-    residue: Callable  # (field, point, prime) -> residue point
+    residue: Callable  # (point, prime) -> residue point
     mult: Callable  # (reduced polynomial, residue point) -> multiplicity
     monomials: Callable  # (nvars, degree) -> monomial exponent tuples
     coords: Callable  # point -> coordinate tuple
@@ -406,7 +406,7 @@ class _Chart:
 
 # points are ProjPoints, residues ResiduePoints; forms are homogeneous
 _PROJECTIVE = _Chart(
-    residue=lambda field, p, prime: reduce_point_mod_p(p, prime),
+    residue=lambda p, prime: reduce_point_mod_p(p, prime),
     mult=lambda f_p, rp: mult_at_point(f_p, rp.coords).mu,
     monomials=lambda nvars, degree: monomial_basis(nvars, degree).monomials,
     coords=lambda p: p.coords,
@@ -415,7 +415,7 @@ _PROJECTIVE = _Chart(
 
 # points and residues are plain coordinate tuples; forms have degree <= d'
 _AFFINE = _Chart(
-    residue=lambda field, p, prime: tuple(field.residue_of(c, prime) for c in p),
+    residue=lambda p, prime: tuple(map(prime.residue, p)),
     mult=lambda f_p, rp: mult_at_point(f_p, rp, projective=False).mu,
     monomials=monomials_up_to_degree,
     coords=lambda p: p,
@@ -438,17 +438,16 @@ def _prime_window(f: MultiPoly, field: GlobalField, log_h: float, M: float, expo
     hi = M * log_h**exponent
     if hi <= log_h + 1:
         hi = log_h + 2
-    tag = "Q" if field.is_rational else field.q
-    return _good_reductions(f, primes_in_range(log_h, hi, tag))
+    return _good_reductions(f, primes_in_range(log_h, hi, field.q))
 
 
-def _multiplicity_table(field: GlobalField, chart: _Chart, points, good) -> dict:
+def _multiplicity_table(chart: _Chart, points, good) -> dict:
     """point -> {prime: (residue point, its multiplicity on the reduction)}."""
     table = {p: {} for p in points}
     for prime, reduced in good:
         mu_cache = {}
         for p in points:
-            rp = chart.residue(field, p, prime)
+            rp = chart.residue(p, prime)
             if rp not in mu_cache:
                 mu_cache[rp] = chart.mult(reduced.f_p, rp)
             table[p][prime] = (rp, mu_cache[rp])
@@ -501,7 +500,7 @@ def _cover(f, H, field, chart, points, good, regime, threshold, audit, params) -
     """
     n, d = f.nvars, f.degree
     primes = [prime for prime, _ in good]
-    table = _multiplicity_table(field, chart, points, good)
+    table = _multiplicity_table(chart, points, good)
 
     # partition: each point joins the first prime where its reduction has
     # low multiplicity; otherwise it is high-multiplicity everywhere
@@ -639,7 +638,7 @@ def cover_high_mult(
     elif mu_table is None:
         good = _good_reductions(f, primes)
     if mu_table is None:
-        table = _multiplicity_table(field, _PROJECTIVE, points, good)
+        table = _multiplicity_table(_PROJECTIVE, points, good)
         mu_table = {p: {prime: mu for prime, (_, mu) in row.items()} for p, row in table.items()}
     xi_s = [
         p

@@ -104,35 +104,6 @@ class GlobalField:
         """Into K itself (Fraction / FqRational)."""
         return self.element_domain().coerce(x)
 
-    def coerce_integral(self, x):
-        """Into O_K (int / FqPoly)."""
-        return self.integer_domain().coerce(x)
-
-    def residue_domain(self, prime: PrimeIdealDesc) -> CoeffDomain:
-        """The residue field O_K/p as a CoeffDomain.
-
-        Rational primes and degree-1 function-field primes map to
-        prime_field; higher-degree function-field primes map to
-        residue_field (arithmetic mod pi).
-        """
-        if prime.is_rational:
-            return CoeffDomain.prime_field(prime.generator)
-        pi = prime.generator
-        if pi.degree == 1:
-            return CoeffDomain.prime_field(self.q)
-        return CoeffDomain.residue_field(pi)
-
-    def residue_of(self, x, prime: PrimeIdealDesc):
-        """Reduce an O_K element modulo the prime."""
-        x = self.coerce_integral(x)
-        if prime.is_rational:
-            return x % prime.generator
-        pi = prime.generator
-        if pi.degree == 1:
-            root = (-pi.coeffs[0]) % self.q
-            return x.evaluate(root)
-        return x % pi
-
 
 def field_for_poly(f: MultiPoly) -> GlobalField:
     """The global field whose O_K or K holds the coefficients of f."""
@@ -365,7 +336,7 @@ def height_proj(field: GlobalField, point) -> int:
 
 def in_box(field: GlobalField, x, bound) -> bool:
     """Membership of an O_K element in the height box of size `bound`."""
-    x = field.coerce_integral(x)
+    x = field.integer_domain().coerce(x)
     if field.is_rational:
         return abs(x) <= bound
     if not x:
@@ -408,11 +379,10 @@ def reduce_point_mod_p(point: ProjPoint, prime: PrimeIdealDesc) -> ResiduePoint:
             f"c2={field.c2}; reduction may be ill-defined",
             stacklevel=2,
         )
-    domain = field.residue_domain(prime)
-    residues = [field.residue_of(c, prime) for c in point.coords]
-    if all(domain.is_zero(domain.coerce(r)) for r in residues):
+    residues = [prime.residue(c) for c in point.coords]
+    if not any(residues):
         raise AllCoordinatesVanish(
             f"primitive point {point} reduced to zero mod {prime}; "
             "this indicates non-primitive input"
         )
-    return normalize_residue_tuple(domain, residues)
+    return normalize_residue_tuple(prime.residue_field, residues)

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -96,35 +95,22 @@ def bound_value(spec: BoundSpec, d: int, H: float, n: int = 2) -> float:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A parametrized curve family.
+    """A family of plane curves indexed by the degree d.
 
     The template is polynomial text with "{d}" and "{d1}" placeholders
-    (d1 = d - 1).  enumerator_hint "parametrized" marks families whose
-    counts can be pulled back to P^1 through a degree-1 parametrization;
-    the shipped cuspidal monomial family x1*x0^(d-1) - x2^d is such, with
-    the parametrization (s : t) -> (s^d : t^d : s^(d-1) t).
+    (d1 = d - 1).
     """
 
     name: str
     template: str
-    enumerator_hint: str = "direct"  # "direct" | "parametrized"
 
     def polynomial(self, d: int, field: GlobalField) -> MultiPoly:
         text = self.template.replace("{d1}", str(d - 1)).replace("{d}", str(d))
         return poly_parse(text, 3, field.integer_domain())
 
 
-CUSPIDAL_FAMILY = FamilySpec(
-    name="cuspidal_monomial",
-    template="x1*x0^{d1} - x2^{d}",
-    enumerator_hint="parametrized",
-)
-
-LINE_FAMILY = FamilySpec(
-    name="projective_line",
-    template="x2",
-    enumerator_hint="parametrized",
-)
+CUSPIDAL_FAMILY = FamilySpec("cuspidal_monomial", "x1*x0^{d1} - x2^{d}")
+LINE_FAMILY = FamilySpec("projective_line", "x2")
 
 _BUILTIN_FAMILIES = {f.name: f for f in (CUSPIDAL_FAMILY, LINE_FAMILY)}
 
@@ -153,13 +139,14 @@ def family_count(
 ) -> int:
     """Number of height-<=H points on the degree-d family member.
 
-    Parametrized families pull the count back to P^1: the cuspidal
-    monomial curve has height exactly (P^1 height)^d along its
-    parametrization, and the line is a copy of P^1.
+    The two built-in families pull the count back to P^1: the cuspidal
+    monomial curve x1*x0^(d-1) - x2^d has height exactly (P^1 height)^d
+    along its parametrization (s : t) -> (s^d : t^d : s^(d-1) t), and the
+    line is a copy of P^1.  Every other family is enumerated.
     """
-    if family.enumerator_hint == "parametrized":
-        if family.name == "projective_line":
-            return count_p1_points(field, H)
+    if family == LINE_FAMILY:
+        return count_p1_points(field, H)
+    if family == CUSPIDAL_FAMILY:
         if field.is_rational:
             X = _integer_nth_root(H, d)
             return count_p1_points(field, max(X, 1))
@@ -264,11 +251,7 @@ def _resolve_family(entry) -> FamilySpec:
         return entry
     name = entry.get("name")
     if "template" in entry:
-        return FamilySpec(
-            name=name,
-            template=entry["template"],
-            enumerator_hint=entry.get("enumerator_hint", "direct"),
-        )
+        return FamilySpec(name=name, template=entry["template"])
     if name in _BUILTIN_FAMILIES:
         return _BUILTIN_FAMILIES[name]
     raise ValueError(f"unknown family {name!r}")
@@ -278,16 +261,14 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
     """Run the configured sweeps; returns (reports, csv_text).
 
     Config keys: families (list), fields (descriptor strings), heights,
-    degrees (optional, default [3]), bounds {theorem?, c, kappa},
-    seed, budget.  Deterministic for a fixed config and seed;
-    RATGROWTH_SEED overrides the seed.
+    degrees (optional, default [3]), bounds {theorem?, c, kappa}, budget.
+    Other keys are ignored.  Deterministic for a fixed config.
     """
     families = [_resolve_family(e) for e in config.get("families", [])]
     fields = [GlobalField.parse(s) for s in config.get("fields", ["Q"])]
     heights = list(config.get("heights", []))
     degrees = list(config.get("degrees", [3]))
     bounds_cfg = dict(config.get("bounds", {}))
-    seed = int(os.environ.get("RATGROWTH_SEED", config.get("seed", 0)))
     budget = int(config.get("budget", 50_000_000))
     spec = BoundSpec(
         theorem=bounds_cfg.get("theorem", "Curve"),
@@ -358,7 +339,6 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
                         + sum(r.elapsed_ms for r in group),
                     )
                 )
-    _ = seed  # recorded for reproducibility; enumeration is deterministic
     return reports, emit_csv(rows)
 
 

@@ -71,9 +71,10 @@ def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurfa
     if f.is_zero:
         raise ValueError("cannot reduce the zero polynomial")
     field = field_for_poly(f)
+    if not field.owns_prime(prime):
+        raise ValueError(f"prime {prime.generator} is not a prime of {field.describe()}")
     primitive = integral_primitive_part(f)
-    target = field.residue_domain(prime)
-    f_p = primitive.map_coefficients(target, lambda c: field.residue_of(c, prime))
+    f_p = primitive.map_coefficients(prime.residue_field, prime.residue)
     if f_p.is_zero:
         raise AssertionError("content-one polynomial reduced to zero")
     reduced_degree = f_p.degree
@@ -169,7 +170,9 @@ def mult_at_point(f: MultiPoly, point, projective: bool | None = None) -> Multip
     for exps, c in f.terms.items():
         beta = exps[:chart] + exps[chart + 1 :]
         chart_terms[beta] = chart_terms[beta] + c if beta in chart_terms else c
-    mu = _taylor_order(dom, chart_terms, affine_point)
+    if all(dom.is_zero(dom.coerce(c)) for c in chart_terms.values()):
+        raise ValueError(f"{f} vanishes identically on the chart x{chart} = 1")
+    mu =_taylor_order(dom, chart_terms, affine_point)
     return MultiplicityReport(tuple(point), mu, "hypersurface")
 
 

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from ratgrowth.algebra.domains import CoeffDomain
+from ratgrowth.algebra.fqpoly import FqPoly
 from ratgrowth.algebra.multipoly import MultiPoly, poly_parse
+from ratgrowth import detmethod
 from ratgrowth.algebra.primes import PrimeIdealDesc
 from ratgrowth.detmethod import (
     AffineCoverParams,
@@ -423,8 +425,47 @@ class TestAffinePipeline:
         assert proj.counts["aux"] == 6
         assert proj.uncovered == []
 
+    def test_supplied_prime_of_another_field_refused(self):
+        f = poly_parse("x0*x1*x2 - 1", 3, ZZ)
+        t_plus_1 = PrimeIdealDesc(FqPoly(2, [1, 1]), 2)
+        with pytest.raises(ValueError, match="is not a prime of Q"):
+            cover_pipeline_affine(f, 4, AffineCoverParams(primes=(t_plus_1,)))
+
     def test_monitors_recorded(self):
         f = poly_parse("x0*x1*x2 - 1", 3, ZZ)
         res = cover_pipeline_affine(f, 4)
         for m in res.counts["monitors"]:
             assert "valuation_monitor_rhs" in m
+
+
+class TestWrappedReductionNames:
+    """Tracers wrap reduce_point_mod_p and mult_at_point where detmethod
+    holds them; the covering core must look both up at call time."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"reduce_point_mod_p": 0, "mult_at_point": 0}
+        for name in counts:
+            original = getattr(detmethod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(detmethod, name, counted)
+        return counts
+
+    def test_projective_cover(self, calls):
+        res = cover_pipeline(poly_parse("x1*x0^25 - x2^26", 3, ZZ), 20)
+        assert res.uncovered == []
+        # one reduction per point and good prime, one multiplicity per
+        # distinct residue point
+        assert calls["reduce_point_mod_p"] == res.counts["points"] * res.counts["num_primes"]
+        assert 0 < calls["mult_at_point"] <= calls["reduce_point_mod_p"]
+
+    def test_affine_cover(self, calls):
+        res = cover_pipeline_affine(poly_parse("x0*x1*x2 - 1", 3, ZZ), 4)
+        assert res.uncovered == []
+        # affine points reduce coordinate-wise through the prime
+        assert calls["reduce_point_mod_p"] == 0
+        assert 0 < calls["mult_at_point"] <= res.counts["points"] * res.counts["num_primes"]

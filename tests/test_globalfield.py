@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from ratgrowth.algebra.fqpoly import FqPoly, FqRational, poly_from_index
 from ratgrowth.algebra.primes import PrimeIdealDesc
 from ratgrowth.globalfield import (
+    AllCoordinatesVanish,
     GlobalField,
+    ProjPoint,
     Place,
     abs_value,
     height_proj,
@@ -215,3 +217,21 @@ class TestReduction:
             warnings.simplefilter("always")
             reduce_point_mod_p(point, PrimeIdealDesc(3, 3))
         assert any("floor" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize(
+        "field, coords, prime",
+        [
+            (Q, (5, 10, 0), PrimeIdealDesc(5, 5)),
+            (F2, (FqPoly(2, [1, 1]), FqPoly.zero(2)), PrimeIdealDesc(FqPoly(2, [1, 1]), 2)),
+            (F3, (FqPoly(3, [1, 0, 1]),) * 2, PrimeIdealDesc(FqPoly(3, [1, 0, 1]), 9)),
+        ],
+    )
+    def test_non_primitive_input_named(self, field, coords, prime):
+        point = ProjPoint(field, coords, 0)  # bypasses primitive_normalize
+        with pytest.raises(AllCoordinatesVanish, match="non-primitive input"):
+            reduce_point_mod_p(point, prime)
+
+    def test_prime_of_another_field_refused(self):
+        point = primitive_normalize(Q, (1, 2, 3))
+        with pytest.raises(ValueError, match="does not belong"):
+            reduce_point_mod_p(point, PrimeIdealDesc(FqPoly(2, [1, 1]), 2))

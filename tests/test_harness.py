@@ -161,6 +161,23 @@ class TestExperiment:
         expected = [enum_proj_points(1, h, F2).count for h in (2, 4, 8, 16)]
         assert counts == expected
 
+    def test_user_family_is_enumerated(self):
+        # a user template is enumerated even when it claims a
+        # parametrization: x0 - x1 is a line with 128 points of height <= 10,
+        # not the #P^1(Q, 2) = 8 of the cuspidal shortcut
+        entry = {"name": "mine", "template": "x0 - x1"}
+        config = {"families": [entry], "fields": ["Q"], "degrees": [3], "heights": [10]}
+        hinted = dict(config, families=[dict(entry, enumerator_hint="parametrized")])
+        # a built-in's name alone does not make the family built in
+        renamed = dict(config, families=[dict(entry, name=CUSPIDAL_FAMILY.name)])
+        for cfg in (config, hinted, renamed):
+            assert run_experiment(cfg)[0][0].rows[0].count == 128
+
+    def test_builtin_written_out_takes_the_shortcut(self):
+        entry = {"name": CUSPIDAL_FAMILY.name, "template": CUSPIDAL_FAMILY.template}
+        config = {"families": [entry], "fields": ["Q"], "degrees": [200], "heights": [10**400]}
+        assert run_experiment(config)[0][0].rows[0].count == 12176  # #P^1(Q, 100)
+
     def test_huge_height_row(self):
         config = {"families": [{"name": "cuspidal_monomial"}], "fields": ["Q"], "degrees": [200], "heights": [10**400]}
         reports, csv_text = run_experiment(config)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratgrowth.algebra.fqpoly import FqPoly, monic_polys_of_degree
 from ratgrowth.algebra.primes import (
@@ -97,3 +99,51 @@ class TestChebyshevTheta:
     def test_linear_window(self, T):
         ratio = chebyshev_theta(T) / T
         assert 0.3 <= ratio <= 1.2
+
+
+# rational primes, and the F_2[t] and F_3[t] primes of degree 1, 2 and 3
+RESIDUE_PRIMES = primes_in_range(1, 30) + primes_in_range(1, 9, 2) + primes_in_range(1, 28, 3)
+
+
+def _o_k_elements(prime):
+    if prime.is_rational:
+        return st.integers(-(10**30), 10**30)
+    q = prime.generator.q
+    return st.lists(st.integers(0, q - 1), max_size=9).map(lambda cs: FqPoly(q, cs))
+
+
+def _residue_oracle(prime, x):
+    """Z -> F_p and F_q[t] -> F_q[t]/(pi) by coercion; for a degree-1 pi,
+    the constant term of the remainder mod pi."""
+    if prime.is_rational or prime.generator.degree > 1:
+        return prime.residue_field.coerce(x)
+    r = x % prime.generator
+    return r.coeffs[0] if r else 0
+
+
+class TestResidue:
+    def test_degrees_covered(self):
+        degrees = {(p.q, 1 if p.is_rational else p.generator.degree) for p in RESIDUE_PRIMES}
+        assert degrees >= {(None, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)}
+
+    @pytest.mark.parametrize("prime", RESIDUE_PRIMES, ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_ring_homomorphism_matching_oracle(self, prime, data):
+        F = prime.residue_field
+        x = data.draw(_o_k_elements(prime))
+        y = data.draw(_o_k_elements(prime))
+        rx, ry = prime.residue(x), prime.residue(y)
+        assert rx == _residue_oracle(prime, x)
+        assert ry == _residue_oracle(prime, y)
+        assert prime.residue(x + y) == F.add(rx, ry)
+        assert prime.residue(x - y) == F.sub(rx, ry)
+        assert prime.residue(x * y) == F.mul(rx, ry)
+
+    @pytest.mark.parametrize("prime", RESIDUE_PRIMES, ids=str)
+    def test_residue_field_built_once(self, prime):
+        assert prime.residue_field is prime.residue_field
+        assert prime.residue_field.size == prime.norm
+        # the cached field takes no part in equality or hashing
+        twin = PrimeIdealDesc(prime.generator, prime.norm)
+        assert twin == prime and hash(twin) == hash(prime)

@@ -1,6 +1,7 @@
 """Multiplicities, intersection numbers, cycles, locus capture."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,19 @@ class TestReduceCurve:
     def test_affine_degenerate_reduction(self):
         r = reduce_curve_mod_p(poly_parse("5*x0 + 2", 2, ZZ), PrimeIdealDesc(5, 5))
         assert not r.good  # constant reduction: prime must be skipped
+
+    @pytest.mark.parametrize(
+        "domain, prime, field_name",
+        [
+            (ZZ, PrimeIdealDesc(FqPoly(2, [1, 1]), 2), "Q"),
+            (F2T, PrimeIdealDesc(3, 3), "F_2(t)"),
+            (F2T, PrimeIdealDesc(FqPoly(3, [1, 1]), 3), "F_2(t)"),
+        ],
+    )
+    def test_prime_of_another_field_refused(self, domain, prime, field_name):
+        f = poly_parse("x0*x2 - x1^2", 3, domain)
+        with pytest.raises(ValueError, match=f"is not a prime of {re.escape(field_name)}"):
+            reduce_curve_mod_p(f, prime)
 
 
 class TestMultiplicity:
@@ -136,6 +150,19 @@ class TestMultiplicity:
 
             mus.append(_affine_mult(f.dehomogenize(chart), affine))
         assert len(set(mus)) == 1
+
+    @pytest.mark.parametrize(
+        "text, domain",
+        [
+            ("x0 - x0*x2", ZZ),
+            # the raw chart sum is 5*x0: zero only once reduced into F_5
+            ("2*x0 + 3*x0*x2", GF5),
+        ],
+    )
+    def test_vanishing_chart_names_the_chart(self, text, domain):
+        f = poly_parse(text, 3, domain)
+        with pytest.raises(ValueError, match="chart x2 = 1"):
+            mult_at_point(f, (1, 0, 1), projective=True)
 
     def test_mult_bounded_by_degree(self):
         f = poly_parse("x0^2*x1", 3, GF5)
