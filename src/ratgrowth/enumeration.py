@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from math import gcd, isqrt
 
 from .algebra.fqpoly import FqPoly, all_polys, fq_gcd, monic_irreducibles_of_degree, poly_to_index
 from .algebra.multipoly import MultiPoly
@@ -81,16 +82,27 @@ class PointSetResult:
     sieve_rejections: int = 0
 
 
+def _max_degree(q: int, bound: int) -> int:
+    """The largest k with q^k <= bound: the degree cap of the F_q(t) box."""
+    k = 0
+    while q ** (k + 1) <= bound:
+        k += 1
+    return k
+
+
+def _box_side(field: GlobalField, bound: int) -> int:
+    """The number of O_K elements x with |x| <= bound, without listing them."""
+    if field.is_rational:
+        return 2 * bound + 1
+    return field.q ** (_max_degree(field.q, bound) + 1)
+
+
 def _box_values(field: GlobalField, bound: int) -> list:
     """All O_K elements x with |x| <= bound, in canonical order."""
     if field.is_rational:
         b = int(bound)
         return list(range(-b, b + 1))
-    q = field.q
-    max_deg = 0
-    while q ** (max_deg + 1) <= bound:
-        max_deg += 1
-    return list(all_polys(q, max_deg))
+    return list(all_polys(field.q, _max_degree(field.q, bound)))
 
 
 def _elem_key(field: GlobalField, x):
@@ -105,8 +117,6 @@ def _is_unit_gcd(field: GlobalField, g) -> bool:
 
 def _gcd_step(field: GlobalField, g, x):
     if field.is_rational:
-        from math import gcd
-
         return gcd(g, abs(x))
     if not x:
         return g
@@ -122,55 +132,112 @@ def _field_zero(field: GlobalField):
 # ---------------------------------------------------------------------------
 
 
+def _count_proj_q(n: int, H: int, budget: int) -> int:
+    """#P^n(Q, H) by the divisor recursion on primitive tuples.
+
+    Let P(v) be the number of nonzero primitive (n+1)-tuples with
+    max |x_i| <= v.  A nonzero tuple is its gcd k times a primitive tuple
+    of size <= v/k, so (2v+1)^(n+1) - 1 = sum_{k <= v} P(v // k).  P is
+    needed only at the values H // j, which are taken in increasing order,
+    and each sum runs over the blocks of k that share one quotient:
+    O(H^(3/4)) blocks and O(sqrt(H)) memo entries in all.  Each block is
+    one budget step; the steps of a value are charged before its sum.
+    """
+
+    def blocks(v: int) -> int:
+        # the distinct quotients v // k for 2 <= k <= v
+        r = isqrt(v)
+        return v // (r + 1) + r - 1
+
+    # H's own blocks are part of the total: a huge height is refused here,
+    # not after the budget's worth of smaller sums
+    if blocks(H) > budget:
+        raise BudgetExceededError(budget, budget + 1)
+    s = isqrt(H)
+    prim: dict[int, int] = {}
+    steps = 0
+    # the values H // j: every v <= H // (s + 1), then H // j for j <= s
+    for v in chain(range(1, H // (s + 1) + 1), (H // j for j in range(s, 0, -1))):
+        steps += blocks(v)
+        if steps > budget:
+            raise BudgetExceededError(budget, budget + 1)
+        total = (2 * v + 1) ** (n + 1) - 1
+        k = 2
+        while k <= v:
+            w = v // k
+            top = v // w
+            total -= (top - k + 1) * prim[w]
+            k = top + 1
+        prim[v] = total
+    return prim[H] // 2
+
+
+def _count_proj_fq(n: int, H: int, q: int) -> int:
+    """#P^n(F_q(t), H) in closed form.
+
+    With k the degree cap of the box, the nonzero tuples of degree <= k
+    group by their monic gcd, and the sum of mu(g) over monic g of degree j
+    is 1, -q, 0, 0, ... for j = 0, 1, 2, ...; so the primitive tuples
+    number q^((k+1)(n+1)) - 1 - q (q^(k(n+1)) - 1), which is q^(n+1) - 1
+    at k = 0 too.  Each point has q - 1 of them.
+    """
+    k = _max_degree(q, H)
+    return (q ** ((k + 1) * (n + 1)) - q ** (k * (n + 1) + 1) + q - 1) // (q - 1)
+
+
 def enum_proj_points(
     n: int, H: int, field: GlobalField, options: EnumOptions | None = None
 ) -> PointSetResult:
     """All points of P^n(K) with height <= H, each exactly once in primitive
-    normal form, ordered by (height, coordinates)."""
+    normal form, ordered by (height, coordinates).
+
+    Count mode does not enumerate: over Q it runs the divisor recursion of
+    `_count_proj_q`, whose blocks are the budget steps, and over F_q(t) it
+    evaluates the closed form of `_count_proj_fq`, which takes no step.
+    Collect mode walks the box, and the budget counts the cells it visits.
+    """
     if n < 1 or H < 1:
         raise ValueError("need n >= 1 and H >= 1")
     options = options or EnumOptions()
     start = time.perf_counter()
+    if not options.collect:
+        if field.is_rational:
+            count = _count_proj_q(n, H, options.budget)
+        else:
+            count = _count_proj_fq(n, H, field.q)
+        return PointSetResult(count=count, points=None, elapsed=time.perf_counter() - start)
+
+    side = _box_side(field, H)
+    leads = H if field.is_rational else (side - 1) // (field.q - 1)
+    # the walk visits each canonical lead, then every box value of each
+    # later coordinate below it
+    cells = leads * sum((side ** (r + 1) - 1) // (side - 1) for r in range(n + 1))
+    if cells > options.budget:
+        raise BudgetExceededError(options.budget, options.budget + 1)
     values = _box_values(field, H)
     positives = [v for v in values if is_canonical_lead(field, v)]
-    visited = 0
-    count = 0
     points: list[ProjPoint] = []
 
     def extend_filtered(prefix: list, g, remaining: int):
-        # only unit-gcd completions are points; count mode builds none
-        nonlocal visited, count
+        # only unit-gcd completions are points
         if remaining == 0:
             if _is_unit_gcd(field, g):
-                count += 1
-                if options.collect:
-                    coords = tuple(prefix)
-                    points.append(ProjPoint(field, coords, height_of_primitive(field, coords)))
+                coords = tuple(prefix)
+                points.append(ProjPoint(field, coords, height_of_primitive(field, coords)))
             return
         for v in values:
-            visited += 1
-            if visited > options.budget:
-                raise BudgetExceededError(options.budget, visited)
             prefix.append(v)
             extend_filtered(prefix, _gcd_step(field, g, v), remaining - 1)
             prefix.pop()
 
     zero = _field_zero(field)
     for lead_pos in range(n + 1):
-        rest = n - lead_pos
         for lead in positives:
-            visited += 1
-            if visited > options.budget:
-                raise BudgetExceededError(options.budget, visited)
-            prefix = [zero] * lead_pos + [lead]
-            extend_filtered(prefix, _gcd_step(field, zero, lead), rest)
+            extend_filtered([zero] * lead_pos + [lead], _gcd_step(field, zero, lead), n - lead_pos)
 
     points.sort(key=ProjPoint.sort_key)
-    elapsed = time.perf_counter() - start
     return PointSetResult(
-        count=count,
-        points=tuple(points) if options.collect else None,
-        elapsed=elapsed,
+        count=len(points), points=tuple(points), elapsed=time.perf_counter() - start
     )
 
 
@@ -377,12 +444,12 @@ def enum_curve_points_proj(
         raise ValueError("constant polynomial defines no curve")
     solve = min(appearing, key=lambda i: len({e[i] for e in f.terms}))
 
-    values = _box_values(field, H)
-    nvals = len(values)
+    nvals = _box_side(field, H)
     # the budget counts every cell of the box, N per fixed pair, whatever
     # the sieve and the unit symmetry skip
     if nvals**3 > options.budget:
         raise BudgetExceededError(options.budget, max(options.budget // nvals + 1, 1) * nvals)
+    values = _box_values(field, H)
     sieve = _sieve_tables(f, field, _solve_sieve_primes(field, nvals), solve, values)
 
     izero = values.index(_field_zero(field))
@@ -450,10 +517,10 @@ def enum_affine_hypersurface(
             raise ValueError(f"sieve prime {prime.generator} is not a prime of {field.describe()}")
     start = time.perf_counter()
     n = f.nvars
-    values = _box_values(field, B)
-    nvals = len(values)
+    nvals = _box_side(field, B)
     if nvals**n > options.budget:
         raise BudgetExceededError(options.budget, options.budget + 1)
+    values = _box_values(field, B)
 
     solve = min(range(n), key=lambda i: len({e[i] for e in f.terms}))
     sieve = _sieve_tables(f, field, options.sieve or (), solve, values)

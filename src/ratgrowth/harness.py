@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .algebra.multipoly import MultiPoly, poly_parse
 from .detmethod import float_power, json_float, regime_check
 from .enumeration import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     EnumOptions,
     enum_curve_points_proj,
@@ -129,35 +130,36 @@ def _integer_nth_root(x: int, n: int) -> int:
         r = s
 
 
-def count_p1_points(field: GlobalField, H: int) -> int:
-    """#P^1(K, H) by direct primitive-pair enumeration."""
-    return enum_proj_points(1, H, field, EnumOptions(collect=False)).count
+def count_p1_points(field: GlobalField, H: int, budget: int = DEFAULT_BUDGET) -> int:
+    """#P^1(K, H) from the count mode of `enum_proj_points`, which counts
+    without enumerating."""
+    return enum_proj_points(1, H, field, EnumOptions(collect=False, budget=budget)).count
 
 
 def family_count(
-    family: FamilySpec, d: int, H: int, field: GlobalField, budget: int | None = None
+    family: FamilySpec, d: int, H: int, field: GlobalField, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Number of height-<=H points on the degree-d family member.
 
     The two built-in families pull the count back to P^1: the cuspidal
     monomial curve x1*x0^(d-1) - x2^d has height exactly (P^1 height)^d
     along its parametrization (s : t) -> (s^d : t^d : s^(d-1) t), and the
-    line is a copy of P^1.  Every other family is enumerated.
+    line is a copy of P^1.  Every other family is enumerated.  The budget
+    bounds either count.
     """
     if family == LINE_FAMILY:
-        return count_p1_points(field, H)
+        return count_p1_points(field, H, budget)
     if family == CUSPIDAL_FAMILY:
         if field.is_rational:
             X = _integer_nth_root(H, d)
-            return count_p1_points(field, max(X, 1))
+            return count_p1_points(field, max(X, 1), budget)
         # function field: height q^(d * max deg) <= H
         j = 0
         while field.q ** (d * (j + 1)) <= H:
             j += 1
-        return count_p1_points(field, field.q**j)
+        return count_p1_points(field, field.q**j, budget)
     poly = family.polynomial(d, field)
-    options = EnumOptions(collect=False, budget=budget) if budget else EnumOptions(collect=False)
-    return enum_curve_points_proj(poly, H, options).count
+    return enum_curve_points_proj(poly, H, EnumOptions(collect=False, budget=budget)).count
 
 
 @dataclass(frozen=True)
@@ -249,6 +251,8 @@ class ExperimentReport:
 def _resolve_family(entry) -> FamilySpec:
     if isinstance(entry, FamilySpec):
         return entry
+    if isinstance(entry, str):
+        entry = {"name": entry}
     name = entry.get("name")
     if "template" in entry:
         return FamilySpec(name=name, template=entry["template"])
@@ -260,16 +264,17 @@ def _resolve_family(entry) -> FamilySpec:
 def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
     """Run the configured sweeps; returns (reports, csv_text).
 
-    Config keys: families (list), fields (descriptor strings), heights,
-    degrees (optional, default [3]), bounds {theorem?, c, kappa}, budget.
-    Other keys are ignored.  Deterministic for a fixed config.
+    Config keys: families (built-in names or {name, template} entries),
+    fields (descriptor strings), heights, degrees (optional, default [3]),
+    bounds {theorem?, c, kappa}, budget (every family's count).  Other keys
+    are ignored.  Deterministic for a fixed config.
     """
     families = [_resolve_family(e) for e in config.get("families", [])]
     fields = [GlobalField.parse(s) for s in config.get("fields", ["Q"])]
     heights = list(config.get("heights", []))
     degrees = list(config.get("degrees", [3]))
     bounds_cfg = dict(config.get("bounds", {}))
-    budget = int(config.get("budget", 50_000_000))
+    budget = int(config.get("budget", DEFAULT_BUDGET))
     spec = BoundSpec(
         theorem=bounds_cfg.get("theorem", "Curve"),
         c=float(bounds_cfg.get("c", 1.0)),

@@ -93,6 +93,97 @@ class TestProjectiveSpace:
                 assert counted.points is None
                 assert counted.count == collected.count == len(collected.points)
 
+    @pytest.mark.parametrize(
+        "field, cases",
+        [
+            (Q, [(1, range(1, 9)), (2, range(1, 9)), (3, range(1, 5))]),
+            (F2, [(1, (1, 3, 5, 7, 9)), (2, (1, 3, 5, 7, 9)), (3, (1, 3))]),
+            (F3, [(1, (1, 2, 4, 8, 10)), (2, (1, 2, 4, 8))]),
+            (GlobalField.function_field(5), [(1, (1, 4, 6)), (2, (1, 4))]),
+        ],
+    )
+    def test_count_mode_matches_oracle(self, field, cases):
+        # over F_q(t) the heights are 1, q^k - 1 and q^k + 1
+        for n, heights in cases:
+            for H in heights:
+                counted = enum_proj_points(n, H, field, EnumOptions(collect=False)).count
+                assert counted == len(brute_force_proj_points(n, H, field)), (n, H)
+
+    def test_count_mode_pins(self):
+        assert enum_proj_points(1, 100, Q, EnumOptions(collect=False)).count == 12176
+        assert enum_proj_points(2, 25, Q, EnumOptions(collect=False)).count == 55585
+
+    def test_count_mode_against_mobius_sum(self):
+        # #P^n(Q, H) = 1/2 sum_k mu(k) ((2 [H/k] + 1)^(n+1) - 1), with mu sieved here
+        H = 10**4
+        mu = [1] * (H + 1)
+        is_prime = [True] * (H + 1)
+        for p in range(2, H + 1):
+            if is_prime[p]:
+                for m in range(p, H + 1, p):
+                    is_prime[m] = m == p
+                    mu[m] = -mu[m]
+                for m in range(p * p, H + 1, p * p):
+                    mu[m] = 0
+        for n in (1, 2):
+            want = sum(mu[k] * ((2 * (H // k) + 1) ** (n + 1) - 1) for k in range(1, H + 1)) // 2
+            assert enum_proj_points(n, H, Q, EnumOptions(collect=False)).count == want
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_count_mode_against_degree_recursion(self, q):
+        # the nonzero tuples of degree <= k are their monic gcd g times a
+        # primitive tuple of degree <= k - deg g, and there are q^j monic g
+        # of degree j: P(k) = q^((k+1)(n+1)) - 1 - sum_{j=1..k} q^j P(k-j)
+        field = GlobalField.function_field(q)
+        for n in (1, 2, 3):
+            prim = []
+            for k in range(41):
+                prim.append(q ** ((k + 1) * (n + 1)) - 1 - sum(q**j * prim[k - j] for j in range(1, k + 1)))
+                for H in {q**k, q ** (k + 1) - 1}:
+                    got = enum_proj_points(n, H, field, EnumOptions(collect=False)).count
+                    assert got == prim[k] // (q - 1), (n, k, H)
+
+    def test_count_mode_never_walks_the_box(self, monkeypatch):
+        import ratgrowth.enumeration as enumeration
+
+        def walk(*args):
+            raise AssertionError("count mode built the height box")
+
+        monkeypatch.setattr(enumeration, "_box_values", walk)
+        for field, H in [(Q, 1), (Q, 2), (Q, 1000), (F2, 1), (F2, 2**40), (F3, 10)]:
+            for n in (1, 2, 3):
+                assert enum_proj_points(n, H, field, EnumOptions(collect=False)).count > 0
+        with pytest.raises(AssertionError, match="height box"):
+            enum_proj_points(1, 2, Q)
+
+    def test_count_mode_budget(self):
+        # one step per quotient block of the recursion: 30 blocks at H = 30
+        counted = enum_proj_points(2, 30, Q, EnumOptions(budget=100, collect=False))
+        assert counted.count == 93313
+        assert enum_proj_points(2, 30, Q, EnumOptions(budget=30, collect=False)).count == 93313
+        for H, budget in [(30, 29), (30, 0), (10**6, 1000), (10**400, 50_000_000)]:
+            with pytest.raises(BudgetExceededError) as err:
+                enum_proj_points(2, H, Q, EnumOptions(budget=budget, collect=False))
+            assert (err.value.budget, err.value.visited) == (budget, budget + 1)
+        # the closed form over F_q(t) takes no step
+        assert enum_proj_points(2, 2**40, F2, EnumOptions(budget=0, collect=False)).count == 2**123 - 2**121 + 1
+
+    def test_collect_budget_counts_visited_cells(self):
+        # pinned before the budget was checked ahead of the walk: each
+        # canonical lead, then each box value of every later coordinate
+        for field, n, H, cells in [(Q, 1, 2, 14), (Q, 2, 3, 198), (F2, 1, 2, 18), (F3, 2, 3, 408)]:
+            with pytest.raises(BudgetExceededError) as err:
+                enum_proj_points(n, H, field, EnumOptions(budget=cells - 1))
+            assert err.value.visited == cells
+            assert enum_proj_points(n, H, field, EnumOptions(budget=cells)).count > 0
+
+    def test_huge_height_refused_before_the_box(self):
+        with pytest.raises(BudgetExceededError) as err:
+            enum_proj_points(2, 10**400, Q)
+        assert err.value.visited == 50_000_001
+        with pytest.raises(BudgetExceededError):
+            enum_proj_points(2, 2**40, F2)
+
 
 class TestCurvePoints:
     def test_conic_h4(self):
@@ -234,6 +325,16 @@ class TestCurvePoints:
                 assert err.value.visited == visited
             assert enum_curve_points_proj(f, H, EnumOptions(budget=N**3)).count == count
 
+    def test_huge_height_refused_before_the_box(self):
+        cases = [
+            (poly_parse("x1*x0^2 - x2^3", 3, ZZ), 10**400, 2 * 10**400 + 1),
+            (poly_parse("x0*x2 - x1^2", 3, F2T), 2**40, 2**41),
+        ]
+        for f, H, N in cases:
+            with pytest.raises(BudgetExceededError) as err:
+                enum_curve_points_proj(f, H)
+            assert err.value.visited == N
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             enum_curve_points_proj(poly_parse("0", 3, ZZ), 4)
@@ -305,6 +406,12 @@ class TestAffine:
             assert (err.value.budget, err.value.visited) == (N**3 - 1, N**3)
             res = enum_affine_hypersurface(f, B, EnumOptions(budget=N**3))
             assert (res.count, res.sieve_rejections) == (count, 0)
+
+    def test_huge_box_refused_before_the_box(self):
+        for f, B in [(poly_parse("x0 - x1", 2, ZZ), 10**400), (poly_parse("x0 - x1", 2, F2T), 2**40)]:
+            with pytest.raises(BudgetExceededError) as err:
+                enum_affine_hypersurface(f, B)
+            assert err.value.visited == 50_000_001
 
     def test_sieved_point_order(self):
         # pinned before the shared prefix x solve scan: the points come in

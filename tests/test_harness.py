@@ -248,6 +248,40 @@ class TestExperiment:
         assert "budget_exceeded" in csv_text
         assert parse_csv(csv_text)[0].status == "budget_exceeded"
 
+    def test_budget_reaches_builtin_families(self):
+        config = {
+            "families": [{"name": "cuspidal_monomial"}],
+            "fields": ["Q"],
+            "degrees": [2],
+            "heights": [10**16, 10**40],
+            "budget": 1000,
+        }
+        reports, _ = run_experiment(config)
+        assert [(r.status, r.count) for r in reports[0].rows] == [("budget_exceeded", None)] * 2
+        config["heights"] = [10**4]
+        assert run_experiment(config)[0][0].rows[0].count == 12176  # #P^1(Q, 100)
+
+    def test_huge_height_user_family_row_marked(self):
+        config = {
+            "families": [{"name": "mine", "template": "x1*x0^{d1} - x2^{d}"}],
+            "degrees": [3],
+            "heights": [100, 10**400],
+        }
+        reports, _ = run_experiment(config)
+        small, huge = reports[0].rows
+        assert (small.status, small.count) == ("ok", family_count(CUSPIDAL_FAMILY, 3, 100, Q))
+        assert (huge.status, huge.count) == ("budget_exceeded", None)
+
+    def test_bare_family_names(self):
+        config = {"families": ["cuspidal_monomial", "projective_line"], "degrees": [3], "heights": [50]}
+        reports, _ = run_experiment(config)
+        assert [(r.family, r.rows[0].count) for r in reports] == [
+            ("cuspidal_monomial", family_count(CUSPIDAL_FAMILY, 3, 50, Q)),
+            ("projective_line", family_count(LINE_FAMILY, 3, 50, Q)),
+        ]
+        with pytest.raises(ValueError, match="unknown family 'nope'"):
+            run_experiment({"families": ["nope"], "heights": [50]})
+
     def test_csv_round_trip(self):
         reports, csv_text = run_experiment(self.CONFIG)
         rows = [r for rep in reports for r in rep.rows]
