@@ -1,11 +1,28 @@
 """Univariate polynomials and rational functions over small prime fields.
 
-``FqPoly`` is an element of F_q[t] stored as a coefficient tuple (low
-degree first, no trailing zeros, empty tuple = 0).  ``FqRational`` is a
-normalized numerator/denominator pair, i.e. an element of F_q(t).  q is
-restricted to primes so residue arithmetic stays on plain integers.
-Everything is immutable and hashable, which lets the rest of the package
-treat these values exactly like ints and Fractions.
+``FqPoly`` is an element of F_q[t] packed into one Python int, ``packed``:
+coefficient i sits in the i-th slot of a fixed bit width, low degree
+first.  The zero polynomial is 0, and a packed int has no trailing zero
+coefficients by construction.
+
+- q = 2: one bit per coefficient, so ``packed`` is the canonical index
+  sum(c_i 2^i) itself.  Addition is XOR; a product XORs shifted copies of
+  one operand, one per set bit of the other; division XORs shifted copies
+  of the divisor off the top of the remainder.
+- odd q: one slot is the smallest power-of-two number of bytes that holds
+  2q - 2 (one byte for q < 128).  The sum of two slots then never carries
+  into the next, so addition is one integer addition followed by reducing
+  every slot mod q, for one-byte slots in a single ``bytes.translate``.
+  Products use Kronecker substitution: both operands are spread to slots
+  wide enough for the convolution sums, multiplied as integers once, and
+  every slot of the product is reduced mod q.  Long division adds
+  multiples of the divisor to the packed remainder and reduces its slots
+  once, at the end.
+
+``FqRational`` is a normalized numerator/denominator pair, i.e. an element
+of F_q(t).  q is restricted to primes so residue arithmetic stays on plain
+integers.  Everything is immutable and hashable, which lets the rest of the
+package treat these values exactly like ints and Fractions.
 """
 
 from __future__ import annotations
@@ -18,20 +35,127 @@ def _check_same_q(a: "FqPoly", b: "FqPoly") -> None:
         raise ValueError(f"mixed characteristics: F_{a.q}[t] vs F_{b.q}[t]")
 
 
-class FqPoly:
-    """A polynomial in F_q[t].
+# -- packed slots for odd q ----------------------------------------------------
 
-    The zero polynomial has ``coeffs == ()`` and ``degree == -1``.
+
+class _Layout:
+    """The slot layout of packed F_q[t] elements for one odd q."""
+
+    __slots__ = ("q", "size", "bits", "mod")
+
+    def __init__(self, q: int) -> None:
+        size = 1
+        while 2 * q - 2 >> 8 * size:
+            size *= 2
+        self.q, self.size, self.bits = q, size, 8 * size
+        # byte -> byte table reducing every one-byte slot at once
+        self.mod = bytes(x % q for x in range(256)) if size == 1 else None
+
+
+@lru_cache(maxsize=None)
+def _layout(q: int) -> _Layout:
+    return _Layout(q)
+
+
+def _unpack(v: int, bits: int) -> list:
+    """The `bits`-wide slots of v, low first, up to its top nonzero one."""
+    mask = (1 << bits) - 1
+    return [v >> i & mask for i in range(0, v.bit_length(), bits)]
+
+
+def _pack(lay: _Layout, coeffs) -> int:
+    """Pack coefficients that are already reduced into [0, q)."""
+    if lay.size == 1:
+        return int.from_bytes(bytes(coeffs), "little")
+    size = lay.size
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
+
+
+def _fold(lay: _Layout, v: int, size: int) -> int:
+    """Reduce every `size`-byte slot of v mod q and pack the residues."""
+    if size == 1:
+        data = v.to_bytes(-(-v.bit_length() // 8), "little")
+        return int.from_bytes(data.translate(lay.mod), "little")
+    q = lay.q
+    return _pack(lay, [c % q for c in _unpack(v, 8 * size)])
+
+
+def _spread(v: int, n: int, size: int, wide: int) -> int:
+    """Move the n slots of `size` bytes of v into slots of `wide` bytes."""
+    data = v.to_bytes(n * size, "little")
+    buf = bytearray(n * wide)
+    for j in range(size):
+        buf[j::wide] = data[j::size]
+    return int.from_bytes(buf, "little")
+
+
+def _kronecker(lay: _Layout, a: int, b: int) -> int:
+    """The product of two nonzero packed elements over odd q: one integer
+    product of the operands in slots that hold every convolution sum."""
+    size = lay.size
+    na, nb = -(-a.bit_length() // lay.bits), -(-b.bit_length() // lay.bits)
+    bound = min(na, nb) * (lay.q - 1) ** 2  # largest possible slot of the product
+    wide = size
+    while bound >> 8 * wide:
+        wide *= 2
+    if wide != size:
+        a, b = _spread(a, na, size, wide), _spread(b, nb, size, wide)
+    return _fold(lay, a * b, wide)
+
+
+def _divmod_odd(lay: _Layout, a: int, b: int) -> tuple[int, int]:
+    """Long division of packed elements over odd q; b is nonzero.
+
+    Each step adds c t^s b with c = -lead/lead(b) in [0, q), which clears
+    the leading coefficient mod q and keeps every slot nonnegative.  The
+    slots are reduced only at the end, so they are widened first to hold
+    the (q-1)^2 each step can add."""
+    q, size, bits = lay.q, lay.size, lay.bits
+    na, nb = -(-a.bit_length() // bits), -(-b.bit_length() // bits)
+    steps = na - nb + 1
+    if steps <= 0:
+        return 0, a
+    wide = size
+    while q - 1 + min(steps, nb) * (q - 1) ** 2 >> 8 * wide:
+        wide *= 2
+    if wide != size:
+        a, b = _spread(a, na, size, wide), _spread(b, nb, size, wide)
+    w = 8 * wide
+    mask = (1 << w) - 1
+    neg_inv = -pow(b >> w * (nb - 1), q - 2, q) % q
+    digits = []
+    for s in range(steps - 1, -1, -1):
+        c = (a >> w * (s + nb - 1) & mask) * neg_inv % q
+        digits.append(-c % q)
+        a += c * b << w * s
+    return _pack(lay, digits[::-1]), _fold(lay, a & (1 << w * (nb - 1)) - 1, wide)
+
+
+def _width(q: int) -> int:
+    """Bits per coefficient slot."""
+    return 1 if q == 2 else _layout(q).bits
+
+
+class FqPoly:
+    """A polynomial in F_q[t], packed into the int ``packed`` (see the
+    module docstring).
+
+    The zero polynomial has ``packed == 0``, ``coeffs == ()`` and
+    ``degree == -1``.
     """
 
-    __slots__ = ("q", "coeffs")
+    __slots__ = ("q", "packed")
 
     def __init__(self, q: int, coeffs) -> None:
-        cs = [c % q for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if q == 2:
+            v = 0
+            for i, c in enumerate(coeffs):
+                if c % 2:
+                    v |= 1 << i
+        else:
+            v = _pack(_layout(q), [c % q for c in coeffs])
+        _set_q(self, q)
+        _set_packed(self, v)
 
     def __setattr__(self, name, value):
         raise AttributeError("FqPoly is immutable")
@@ -40,19 +164,19 @@ class FqPoly:
 
     @classmethod
     def zero(cls, q: int) -> "FqPoly":
-        return cls(q, ())
+        return _make(q, 0)
 
     @classmethod
     def one(cls, q: int) -> "FqPoly":
-        return cls(q, (1,))
+        return _make(q, 1)
 
     @classmethod
     def const(cls, q: int, c: int) -> "FqPoly":
-        return cls(q, (c,))
+        return _make(q, c % q)
 
     @classmethod
     def t(cls, q: int) -> "FqPoly":
-        return cls(q, (0, 1))
+        return _make(q, 1 << _width(q))
 
     @classmethod
     def parse(cls, q: int, text: str) -> "FqPoly":
@@ -84,9 +208,9 @@ class FqPoly:
             for part in parts:
                 if part == "t":
                     power += 1
-                elif part.startswith("t^"):
+                elif part.startswith("t^") and part[2:].isdecimal():
                     power += int(part[2:])
-                elif part.isdigit():
+                elif part.isdecimal():
                     coef *= int(part)
                 else:
                     raise ValueError(f"bad token {part!r} in {text!r}")
@@ -97,113 +221,127 @@ class FqPoly:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients, low degree first, without trailing zeros."""
+        v = self.packed
+        if self.q == 2:
+            return tuple(map(int, bin(v)[:1:-1])) if v else ()
+        return tuple(_unpack(v, _layout(self.q).bits))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        if self.q == 2:
+            return self.packed.bit_length() - 1
+        return -(-self.packed.bit_length() // _layout(self.q).bits) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.packed
 
     @property
     def leading_coeff(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
+        if not self.packed:
+            return 0
+        return self.packed >> _width(self.q) * self.degree
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return self.leading_coeff == 1
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        # a nonzero slot above the constant one makes packed >= 2^width >= q
+        return self.packed < self.q
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.packed)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FqPoly):
-            return self.q == other.q and self.coeffs == other.coeffs
+            return self.q == other.q and self.packed == other.packed
         if isinstance(other, int):
-            return self.coeffs == FqPoly(self.q, (other,)).coeffs
+            return self.packed == other % self.q
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.q, self.coeffs))
+        return hash((self.q, self.packed))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """The packed int of an FqPoly over the same q or of an int, else None."""
         if isinstance(other, FqPoly):
             _check_same_q(self, other)
-            return other
+            return other.packed
         if isinstance(other, int):
-            return FqPoly(self.q, (other,))
+            return other % self.q
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        q = self.q
+        b = other.packed if type(other) is FqPoly and other.q == q else self._operand(other)
+        if b is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.q
-        return FqPoly(self.q, out)
+        if q == 2:
+            return _make(2, self.packed ^ b)
+        lay = _layout(q)
+        return _make(q, _fold(lay, self.packed + b, lay.size))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FqPoly(self.q, [-c for c in self.coeffs])
+        return self if self.q == 2 else self.scale(-1)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (FqPoly, int)):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, int):
             return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        q = self.q
+        b = other.packed if type(other) is FqPoly and other.q == q else self._operand(other)
+        if b is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return FqPoly.zero(self.q)
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return FqPoly(self.q, out)
+        a = self.packed
+        if q == 2:
+            # XOR one shifted copy of a per set bit of b, b the sparser one
+            if a.bit_count() < b.bit_count():
+                a, b = b, a
+            r = 0
+            while b:
+                low = b & -b
+                r ^= a * low
+                b ^= low
+            return _make(2, r)
+        if not a or not b:
+            return _make(q, 0)
+        return _make(q, _kronecker(_layout(q), a, b))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        q = self.q
+        b = other.packed if type(other) is FqPoly and other.q == q else self._operand(other)
+        if b is None:
             return NotImplemented
-        if not o.coeffs:
+        if not b:
             raise ZeroDivisionError("division by the zero polynomial")
-        q, p = self.q, o
-        inv_lead = pow(p.leading_coeff, q - 2, q)
-        rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - len(p.coeffs) + 1, 0)
-        while len(rem) >= len(p.coeffs):
-            while rem and rem[-1] % q == 0:
-                rem.pop()
-            if len(rem) < len(p.coeffs):
-                break
-            shift = len(rem) - len(p.coeffs)
-            factor = (rem[-1] * inv_lead) % q
-            quo[shift] = factor
-            for i, c in enumerate(p.coeffs):
-                rem[shift + i] = (rem[shift + i] - factor * c) % q
-        return FqPoly(q, quo), FqPoly(q, rem)
+        a = self.packed
+        if q == 2:
+            n, quo = b.bit_length(), 0
+            shift = a.bit_length() - n
+            while shift >= 0:
+                a ^= b << shift
+                quo |= 1 << shift
+                shift = a.bit_length() - n
+            return _make(2, quo), _make(2, a)
+        quo, rem = _divmod_odd(_layout(q), a, b)
+        return _make(q, quo), _make(q, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -224,25 +362,35 @@ class FqPoly:
         return result
 
     def scale(self, c: int) -> "FqPoly":
-        return FqPoly(self.q, [a * c for a in self.coeffs])
+        q = self.q
+        c %= q
+        if not c:
+            return _make(q, 0)
+        if c == 1 or not self.packed:
+            return self
+        return _make(q, _kronecker(_layout(q), self.packed, c))
 
     def monic(self) -> "FqPoly":
-        if not self.coeffs:
+        lead = self.leading_coeff
+        if lead <= 1:
             return self
-        inv = pow(self.leading_coeff, self.q - 2, self.q)
-        return self.scale(inv)
+        return self.scale(pow(lead, self.q - 2, self.q))
 
     def shift(self, k: int) -> "FqPoly":
         """Multiply by t^k."""
-        if not self.coeffs:
+        if not self.packed:
             return self
-        return FqPoly(self.q, (0,) * k + self.coeffs)
+        return _make(self.q, self.packed << k * _width(self.q))
 
     def evaluate(self, a: int) -> int:
-        """Evaluate at a in F_q (Horner)."""
+        """Evaluate at a in F_q."""
+        q, v = self.q, self.packed
+        if q == 2:
+            # f(0) is the constant bit; f(1) the parity of the coefficients
+            return v & 1 if a % 2 == 0 else v.bit_count() & 1
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % self.q
+        for c in reversed(_unpack(v, _layout(q).bits)):
+            acc = (acc * a + c) % q
         return acc
 
     def derivative(self) -> "FqPoly":
@@ -251,11 +399,12 @@ class FqPoly:
     # -- text --------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -268,6 +417,19 @@ class FqPoly:
 
     def __repr__(self) -> str:
         return f"FqPoly(q={self.q}, {self})"
+
+
+_new = object.__new__
+_set_q = FqPoly.q.__set__
+_set_packed = FqPoly.packed.__set__
+
+
+def _make(q: int, packed: int) -> FqPoly:
+    """An FqPoly from an already packed int (no validation)."""
+    p = _new(FqPoly)
+    _set_q(p, q)
+    _set_packed(p, packed)
+    return p
 
 
 def fq_gcd(a: FqPoly, b: FqPoly) -> FqPoly:
@@ -303,14 +465,20 @@ def fq_xgcd(a: FqPoly, b: FqPoly) -> tuple[FqPoly, FqPoly, FqPoly]:
 
 def poly_from_index(q: int, idx: int) -> FqPoly:
     """Decode the canonical integer encoding sum(c_i * q^i) -> polynomial."""
+    if idx < 0:
+        raise ValueError(f"negative polynomial index {idx}")
+    if q == 2:
+        return _make(2, idx)
     coeffs = []
     while idx:
         idx, c = divmod(idx, q)
         coeffs.append(c)
-    return FqPoly(q, coeffs)
+    return _make(q, _pack(_layout(q), coeffs))
 
 
 def poly_to_index(f: FqPoly) -> int:
+    if f.q == 2:
+        return f.packed
     idx = 0
     for c in reversed(f.coeffs):
         idx = idx * f.q + c
@@ -325,18 +493,14 @@ def all_polys(q: int, max_deg: int):
 
 def monic_polys_of_degree(q: int, n: int):
     """All monic degree-n polynomials, ordered by the index of their tail."""
-    if n == 0:
-        yield FqPoly.one(q)
-        return
+    lead = 1 << n * _width(q)
     for idx in range(q**n):
-        tail = poly_from_index(q, idx)
-        coeffs = list(tail.coeffs) + [0] * (n - len(tail.coeffs)) + [1]
-        yield FqPoly(q, coeffs)
+        yield _make(q, poly_from_index(q, idx).packed | lead)
 
 
 @lru_cache(maxsize=None)
-def _irreducible_cache(q: int, coeffs: tuple) -> bool:
-    f = FqPoly(q, coeffs)
+def _irreducible_cache(q: int, packed: int) -> bool:
+    f = _make(q, packed)
     if f.degree < 1:
         return False
     if f.degree == 1:
@@ -350,7 +514,7 @@ def _irreducible_cache(q: int, coeffs: tuple) -> bool:
 
 
 def is_irreducible(f: FqPoly) -> bool:
-    return _irreducible_cache(f.q, f.coeffs)
+    return _irreducible_cache(f.q, f.packed)
 
 
 @lru_cache(maxsize=None)
@@ -429,9 +593,10 @@ class FqRational:
         if not num:
             den = FqPoly.one(num.q)
         else:
-            g = fq_gcd(num, den)
-            if g.degree >= 1:
-                num, den = num // g, den // g
+            if not den.is_constant:
+                g = fq_gcd(num, den)
+                if g.degree >= 1:
+                    num, den = num // g, den // g
             lead_inv = pow(den.leading_coeff, den.q - 2, den.q)
             num, den = num.scale(lead_inv), den.scale(lead_inv)
         object.__setattr__(self, "num", num)

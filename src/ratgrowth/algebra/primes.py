@@ -64,13 +64,18 @@ class PrimeIdealDesc:
             return CoeffDomain.prime_field(g.q)
         return CoeffDomain.residue_field(g)
 
+    @cached_property
+    def _root(self) -> int:
+        """The root r in F_q of a degree-1 generator t - r."""
+        return -self.generator.evaluate(0) % self.generator.q
+
     def residue(self, x):
         """The residue in residue_field of an O_K element (int or FqPoly)."""
         g = self.generator
         if self.is_rational:
             return x % g
         if g.degree == 1:
-            return x.evaluate(-g.coeffs[0] % g.q)
+            return x.evaluate(self._root)
         return x % g
 
     def sort_key(self):

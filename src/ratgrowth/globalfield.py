@@ -227,8 +227,8 @@ def places_with_nontrivial_value(field: GlobalField, x) -> list[Place]:
         if f.is_constant:
             continue
         for pi, _ in fq_factor(f):
-            if pi.coeffs not in seen:
-                seen.add(pi.coeffs)
+            if pi not in seen:
+                seen.add(pi)
                 out.append(Place.finite(PrimeIdealDesc(pi, field.q**pi.degree)))
     return out
 
@@ -352,6 +352,10 @@ class ResiduePoint:
     domain: CoeffDomain
     coords: tuple
 
+    def __hash__(self) -> int:
+        # equal points have equal coords, so the domain need not be hashed
+        return hash(self.coords)
+
     def __str__(self) -> str:
         return "(" + " : ".join(self.domain.to_str(c) for c in self.coords) + ")"
 
@@ -359,13 +363,19 @@ class ResiduePoint:
         return tuple(self.domain.sort_key(c) for c in self.coords)
 
 
-def normalize_residue_tuple(domain: CoeffDomain, coords) -> ResiduePoint:
-    coords = [domain.coerce(c) for c in coords]
-    first = next((c for c in coords if not domain.is_zero(c)), None)
+def _scaled_residues(domain: CoeffDomain, coords) -> ResiduePoint:
+    """Residues already in `domain`, scaled so the first nonzero one is 1."""
+    first = next((c for c in coords if c), None)
     if first is None:
         raise AllCoordinatesVanish("residue tuple is identically zero")
+    if first == 1:
+        return ResiduePoint(domain, tuple(coords))
     inv = domain.inv(first)
     return ResiduePoint(domain, tuple(domain.mul(c, inv) for c in coords))
+
+
+def normalize_residue_tuple(domain: CoeffDomain, coords) -> ResiduePoint:
+    return _scaled_residues(domain, [domain.coerce(c) for c in coords])
 
 
 def reduce_point_mod_p(point: ProjPoint, prime: PrimeIdealDesc) -> ResiduePoint:
@@ -385,4 +395,4 @@ def reduce_point_mod_p(point: ProjPoint, prime: PrimeIdealDesc) -> ResiduePoint:
             f"primitive point {point} reduced to zero mod {prime}; "
             "this indicates non-primitive input"
         )
-    return normalize_residue_tuple(prime.residue_field, residues)
+    return _scaled_residues(prime.residue_field, residues)

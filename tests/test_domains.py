@@ -1,6 +1,7 @@
 """Domain arithmetic: F_q[t], F_q(t), prime/residue fields, exactness."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,14 @@ class TestFqPoly:
         t = FqPoly.t(5)
         for f in [t**3 + 2 * t + 4, FqPoly.zero(5), FqPoly.one(5), t, 3 * t**2]:
             assert FqPoly.parse(5, str(f)) == f
+
+    @pytest.mark.parametrize(
+        "text, token", [("t^-1", "t^"), ("t^", "t^"), ("t^x", "t^x"), ("2*t^2.5", "t^2.5")]
+    )
+    def test_parse_names_bad_token(self, text, token):
+        # exponents that are not plain digits used to leak int()'s message
+        with pytest.raises(ValueError, match=re.escape(f"bad token {token!r} in {text!r}")):
+            FqPoly.parse(3, text)
 
     @given(polys(3), polys(3), polys(3))
     def test_ring_axioms(self, a, b, c):

@@ -9,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratgrowth.algebra.fqpoly import FqPoly, FqRational, poly_from_index
-from ratgrowth.algebra.primes import PrimeIdealDesc
+from ratgrowth.algebra.domains import CoeffDomain
+from ratgrowth.algebra.primes import PrimeIdealDesc, primes_in_range
 from ratgrowth.globalfield import (
     AllCoordinatesVanish,
     GlobalField,
     ProjPoint,
     Place,
+    ResiduePoint,
     abs_value,
     height_proj,
     in_box,
     primitive_normalize,
+    normalize_residue_tuple,
     product_formula_check,
     reduce_point_mod_p,
 )
@@ -235,3 +238,46 @@ class TestReduction:
         point = primitive_normalize(Q, (1, 2, 3))
         with pytest.raises(ValueError, match="does not belong"):
             reduce_point_mod_p(point, PrimeIdealDesc(FqPoly(2, [1, 1]), 2))
+
+    @pytest.mark.parametrize(
+        "field, prime",
+        [(Q, p) for p in primes_in_range(1, 30)]
+        + [(F2, p) for p in primes_in_range(1, 9, 2)]
+        + [(F3, p) for p in primes_in_range(1, 28, 3)],
+        ids=str,
+    )
+    def test_reduction_matches_normalizing_unreduced_tuples(self, field, prime):
+        # reduce_point_mod_p scales the residues prime.residue already
+        # reduced; normalize_residue_tuple coerces raw input first
+        rng = random.Random(prime.norm)
+        dom = prime.residue_field
+        for _ in range(30):
+            if field.is_rational:
+                raw = [rng.randint(-60, 60) for _ in range(3)]
+            else:
+                raw = [poly_from_index(field.q, rng.randrange(field.q**4)) for _ in range(3)]
+            if not any(raw):
+                continue
+            point = primitive_normalize(field, raw)
+            try:
+                fast = reduce_point_mod_p(point, prime)
+            except AllCoordinatesVanish:
+                continue
+            if field.is_rational or prime.generator.degree >= 2:
+                unreduced = point.coords  # ints, or polynomials not yet reduced mod pi
+            else:  # F_q: residues shifted by multiples of q, some negative
+                unreduced = [prime.residue(c) + field.q * rng.randint(-3, 3) for c in point.coords]
+            slow = normalize_residue_tuple(dom, unreduced)
+            assert fast == slow and fast.coords == slow.coords
+            assert hash(fast) == hash(slow)
+            assert fast.domain is dom
+
+    def test_residue_field_of_degree_two_is_reached(self):
+        assert any(p.residue_field.kind == "residue_field" for p in primes_in_range(1, 9, 2))
+
+    def test_equal_coords_over_different_domains_differ(self):
+        f5, f7 = CoeffDomain.prime_field(5), CoeffDomain.prime_field(7)
+        a, b = ResiduePoint(f5, (1, 2, 3)), ResiduePoint(f7, (1, 2, 3))
+        assert a != b
+        assert len({a, b}) == 2
+        assert ResiduePoint(f5, (1, 2, 3)) == a and hash(ResiduePoint(f5, (1, 2, 3))) == hash(a)
