@@ -160,6 +160,9 @@ class FqPoly:
     def __setattr__(self, name, value):
         raise AttributeError("FqPoly is immutable")
 
+    def __reduce__(self):  # the default slot restore would call __setattr__
+        return _make, (self.q, self.packed)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -604,6 +607,9 @@ class FqRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("FqRational is immutable")
+
+    def __reduce__(self):
+        return FqRational, (self.num, self.den)
 
     @property
     def q(self) -> int:

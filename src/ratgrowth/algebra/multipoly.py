@@ -66,6 +66,9 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):
+        return MultiPoly, (self.domain, self.nvars, self.terms)
+
     # -- constructors --------------------------------------------------------
 
     @classmethod

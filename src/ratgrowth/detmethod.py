@@ -394,11 +394,12 @@ class _Chart:
     """What the covering core needs to know about the ambient space.
 
     The functions look the reduction helpers up at call time, so wrappers
-    installed on the module attributes see every call.
+    installed on the module attributes see every call; so does _partition,
+    which takes multiplicities through mult_at_point.
     """
 
+    projective: bool
     residue: Callable  # (point, prime) -> residue point
-    mult: Callable  # (reduced polynomial, residue point) -> multiplicity
     monomials: Callable  # (nvars, degree) -> monomial exponent tuples
     coords: Callable  # point -> coordinate tuple
     sort_key: Callable  # residue point -> class sort key
@@ -406,8 +407,8 @@ class _Chart:
 
 # points are ProjPoints, residues ResiduePoints; forms are homogeneous
 _PROJECTIVE = _Chart(
+    projective=True,
     residue=lambda p, prime: reduce_point_mod_p(p, prime),
-    mult=lambda f_p, rp: mult_at_point(f_p, rp.coords).mu,
     monomials=lambda nvars, degree: monomial_basis(nvars, degree).monomials,
     coords=lambda p: p.coords,
     sort_key=lambda rp: rp.sort_key(),
@@ -415,8 +416,8 @@ _PROJECTIVE = _Chart(
 
 # points and residues are plain coordinate tuples; forms have degree <= d'
 _AFFINE = _Chart(
+    projective=False,
     residue=lambda p, prime: tuple(map(prime.residue, p)),
-    mult=lambda f_p, rp: mult_at_point(f_p, rp, projective=False).mu,
     monomials=monomials_up_to_degree,
     coords=lambda p: p,
     sort_key=lambda rp: tuple(map(str, rp)),
@@ -441,17 +442,31 @@ def _prime_window(f: MultiPoly, field: GlobalField, log_h: float, M: float, expo
     return _good_reductions(f, primes_in_range(log_h, hi, field.q))
 
 
-def _multiplicity_table(chart: _Chart, points, good) -> dict:
-    """point -> {prime: (residue point, its multiplicity on the reduction)}."""
-    table = {p: {} for p in points}
-    for prime, reduced in good:
-        mu_cache = {}
-        for p in points:
+def _partition(chart: _Chart, points, good, threshold: float) -> tuple[dict, list]:
+    """({(prime, residue point): (mu, points)}, xi_s): each point joins the
+    class of the first good prime where its reduction has multiplicity below
+    the threshold, and is reduced no further; the points high at every
+    prime form xi_s.  Each multiplicity is read only up to ceil(threshold):
+    the capped value is below the threshold exactly when mu is, and equals
+    mu there, so every class keeps its exact mu."""
+    stop = math.ceil(threshold)
+    caches = [{} for _ in good]  # per prime: residue point -> capped mu
+    classes: dict[tuple, tuple[int, list]] = {}
+    xi_s = []
+    for p in points:
+        for (prime, reduced), cache in zip(good, caches):
             rp = chart.residue(p, prime)
-            if rp not in mu_cache:
-                mu_cache[rp] = chart.mult(reduced.f_p, rp)
-            table[p][prime] = (rp, mu_cache[rp])
-    return table
+            if rp not in cache:
+                cache[rp] = mult_at_point(
+                    reduced.f_p, chart.coords(rp), chart.projective, stop, reduced.plans
+                ).mu
+            mu = cache[rp]
+            if mu < threshold:
+                classes.setdefault((prime, rp), (mu, []))[1].append(p)
+                break
+        else:
+            xi_s.append(p)
+    return classes, xi_s
 
 
 def _high_mult_audit(field: GlobalField, primes, d_prime: int, log_h: float) -> dict:
@@ -499,27 +514,13 @@ def _cover(f, H, field, chart, points, good, regime, threshold, audit, params) -
     [1, d-1].  The cover is verified pointwise.
     """
     n, d = f.nvars, f.degree
-    primes = [prime for prime, _ in good]
-    table = _multiplicity_table(chart, points, good)
-
-    # partition: each point joins the first prime where its reduction has
-    # low multiplicity; otherwise it is high-multiplicity everywhere
-    classes: dict[tuple, list] = {}
-    xi_s = []
-    for p in points:
-        for prime in primes:
-            rp, mu = table[p][prime]
-            if mu < threshold:
-                classes.setdefault((prime, rp), []).append(p)
-                break
-        else:
-            xi_s.append(p)
+    classes, xi_s = _partition(chart, points, good, threshold)
 
     low = chart.monomials(n, d - 1)
     aux_polys = []
     class_records = []
     for prime, rp in sorted(classes, key=lambda key: (key[0].sort_key(), chart.sort_key(key[1]))):
-        klass = classes[(prime, rp)]
+        mu, klass = classes[(prime, rp)]
         polys, status = _interpolate(
             field, low, low, [chart.coords(p) for p in klass], n, regime.ok,
             f"class at prime {prime.generator}, point {rp}",
@@ -534,7 +535,7 @@ def _cover(f, H, field, chart, points, good, regime, threshold, audit, params) -
             ClassRecord(
                 prime=prime,
                 residue_point=rp,
-                mu=table[klass[0]][prime][1],
+                mu=mu,
                 class_size=len(klass),
                 aux_status=status,
                 aux_poly="; ".join(map(str, polys)),
@@ -569,7 +570,7 @@ def _cover(f, H, field, chart, points, good, regime, threshold, audit, params) -
         "aux": len(aux_polys),
         "bound_rhs": params.c * math.log(H) ** params.kappa,
         "xi_s": len(xi_s),
-        "num_primes": len(primes),
+        "num_primes": len(good),
         "max_aux_degree": max((poly.degree for poly, _ in aux_polys), default=0),
     }
     return CoverResult(
@@ -638,13 +639,14 @@ def cover_high_mult(
     elif mu_table is None:
         good = _good_reductions(f, primes)
     if mu_table is None:
-        table = _multiplicity_table(_PROJECTIVE, points, good)
-        mu_table = {p: {prime: mu for prime, (_, mu) in row.items()} for p, row in table.items()}
-    xi_s = [
-        p
-        for p in points
-        if mu_table.get(p) and all(mu >= threshold for mu in mu_table[p].values())
-    ]
+        # a point with no good prime to read it at is not high anywhere
+        xi_s = _partition(_PROJECTIVE, points, good, threshold)[1] if good else []
+    else:
+        xi_s = [
+            p
+            for p in points
+            if mu_table.get(p) and all(mu >= threshold for mu in mu_table[p].values())
+        ]
     audit = _high_mult_audit(field, primes, d_prime, log_h)
     audit["xi_s_size"] = len(xi_s)
     if not xi_s:

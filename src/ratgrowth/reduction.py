@@ -12,6 +12,7 @@ interpolants.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -42,6 +43,8 @@ class ReducedHypersurface:
     reduced_degree: int
     good: bool
     prime: PrimeIdealDesc
+    # the Taylor plans of f_p's charts, filled by mult_at_point(plans=...)
+    plans: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -92,54 +95,84 @@ def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurfa
 # ---------------------------------------------------------------------------
 
 
-def _taylor_order(dom: CoeffDomain, terms: dict, coords) -> int:
-    """Least total degree with a nonzero Taylor coefficient at the
-    coordinates of the polynomial with these {beta: c} terms.
+class _TaylorPlan:
+    """The Hasse-Taylor coefficients of the polynomial with these {beta: c}
+    terms, laid out for evaluation at many points.  Order k lists, per alpha
+    of total degree k, the pairs (c * binom(beta, alpha), beta - alpha) with
+    a binomial nonzero in the characteristic, the difference as its nonzero
+    (variable, exponent) entries; an alpha with no pair is left out.  An
+    order is built when a scan first reaches it."""
 
-    Each coefficient is summed with the raw operators (F_p and F_q[t]/(pi)
-    elements as their lifts to Z and F_q[t]) and reduced once by dom.coerce:
-    reduction is a ring homomorphism, so the zero test is exact."""
-    char, zero = dom.characteristic, dom.zero
-    powers = []
-    for a, top in zip(coords, map(max, zip(*terms))):
-        row = [dom.one]
-        for _ in range(top):
-            row.append(dom.mul(row[-1], a))
-        powers.append(row)
-    for k in range(max(map(sum, terms)) + 1):
-        for alpha in monomials_of_degree(len(coords), k):
-            acc = zero
-            for beta, c in terms.items():
-                term, binom = c, 1
-                for b, a, row in zip(beta, alpha, powers):
-                    if b < a:
-                        break
-                    if b > a:
-                        binom *= comb(b, a)
-                        term = term * row[b - a]
-                else:
-                    if char:
-                        binom %= char
-                    if binom == 1:
-                        acc = acc + term
-                    elif binom:
-                        acc = acc + term * binom
-            if not dom.is_zero(dom.coerce(acc)):
-                return k
-    raise AssertionError("nonzero polynomial with no Taylor coefficients")
+    __slots__ = ("dom", "terms", "tops", "degree", "orders")
+
+    def __init__(self, dom: CoeffDomain, terms: dict):
+        self.dom, self.terms, self.orders = dom, terms, []
+        self.tops = tuple(map(max, zip(*terms)))
+        self.degree = max(map(sum, terms))
+
+    def _build(self, k: int) -> list:
+        char, out = self.dom.characteristic, []
+        for alpha in monomials_of_degree(len(self.tops), k):
+            pairs = []
+            for beta, c in self.terms.items():
+                binom = math.prod(map(comb, beta, alpha))  # 0 unless beta >= alpha
+                if char:
+                    binom %= char
+                if binom:
+                    delta = tuple((i, b - a) for i, (b, a) in enumerate(zip(beta, alpha)) if b > a)
+                    pairs.append((c if binom == 1 else c * binom, delta))
+            if pairs:
+                out.append(pairs)
+        return out
+
+    def order(self, coords, stop: int | None = None) -> int:
+        """min(mu, stop) for mu the least total degree with a nonzero Taylor
+        coefficient at the coordinates; mu itself when stop is None.  Sums
+        run on the raw lifts (Z for F_p, F_q[t] for F_q[t]/(pi)) and are
+        reduced once by dom.coerce, a ring homomorphism: the test is exact."""
+        dom, zero = self.dom, self.dom.zero
+        powers = []
+        for a, top in zip(coords, self.tops):
+            row = [dom.one]
+            for _ in range(top):
+                row.append(dom.mul(row[-1], a))
+            powers.append(row)
+        last = self.degree if stop is None else min(stop - 1, self.degree)
+        for k in range(last + 1):
+            if k == len(self.orders):
+                self.orders.append(self._build(k))
+            for pairs in self.orders[k]:
+                acc = zero
+                for term, delta in pairs:
+                    for i, e in delta:
+                        term = term * powers[i][e]
+                    acc = acc + term
+                if not dom.is_zero(dom.coerce(acc)):
+                    return k
+        if last < self.degree:
+            return stop
+        raise AssertionError("nonzero polynomial with no Taylor coefficients")
 
 
-def _affine_mult(f: MultiPoly, point) -> int:
-    dom = f.domain
-    return _taylor_order(dom, f.terms, [dom.coerce(x) for x in point])
+def _affine_mult(f: MultiPoly, point, stop: int | None = None, plans: dict | None = None) -> int:
+    dom, plans = f.domain, {} if plans is None else plans
+    if "affine" not in plans:
+        plans["affine"] = _TaylorPlan(dom, f.terms)
+    return plans["affine"].order([dom.coerce(x) for x in point], stop)
 
 
-def mult_at_point(f: MultiPoly, point, projective: bool | None = None) -> MultiplicityReport:
+def mult_at_point(
+    f: MultiPoly, point, projective: bool | None = None,
+    stop: int | None = None, plans: dict | None = None,
+) -> MultiplicityReport:
     """Multiplicity of the point on the hypersurface f = 0.
 
     Projective points are moved to the affine chart of their last nonzero
     coordinate; the multiplicity is the least total degree with a nonzero
     Taylor coefficient there (0 when f does not vanish at the point).
+    With stop the scan ends there and reports min(mu, stop).  A plans dict
+    kept beside f (ReducedHypersurface.plans) keeps its charts' Taylor
+    plans from one call to the next.
     """
     if f.is_zero:
         raise ValueError("multiplicity of the zero polynomial is undefined")
@@ -155,25 +188,22 @@ def mult_at_point(f: MultiPoly, point, projective: bool | None = None) -> Multip
     if not projective:
         if len(point) != f.nvars:
             raise ValueError("affine point arity mismatch")
-        return MultiplicityReport(tuple(point), _affine_mult(f, point), "hypersurface")
+        return MultiplicityReport(tuple(point), _affine_mult(f, point, stop, plans), "hypersurface")
     if len(point) != f.nvars:
         raise ValueError("projective point arity mismatch")
     # over Z or F_q[t] the chart coordinates live in the fraction field;
     # the O_K coefficients multiply them as they are
-    dom = f.domain.fraction_field()
+    dom, plans = f.domain.fraction_field(), {} if plans is None else plans
     coords = [dom.coerce(x) for x in point]
     chart = max(i for i, c in enumerate(coords) if not dom.is_zero(c))
     inv = dom.inv(coords[chart])
     affine_point = [dom.mul(c, inv) for i, c in enumerate(coords) if i != chart]
-    # set x_chart = 1: drop its exponent and merge the terms that collide
-    chart_terms: dict = {}
-    for exps, c in f.terms.items():
-        beta = exps[:chart] + exps[chart + 1 :]
-        chart_terms[beta] = chart_terms[beta] + c if beta in chart_terms else c
-    if all(dom.is_zero(dom.coerce(c)) for c in chart_terms.values()):
-        raise ValueError(f"{f} vanishes identically on the chart x{chart} = 1")
-    mu =_taylor_order(dom, chart_terms, affine_point)
-    return MultiplicityReport(tuple(point), mu, "hypersurface")
+    if chart not in plans:
+        chart_f = f.dehomogenize(chart)
+        if chart_f.is_zero:
+            raise ValueError(f"{f} vanishes identically on the chart x{chart} = 1")
+        plans[chart] = _TaylorPlan(dom, chart_f.terms)
+    return MultiplicityReport(tuple(point), plans[chart].order(affine_point, stop), "hypersurface")
 
 
 @dataclass(frozen=True)
@@ -540,13 +570,6 @@ def proj_points_over(domain: CoeffDomain, nvars: int):
             yield (zero,) * lead + (one,) + tail
 
 
-def _chart_mult(f_charts: list[MultiPoly], point: tuple, domain: CoeffDomain) -> int:
-    """Multiplicity via the chart of the leading 1 in a canonical rep."""
-    lead = next(i for i, c in enumerate(point) if not domain.is_zero(c))
-    affine = point[:lead] + point[lead + 1 :]
-    return _affine_mult(f_charts[lead], affine)
-
-
 @dataclass(frozen=True)
 class HighMultLocus:
     kind: str  # "ok" | "empty" | "all_points"
@@ -594,10 +617,14 @@ def high_mult_locus(
     npoints = sum(dom.size**i for i in range(n))
     if npoints > budget:
         raise BudgetExceededScan(npoints, budget)
-    charts = [f_p.dehomogenize(i) for i in range(n)]
+    # each canonical point is read on the chart of its leading 1, and only
+    # as far as the comparison with the threshold needs
+    plans = [_TaylorPlan(dom, f_p.dehomogenize(i).terms) for i in range(n)]
+    stop = math.floor(threshold) + 1 if strict else math.ceil(threshold)
     locus = []
     for pt in proj_points_over(dom, n):
-        mu = _chart_mult(charts, pt, dom)
+        lead = next(i for i, c in enumerate(pt) if not dom.is_zero(c))
+        mu = plans[lead].order(pt[:lead] + pt[lead + 1 :], stop)
         if (mu > threshold) if strict else (mu >= threshold):
             locus.append(pt)
     if not locus:

@@ -10,7 +10,7 @@ from ratgrowth.algebra.domains import CoeffDomain
 from ratgrowth.algebra.fqpoly import FqPoly
 from ratgrowth.algebra.multipoly import MultiPoly, poly_parse
 from ratgrowth import detmethod
-from ratgrowth.algebra.primes import PrimeIdealDesc
+from ratgrowth.algebra.primes import PrimeIdealDesc, primes_in_range
 from ratgrowth.detmethod import (
     AffineCoverParams,
     CoverParams,
@@ -456,11 +456,23 @@ class TestWrappedReductionNames:
         return counts
 
     def test_projective_cover(self, calls):
-        res = cover_pipeline(poly_parse("x1*x0^25 - x2^26", 3, ZZ), 20)
+        f = poly_parse("x1*x0^25 - x2^26", 3, ZZ)
+        res = cover_pipeline(f, 20)
         assert res.uncovered == []
-        # one reduction per point and good prime, one multiplicity per
-        # distinct residue point
-        assert calls["reduce_point_mod_p"] == res.counts["points"] * res.counts["num_primes"]
+        # a class point is reduced at the good primes in norm order up to
+        # the prime of its class, a point of xi_s at every good prime; one
+        # multiplicity per distinct residue point and prime
+        log_h = math.log(20)
+        good = [
+            prime
+            for prime in primes_in_range(log_h, CoverParams.M * log_h**4)
+            if reduce_curve_mod_p(f, prime).good
+        ]
+        assert len(good) == res.counts["num_primes"]
+        expected = sum((1 + good.index(c.prime)) * c.class_size for c in res.classes)
+        expected += res.counts["xi_s"] * len(good)
+        assert calls["reduce_point_mod_p"] == expected
+        assert expected < res.counts["points"] * len(good)
         assert 0 < calls["mult_at_point"] <= calls["reduce_point_mod_p"]
 
     def test_affine_cover(self, calls):

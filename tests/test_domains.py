@@ -1,5 +1,7 @@
 """Domain arithmetic: F_q[t], F_q(t), prime/residue fields, exactness."""
 
+import copy
+import pickle
 import random
 import re
 
@@ -139,6 +141,39 @@ class TestFqRational:
         t = FqPoly.t(5)
         x = FqRational(t, 2 * t + 1)
         assert x.den.is_monic
+
+
+class TestPickleAndDeepcopy:
+    """Immutable values round-trip through pickle and copy.deepcopy; the
+    default slot restore would go through the refusing __setattr__."""
+
+    VALUES = [
+        FqPoly.t(2),
+        FqPoly.zero(3),
+        FqPoly(5, (4, 0, 3, 1)),
+        FqRational(FqPoly.t(3), FqPoly(3, (1, 1))),
+        FqRational(FqPoly.zero(2)),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_roundtrip(self, value, roundtrip):
+        back = roundtrip(value)
+        assert type(back) is type(value) and back == value and hash(back) == hash(value)
+        assert str(back) == str(value)
+
+    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_curve_and_point_over_function_field(self, roundtrip):
+        from ratgrowth.algebra.multipoly import poly_parse
+        from ratgrowth.globalfield import GlobalField, primitive_normalize
+
+        field = GlobalField.parse("Fq(t):q=2")
+        f = poly_parse("x1*x0^3 - t*x2^4", 3, field.integer_domain())
+        pt = primitive_normalize(field, (FqPoly.t(2), FqPoly.one(2), FqPoly.zero(2)))
+        assert roundtrip(f) == f and str(roundtrip(f)) == str(f)
+        assert roundtrip(pt) == pt
 
 
 class TestCoeffDomain:
