@@ -35,7 +35,6 @@ from .enumeration import (
     enum_curve_points_proj,
     enum_proj_points,
     run_query,
-    sz_bound,
 )
 from .globalfield import (
     GlobalField,

@@ -21,10 +21,12 @@ via evaluation at the root of pi.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .fqpoly import FqPoly, FqRational, fq_xgcd, is_irreducible, poly_from_index
+from .fqpoly import FqPoly, FqRational, fq_gcd, fq_lcm, fq_xgcd, is_irreducible, poly_from_index
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -243,6 +245,51 @@ class CoeffDomain:
                 raise ArithmeticError(f"{b} does not divide {a} in F_q[t]")
             return quo
         return self.div(a, b)
+
+    def primitive(self, values) -> tuple | None:
+        """The canonical representative, up to units, of a sequence of
+        elements; None when every entry is zero.
+
+        Over Z and F_q[t] the entries are divided by their gcd, scaled so
+        the first nonzero one is positive resp. monic.  Over a field the
+        first nonzero entry is scaled to 1.  This is the one normalizer of
+        projective points, their residues and polynomial coefficients.
+        """
+        k = self.kind
+        if k == INTEGERS:
+            g = math.gcd(*values)
+            if not g:
+                return None
+            if next(c for c in values if c) < 0:
+                g = -g
+            return tuple(c // g for c in values)
+        first = next((c for c in values if c), None)
+        if first is None:
+            return None
+        if k == POLY_RING:
+            g = None
+            for c in values:
+                if c:
+                    g = c if g is None else fq_gcd(g, c)
+            # the gcd scaled so that the first entry's quotient is monic
+            g = g.monic().scale(first.leading_coeff)
+            return tuple(c // g for c in values)
+        if first == 1:
+            return tuple(values)
+        inv = self.inv(first)
+        return tuple(self.mul(c, inv) for c in values)
+
+    def clear_denominators(self, values) -> list:
+        """Over Q and F_q(t), the values times the lcm of their
+        denominators, as elements of Z resp. F_q[t]; over any other domain
+        the values themselves."""
+        if self.kind == RATIONALS:
+            denom = math.lcm(*(c.denominator for c in values))
+            return [c.numerator * (denom // c.denominator) for c in values]
+        if self.kind == RATIONAL_FUNCTIONS:
+            denom = reduce(fq_lcm, (c.den for c in values), FqPoly.one(self.q))
+            return [c.num * (denom // c.den) for c in values]
+        return list(values)
 
     def pow(self, a, n: int):
         result = self.one

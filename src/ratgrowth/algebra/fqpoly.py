@@ -181,46 +181,6 @@ class FqPoly:
     def t(cls, q: int) -> "FqPoly":
         return _make(q, 1 << _width(q))
 
-    @classmethod
-    def parse(cls, q: int, text: str) -> "FqPoly":
-        """Parse strings like ``t^3+2*t+1`` (the format __str__ emits)."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty polynomial string")
-        # split into signed monomial chunks
-        chunks = []
-        cur = ""
-        for ch in s:
-            if ch in "+-" and cur:
-                chunks.append(cur)
-                cur = ch if ch == "-" else ""
-            else:
-                cur += ch
-        chunks.append(cur)
-        coeffs: dict[int, int] = {}
-        for chunk in chunks:
-            if not chunk or chunk in ("+", "-"):
-                raise ValueError(f"bad monomial in {text!r}")
-            sign = 1
-            if chunk[0] == "-":
-                sign, chunk = -1, chunk[1:]
-            elif chunk[0] == "+":
-                chunk = chunk[1:]
-            coef, power = 1, 0
-            parts = chunk.split("*")
-            for part in parts:
-                if part == "t":
-                    power += 1
-                elif part.startswith("t^") and part[2:].isdecimal():
-                    power += int(part[2:])
-                elif part.isdecimal():
-                    coef *= int(part)
-                else:
-                    raise ValueError(f"bad token {part!r} in {text!r}")
-            coeffs[power] = coeffs.get(power, 0) + sign * coef
-        deg = max(coeffs) if coeffs else 0
-        return cls(q, [coeffs.get(i, 0) for i in range(deg + 1)])
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -11,8 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .domains import INTEGERS, POLY_RING, RATIONAL_FUNCTIONS, CoeffDomain
-from .fqpoly import FqPoly, fq_gcd
+from .domains import CoeffDomain
 
 
 def grevlex_key(exps: tuple[int, ...]):
@@ -315,40 +314,15 @@ class MultiPoly:
             out[tuple(ne)] = c
         return MultiPoly(self.domain, self.nvars, out)
 
-    # -- content (Z and F_q[t] coefficients) -----------------------------------
-
-    def content(self):
-        """gcd of the coefficients for integers / poly_ring domains."""
-        kind = self.domain.kind
-        if kind == INTEGERS:
-            from math import gcd
-
-            g = 0
-            for c in self.terms.values():
-                g = gcd(g, abs(c))
-            return g
-        if kind == POLY_RING:
-            g = FqPoly.zero(self.domain.q)
-            for c in self.terms.values():
-                g = c.monic() if not g else fq_gcd(g, c)
-            return g
-        raise TypeError(f"content undefined over {self.domain.describe()}")
-
     def primitive_part(self) -> "MultiPoly":
-        """Divide by the content and normalize the sign / leading unit of the
-        grevlex-leading coefficient."""
+        """The representative of self up to units that the domain's
+        `primitive` picks, led by the grevlex-leading coefficient: content
+        one and a positive resp. monic lead over Z and F_q[t], lead 1 over
+        a field."""
         if self.is_zero:
             return self
-        kind = self.domain.kind
-        c = self.content()
-        out = self.exact_div_scalar(c)
-        _, lead = out.leading_term()
-        if kind == INTEGERS and lead < 0:
-            out = -out
-        elif kind == POLY_RING and lead.leading_coeff != 1:
-            inv = pow(lead.leading_coeff, self.domain.q - 2, self.domain.q)
-            out = out.scale(inv)
-        return out
+        exps, coeffs = zip(*self.sorted_terms())
+        return MultiPoly(self.domain, self.nvars, zip(exps, self.domain.primitive(coeffs)))
 
     # -- text ---------------------------------------------------------------
 
@@ -515,12 +489,7 @@ class _Parser:
                 digits += self.take()
             return MultiPoly.constant(self.domain, self.nvars, int(digits))
         if ch == "t" and not self._lookahead_is_name_char(1):
-            if self.domain.kind not in (POLY_RING, RATIONAL_FUNCTIONS):
-                if self.domain.kind == "residue_field":
-                    self.take()
-                    return MultiPoly.constant(
-                        self.domain, self.nvars, self.domain.t_element()
-                    )
+            if not self.domain.is_function_field_kind:
                 self.error("'t' is reserved for function-field domains")
             self.take()
             return MultiPoly.constant(self.domain, self.nvars, self.domain.t_element())

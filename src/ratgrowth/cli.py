@@ -33,23 +33,24 @@ def _parse_field(value: str) -> GlobalField:
     return GlobalField.parse(value)
 
 
-def _prime_for(field: GlobalField, text: str) -> PrimeIdealDesc:
+def _ring_element(field: GlobalField, text: str):
+    """An element of O_K from its text: an integer over Q, a polynomial in
+    t over F_q(t)."""
     if field.is_rational:
-        p = int(text)
-        return PrimeIdealDesc(p, p)
-    from .algebra.fqpoly import FqPoly
+        return int(text)
+    f = poly_parse(text, 1, field.integer_domain())
+    if not f.is_constant:
+        raise ValueError(f"{text!r} is not an element of F_{field.q}[t]")
+    return f.coefficient((0,))
 
-    gen = FqPoly.parse(field.q, text)
-    return PrimeIdealDesc(gen, field.q**gen.degree)
+
+def _prime_for(field: GlobalField, text: str) -> PrimeIdealDesc:
+    gen = _ring_element(field, text)
+    return PrimeIdealDesc(gen, gen if field.is_rational else field.q**gen.degree)
 
 
 def _parse_point(field: GlobalField, text: str) -> tuple:
-    parts = [s.strip() for s in text.split(",")]
-    if field.is_rational:
-        return tuple(int(s) for s in parts)
-    from .algebra.fqpoly import FqPoly
-
-    return tuple(FqPoly.parse(field.q, s) for s in parts)
+    return tuple(_ring_element(field, s.strip()) for s in text.split(","))
 
 
 def cmd_count(args) -> dict:
@@ -203,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count bounded-height points")
     p.add_argument("--field", default="Q")
-    p.add_argument("--projective", action="store_true")
-    p.add_argument("--affine", action="store_true")
+    ambient = p.add_mutually_exclusive_group()
+    ambient.add_argument("--projective", action="store_true")
+    ambient.add_argument("--affine", action="store_true", help="the default")
     p.add_argument("--poly", default=None)
     p.add_argument("--nvars", type=int, default=3)
     p.add_argument("--height", type=int, default=None, help="projective height bound (default 10)")
@@ -229,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--cap", type=int, default=12)
-    p.add_argument("--strict", action="store_true", default=True)
-    p.add_argument("--nonstrict", action="store_true")
+    strictness = p.add_mutually_exclusive_group()
+    strictness.add_argument("--strict", action="store_true", help="the default")
+    strictness.add_argument("--nonstrict", action="store_true")
     p.set_defaults(func=cmd_highmult)
 
     p = sub.add_parser("cover", help="run the covering pipeline")

@@ -39,7 +39,7 @@ def random_plane_cycle(rng: random.Random, p: int, max_degree: int = 30) -> Fact
         else:
             text = f"x1 + {rng.randrange(p)}*x2"
         poly = poly_parse(text, 3, dom)
-        key = hash(FactoredCycle._normal_form(poly))
+        key = hash(poly.primitive_part())
         deg = poly.degree
         if key in seen or degree + mult * deg > max_degree:
             if degree >= 2 and rng.random() < 0.2:
@@ -68,7 +68,7 @@ def random_space_cycle(rng: random.Random, p: int, max_degree: int = 12) -> Fact
             a, b, c = rng.randrange(p), rng.randrange(p), rng.randrange(p)
             text = f"x0 + {a}*x1 + {b}*x2 + {c}*x3"
         poly = poly_parse(text, 4, dom)
-        key = hash(FactoredCycle._normal_form(poly))
+        key = hash(poly.primitive_part())
         if key in seen or degree + mult * poly.degree > max_degree:
             break
         seen.add(key)

@@ -32,7 +32,6 @@ from .globalfield import (
     ResiduePoint,
     field_for_poly,
     ord_at,
-    primitive_tuple,
     reduce_point_mod_p,
 )
 from .reduction import mult_at_point, reduce_curve_mod_p
@@ -215,13 +214,6 @@ def interp_det_certificate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuxPoly:
-    poly: MultiPoly | None
-    status: str  # "ok" | "empty_class" | "full_rank"
-    class_size: int
-
-
 def _kernel_poly(field: GlobalField, monomials, points_coords, nvars: int) -> MultiPoly | None:
     """A nonzero polynomial on the monomial list vanishing at all the given
     coordinate tuples, with O_K coefficients, or None at full rank.
@@ -235,45 +227,12 @@ def _kernel_poly(field: GlobalField, monomials, points_coords, nvars: int) -> Mu
     vec = kernel_vector(ExactMatrix.from_rows(dom, rows))
     if vec is None:
         return None
-    coeffs = primitive_tuple(field, vec[::-1])[::-1]
+    coeffs = dom.primitive(vec[::-1])[::-1]
     poly = MultiPoly(dom, nvars, dict(zip(monomials, coeffs)))
     for coords in points_coords:
         if not dom.is_zero(poly.evaluate(coords)):
             raise AssertionError("interpolant fails to vanish on its points")
     return poly
-
-
-def aux_poly_for_residue_class(
-    f: MultiPoly,
-    H: int,
-    prime: PrimeIdealDesc,
-    residue_point: ResiduePoint,
-    points=None,
-    budget: int | None = None,
-) -> AuxPoly:
-    """A homogeneous degree-(d-1) form vanishing on every height-<=H point
-    of the curve that reduces to the given residue point.
-
-    An empty class returns the first basis monomial as a vacuous cover; a
-    full-rank class (possible outside the guaranteed regime) returns None
-    and is recorded, not fatal.
-    """
-    d = f.degree
-    if d < 1:
-        raise NotApplicable("degree must be at least 1")
-    basis = monomial_basis(f.nvars, d - 1)
-    if points is None:
-        options = EnumOptions(collect=True, budget=budget or 50_000_000)
-        points = enum_curve_points_proj(f, H, options).points
-    klass = [p for p in points if reduce_point_mod_p(p, prime) == residue_point]
-    if not klass:
-        poly = MultiPoly.monomial(
-            field_for_poly(f).integer_domain(), basis.monomials[0], 1
-        )
-        return AuxPoly(poly=poly, status="empty_class", class_size=0)
-    poly = _kernel_poly(klass[0].field, basis.monomials, [p.coords for p in klass], f.nvars)
-    status = "ok" if poly is not None else "full_rank"
-    return AuxPoly(poly=poly, status=status, class_size=len(klass))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +568,6 @@ def cover_high_mult(
     primes,
     N_const: float = 4.0,
     points=None,
-    mu_table=None,
 ) -> tuple[MultiPoly | None, dict]:
     """Interpolate the points that stay high-multiplicity at every prime by
     a single form of degree floor(N log H).
@@ -636,17 +594,10 @@ def cover_high_mult(
     if not primes:
         good = _prime_window(f, field, log_h, CoverParams.M, 4)
         primes = [prime for prime, _ in good]
-    elif mu_table is None:
-        good = _good_reductions(f, primes)
-    if mu_table is None:
-        # a point with no good prime to read it at is not high anywhere
-        xi_s = _partition(_PROJECTIVE, points, good, threshold)[1] if good else []
     else:
-        xi_s = [
-            p
-            for p in points
-            if mu_table.get(p) and all(mu >= threshold for mu in mu_table[p].values())
-        ]
+        good = _good_reductions(f, primes)
+    # a point with no good prime to read it at is not high anywhere
+    xi_s = _partition(_PROJECTIVE, points, good, threshold)[1] if good else []
     audit = _high_mult_audit(field, primes, d_prime, log_h)
     audit["xi_s_size"] = len(xi_s)
     if not xi_s:

@@ -24,9 +24,7 @@ from .globalfield import (
     field_for_poly,
     height_of_primitive,
     is_canonical_lead,
-    primitive_tuple,
 )
-from .reduction import integral_primitive_part
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -352,7 +350,8 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
     divides the content of f still sieves."""
     if not primes:
         return []
-    f = integral_primitive_part(f)
+    coeffs = f.domain.clear_denominators(f.terms.values())
+    f = MultiPoly(field.integer_domain(), f.nvars, zip(f.terms, coeffs)).primitive_part()
     n = f.nvars
     grouped = _grouped_terms(f, solve)
     zero = f.domain.zero
@@ -456,7 +455,7 @@ def enum_curve_points_proj(
     leads = [i for i, v in enumerate(values) if is_canonical_lead(field, v)]
     rows = [((ia,), range(nvals)) for ia in leads] + [((izero,), [izero] + leads)]
     zeros, _ = _scan(f, field, values, solve, rows, sieve)
-    found = {primitive_tuple(field, raw) for raw in zeros}
+    found = set(map(field.integer_domain().primitive, zeros))
     found.discard(None)
 
     points = [
@@ -553,13 +552,6 @@ def brute_force_affine_points(f: MultiPoly, B: int) -> set[tuple]:
 
     rec([], f.nvars)
     return out
-
-
-def sz_bound(d: int, n: int, H: float, c: float = 1.0) -> float:
-    """The degree-times-codimension slice bound c * d(d-1) * H^(n-2)."""
-    if d < 1 or n < 2:
-        raise ValueError("need d >= 1 and n >= 2")
-    return c * d * (d - 1) * H ** (n - 2)
 
 
 def run_query(query: PointQuery) -> PointSetResult:

@@ -8,13 +8,11 @@ logs only appear at reporting boundaries.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra.domains import CoeffDomain
-from .algebra.fqpoly import FqPoly, FqRational, fq_factor, fq_gcd, fq_lcm
+from .algebra.fqpoly import FqPoly, fq_factor
 from .algebra.multipoly import MultiPoly
 from .algebra.primes import PrimeIdealDesc
 
@@ -25,15 +23,10 @@ class AllCoordinatesVanish(RuntimeError):
 
 @dataclass(frozen=True)
 class GlobalField:
-    """Q or F_q(t) (q prime); d_K = 1 for both supported kinds.
-
-    c2 is the well-definedness floor for point reduction; with d_K = 1
-    primitivity already guarantees well-definedness, so it defaults to 1.
-    """
+    """Q or F_q(t) (q prime); d_K = 1 for both supported kinds."""
 
     kind: str  # "Q" | "Fq(t)"
     q: int | None = None
-    c2: int = 1
 
     def __post_init__(self):
         if self.kind == "Q":
@@ -57,13 +50,6 @@ class GlobalField:
     @classmethod
     def function_field(cls, q: int) -> "GlobalField":
         return cls("Fq(t)", q=q)
-
-    @classmethod
-    def number_field(cls, *args, **kwargs) -> "GlobalField":
-        raise NotImplementedError(
-            "number fields beyond Q are not implemented; the interface is "
-            "reserved for a future extension"
-        )
 
     @classmethod
     def parse(cls, descriptor: str) -> "GlobalField":
@@ -128,7 +114,6 @@ class Place:
 
     kind: str  # "archimedean" | "infinite" | "finite"
     prime: PrimeIdealDesc | None = None
-    n_v: int = 1
 
     @classmethod
     def archimedean(cls) -> "Place":
@@ -274,50 +259,15 @@ class ProjPoint:
         return (self.height, tuple(poly_to_index(c) for c in self.coords))
 
 
-def primitive_tuple(field: GlobalField, coords) -> tuple | None:
-    """The canonical representative of a tuple of O_K elements: divided by
-    the gcd of its coordinates, with the first nonzero one positive (over
-    Q) or monic (over F_q(t)).  None for the zero tuple."""
-    if field.is_rational:
-        g = math.gcd(*coords)
-        if not g:
-            return None
-        if next(c for c in coords if c) < 0:
-            g = -g
-        return tuple(c // g for c in coords)
-    g = None
-    for c in coords:
-        if c:
-            g = c if g is None else fq_gcd(g, c)
-    if g is None:
-        return None
-    # the gcd scaled to the leading coefficient of the first nonzero
-    # coordinate, so that coordinate's quotient is monic
-    first = next(c for c in coords if c)
-    g = g.monic().scale(first.leading_coeff)
-    return tuple(c // g for c in coords)
-
-
 def primitive_normalize(field: GlobalField, raw) -> ProjPoint:
     """Clear denominators, then take the canonical representative of the
-    projective point (`primitive_tuple`).  Idempotent."""
-    coords = [field.coerce(x) for x in raw]
-    if all(not c for c in coords):
+    projective point (`CoeffDomain.primitive` over O_K).  Idempotent."""
+    dom = field.element_domain()
+    ring = field.integer_domain()
+    coords = ring.primitive(dom.clear_denominators([dom.coerce(x) for x in raw]))
+    if coords is None:
         raise ValueError("all-zero tuple does not define a projective point")
-    if field.is_rational:
-        denom = math.lcm(*(c.denominator for c in coords))
-        integral = [int(c * denom) for c in coords]
-    else:
-        denom = FqPoly.one(field.q)
-        for c in coords:
-            denom = fq_lcm(denom, c.den)
-        integral = []
-        for c in coords:
-            scaled = c * FqRational(denom)
-            assert scaled.is_integral
-            integral.append(scaled.num)
-    tup = primitive_tuple(field, integral)
-    return ProjPoint(field, tup, height_of_primitive(field, tup))
+    return ProjPoint(field, coords, height_of_primitive(field, coords))
 
 
 def height_of_primitive(field: GlobalField, coords) -> int:
@@ -363,19 +313,12 @@ class ResiduePoint:
         return tuple(self.domain.sort_key(c) for c in self.coords)
 
 
-def _scaled_residues(domain: CoeffDomain, coords) -> ResiduePoint:
-    """Residues already in `domain`, scaled so the first nonzero one is 1."""
-    first = next((c for c in coords if c), None)
-    if first is None:
-        raise AllCoordinatesVanish("residue tuple is identically zero")
-    if first == 1:
-        return ResiduePoint(domain, tuple(coords))
-    inv = domain.inv(first)
-    return ResiduePoint(domain, tuple(domain.mul(c, inv) for c in coords))
-
-
 def normalize_residue_tuple(domain: CoeffDomain, coords) -> ResiduePoint:
-    return _scaled_residues(domain, [domain.coerce(c) for c in coords])
+    """The residue point of a tuple coerced into `domain`."""
+    scaled = domain.primitive([domain.coerce(c) for c in coords])
+    if scaled is None:
+        raise AllCoordinatesVanish("residue tuple is identically zero")
+    return ResiduePoint(domain, scaled)
 
 
 def reduce_point_mod_p(point: ProjPoint, prime: PrimeIdealDesc) -> ResiduePoint:
@@ -383,16 +326,11 @@ def reduce_point_mod_p(point: ProjPoint, prime: PrimeIdealDesc) -> ResiduePoint:
     field = point.field
     if not field.owns_prime(prime):
         raise ValueError("prime does not belong to the point's field")
-    if prime.norm <= field.c2:
-        warnings.warn(
-            f"prime norm {prime.norm} is at or below the well-definedness floor "
-            f"c2={field.c2}; reduction may be ill-defined",
-            stacklevel=2,
-        )
-    residues = [prime.residue(c) for c in point.coords]
-    if not any(residues):
+    dom = prime.residue_field
+    scaled = dom.primitive([prime.residue(c) for c in point.coords])
+    if scaled is None:
         raise AllCoordinatesVanish(
             f"primitive point {point} reduced to zero mod {prime}; "
             "this indicates non-primitive input"
         )
-    return _scaled_residues(prime.residue_field, residues)
+    return ResiduePoint(dom, scaled)

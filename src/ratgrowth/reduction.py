@@ -16,13 +16,11 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 from .algebra.domains import CoeffDomain
-from .algebra.fqpoly import fq_lcm
 from .algebra.linalg import ExactMatrix, kernel_vector
 from .algebra.multipoly import MultiPoly, monomial_row, monomials_of_degree
 from .algebra.primes import PrimeIdealDesc
@@ -54,19 +52,6 @@ class MultiplicityReport:
     context: str  # "hypersurface" | "cycle"
 
 
-def integral_primitive_part(f: MultiPoly) -> MultiPoly:
-    """The primitive (content-one) multiple of f with O_K coefficients:
-    denominators cleared over Q or F_q(t), then divided by the content.  It
-    has the same zeros as f."""
-    if f.domain.kind == "rationals":
-        denom = math.lcm(*(c.denominator for c in f.terms.values()))
-        f = f.map_coefficients(CoeffDomain.integers(), lambda c: int(c * denom))
-    elif f.domain.kind == "rational_functions":
-        denom = reduce(fq_lcm, (c.den for c in f.terms.values()))
-        f = f.map_coefficients(CoeffDomain.poly_ring(f.domain.q), lambda c: (c * denom).num)
-    return f.primitive_part()
-
-
 def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurface:
     """Reduce the primitive (content-one) representative of f modulo the
     prime; reports the reduced degree and whether the reduction is still a
@@ -76,14 +61,17 @@ def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurfa
     field = field_for_poly(f)
     if not field.owns_prime(prime):
         raise ValueError(f"prime {prime.generator} is not a prime of {field.describe()}")
-    primitive = integral_primitive_part(f)
-    f_p = primitive.map_coefficients(prime.residue_field, prime.residue)
+    # the coefficients of the primitive representative, led by the
+    # grevlex-leading one as in MultiPoly.primitive_part, reduced at once
+    exps, coeffs = zip(*f.sorted_terms())
+    coeffs = field.integer_domain().primitive(f.domain.clear_denominators(coeffs))
+    f_p = MultiPoly(prime.residue_field, f.nvars, zip(exps, map(prime.residue, coeffs)))
     if f_p.is_zero:
         raise AssertionError("content-one polynomial reduced to zero")
     reduced_degree = f_p.degree
     return ReducedHypersurface(
         f_p=f_p,
-        original_degree=primitive.degree,
+        original_degree=f.degree,
         reduced_degree=reduced_degree,
         good=reduced_degree > 0,
         prime=prime,
@@ -229,17 +217,9 @@ class FactoredCycle:
                 raise ValueError("cycle components must be homogeneous")
             if mult < 1:
                 raise ValueError("component multiplicities must be >= 1")
-        normalized = [self._normal_form(p) for p, _ in self.components]
+        normalized = [p.primitive_part() for p, _ in self.components]
         if len({hash(p) for p in normalized}) != len(normalized):
             raise ValueError("cycle components must be pairwise non-associate")
-
-    @staticmethod
-    def _normal_form(p: MultiPoly) -> MultiPoly:
-        dom = p.domain
-        if dom.is_field:
-            _, lead = p.leading_term()
-            return p.scale(dom.inv(lead))
-        return p.primitive_part()
 
     @property
     def domain(self) -> CoeffDomain:
@@ -342,10 +322,8 @@ def _u_gcd(dom, a: list, b: list) -> list:
     while b:
         _, r = _u_divmod(dom, a, b)
         a, b = b, r
-    if a:
-        inv = dom.inv(a[-1])
-        a = [dom.mul(c, inv) for c in a]
-    return a
+    # monic: the top coefficient, last in the list, scaled to 1
+    return list(dom.primitive(a[::-1])[::-1]) if a else a
 
 
 def _to_nested(f: MultiPoly) -> list[list]:
@@ -466,10 +444,7 @@ def gcd_bivariate(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 result_nested = [_u_gcd(dom, content, B[0])]
                 break
         result = _from_nested(dom, _nested_scale(dom, result_nested, d) if d else result_nested)
-    if result.is_zero:
-        return result
-    _, lead = result.leading_term()
-    return result.scale(dom.inv(lead))
+    return result.primitive_part()
 
 
 def _const_term(f: MultiPoly):
@@ -634,8 +609,8 @@ def high_mult_locus(
         rows = [monomial_row(dom, monos, pt) for pt in locus]
         vec = kernel_vector(ExactMatrix.from_rows(dom, rows))
         if vec is not None:
-            scale = dom.inv(next(c for c in reversed(vec) if c))
-            h = MultiPoly(dom, n, {exps: dom.mul(c, scale) for exps, c in zip(monos, vec)})
+            # the coefficient of the last monomial in the kernel's support is 1
+            h = MultiPoly(dom, n, zip(monos, dom.primitive(vec[::-1])[::-1]))
             for pt in locus:
                 assert dom.is_zero(h.evaluate(pt)), "interpolant fails to vanish"
             return HighMultLocus("ok", h, degree, tuple(locus), threshold)

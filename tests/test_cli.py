@@ -71,6 +71,24 @@ class TestCountBounds:
         assert proj["count"] == high["count"]
 
 
+class TestContradictoryFlags:
+    # argparse refuses each contradictory pair with exit status 2, so
+    # neither flag of a pair wins silently
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--projective", "--affine", "--poly", "x0*x2 - x1^2"),
+            ("highmult", "--poly", "x0^4", "--prime", "5", "--k", "2", "--strict", "--nonstrict"),
+        ],
+        ids=["projective-affine", "strict-nonstrict"],
+    )
+    def test_pair_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+
 class TestMult:
     def test_plain(self, capsys):
         code, payload = run_cli(
@@ -84,6 +102,34 @@ class TestMult:
             "mult", "--poly", "x0^2 + 3*x1^2", "--point", "0,0,1", "--prime", "3",
         )
         assert code == 0 and payload["mu"] == 2 and payload["good"]
+
+    def test_function_field_prime_and_point(self, capsys):
+        code, payload = run_cli(
+            capsys,
+            "mult", "--field", "Fq(t):q=3", "--poly", "x0*x2 - x1^2",
+            "--point", "1, t, t^2", "--prime", "t^2 + 1",
+        )
+        assert code == 0
+        assert payload["prime"] == "t^2+1" and payload["point"] == "(1 : t : 2)"
+
+    @pytest.mark.parametrize("prime", ["t^-1", "t^", "t^x", "2*t^2.5"])
+    def test_bad_prime_text_is_a_parse_error(self, capsys, prime):
+        code, payload = run_cli(
+            capsys,
+            "mult", "--field", "Fq(t):q=3", "--poly", "x0*x2 - x1^2",
+            "--point", "1,0,0", "--prime", prime,
+        )
+        assert code == 1
+        assert payload["error"] == "ParseError" and "position" in payload["message"]
+
+    def test_non_constant_prime_text_named(self, capsys):
+        code, payload = run_cli(
+            capsys,
+            "mult", "--field", "Fq(t):q=3", "--poly", "x0*x2 - x1^2",
+            "--point", "1,0,0", "--prime", "x + t",
+        )
+        assert code == 1
+        assert payload == {"error": "ValueError", "message": "'x + t' is not an element of F_3[t]"}
 
 
 class TestHighMult:

@@ -18,7 +18,6 @@ from ratgrowth.detmethod import (
     NotApplicable,
     PointsNotCongruent,
     RegimeViolation,
-    aux_poly_for_residue_class,
     cover_high_mult,
     cover_pipeline,
     cover_pipeline_affine,
@@ -140,51 +139,6 @@ class TestCertificates:
         assert cert.verdict == "MeetsBound"
 
 
-class TestAuxPoly:
-    def test_two_points_on_coordinate_line(self):
-        f = poly_parse("x2*x1 - x2*x0", 3, ZZ)  # degree 2: contains the line x2=0
-        p5 = PrimeIdealDesc(5, 5)
-        pts = [primitive_normalize(Q, (1, 2, 0)), primitive_normalize(Q, (1, 7, 0))]
-        rp = reduce_point_mod_p(pts[0], p5)
-        assert reduce_point_mod_p(pts[1], p5) == rp
-        aux = aux_poly_for_residue_class(f, 10, p5, rp, points=pts)
-        assert aux.status == "ok"
-        for p in pts:
-            assert aux.poly.evaluate(p.coords) == 0
-
-    def test_empty_class_flagged(self):
-        f = poly_parse("x0*x2 - x1^2", 3, ZZ)
-        p5 = PrimeIdealDesc(5, 5)
-        points = enum_curve_points_proj(f, 4).points
-        residues = {reduce_point_mod_p(p, p5) for p in points}
-        from ratgrowth.reduction import proj_points_over
-        from ratgrowth.globalfield import ResiduePoint
-
-        dom = CoeffDomain.prime_field(5)
-        empty_rp = next(
-            ResiduePoint(dom, pt)
-            for pt in proj_points_over(dom, 3)
-            if ResiduePoint(dom, pt) not in residues
-        )
-        aux = aux_poly_for_residue_class(f, 4, p5, empty_rp, points=points)
-        assert aux.status == "empty_class"
-        assert aux.class_size == 0
-        assert aux.poly is not None  # vacuous cover by the first basis monomial
-
-    def test_conic_class_rank(self):
-        # hand check: the height-4 conic points reducing to (1:0:0) mod 5
-        f = poly_parse("x0*x2 - x1^2", 3, ZZ)
-        p5 = PrimeIdealDesc(5, 5)
-        points = enum_curve_points_proj(f, 4).points
-        rp = reduce_point_mod_p(primitive_normalize(Q, (1, 0, 0)), p5)
-        klass = [p for p in points if reduce_point_mod_p(p, p5) == rp]
-        assert len(klass) <= 2  # at most 2 independent degree-1 constraints
-        aux = aux_poly_for_residue_class(f, 4, p5, rp, points=points)
-        assert aux.status == "ok" and aux.poly.degree == 1
-        for p in klass:
-            assert aux.poly.evaluate(p.coords) == 0
-
-
 class TestCoverHighMult:
     def test_empty_class_sentinel(self):
         f = poly_parse("x0^26 + x1^26 + x2^26", 3, ZZ)  # no rational points
@@ -192,20 +146,16 @@ class TestCoverHighMult:
         poly, audit = cover_high_mult(f, 20, primes, N_const=1.0)
         assert poly is None and audit["status"] == "empty_class"
 
-    def test_collinear_points_get_a_line(self):
+    def test_cusp_gets_a_line(self):
+        # (0:1:0) is the only point of the curve with mu = 25 at every prime,
+        # above the threshold 26 / log 20; the smooth points are low at 5
         f = poly_parse("x1*x0^25 - x2^26", 3, ZZ)
-        # the two curve points on the line x2 = 0, forced into the residual set
-        points = [primitive_normalize(Q, (1, 0, 0)), primitive_normalize(Q, (0, 1, 0))]
         primes = [PrimeIdealDesc(5, 5)]
-        mu_table = {p: {primes[0]: 10**6} for p in points}
-        poly, audit = cover_high_mult(
-            f, 20, primes, N_const=0.4, points=points, mu_table=mu_table
-        )
-        assert audit["status"] == "ok"
+        poly, audit = cover_high_mult(f, 20, primes, N_const=0.4)
+        assert audit["status"] == "ok" and audit["xi_s_size"] == 1
         assert poly.degree == audit["d_prime"] == 1
-        assert poly == poly_parse("x2", 3, ZZ)
-        for p in points:
-            assert poly.evaluate(p.coords) == 0
+        assert poly == poly_parse("x0", 3, ZZ)
+        assert poly.evaluate((0, 1, 0)) == 0
 
     def test_degree_violation_refused(self):
         f = poly_parse("x0*x2 - x1^2", 3, ZZ)

@@ -3,13 +3,13 @@
 import copy
 import pickle
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratgrowth.algebra.domains import CoeffDomain
+from ratgrowth.algebra.multipoly import poly_parse
 from ratgrowth.algebra.fqpoly import (
     FqPoly,
     FqRational,
@@ -42,16 +42,9 @@ class TestFqPoly:
 
     def test_str_parse_roundtrip(self):
         t = FqPoly.t(5)
+        ring = CoeffDomain.poly_ring(5)
         for f in [t**3 + 2 * t + 4, FqPoly.zero(5), FqPoly.one(5), t, 3 * t**2]:
-            assert FqPoly.parse(5, str(f)) == f
-
-    @pytest.mark.parametrize(
-        "text, token", [("t^-1", "t^"), ("t^", "t^"), ("t^x", "t^x"), ("2*t^2.5", "t^2.5")]
-    )
-    def test_parse_names_bad_token(self, text, token):
-        # exponents that are not plain digits used to leak int()'s message
-        with pytest.raises(ValueError, match=re.escape(f"bad token {token!r} in {text!r}")):
-            FqPoly.parse(3, text)
+            assert poly_parse(str(f), 1, ring).coefficient((0,)) == f
 
     @given(polys(3), polys(3), polys(3))
     def test_ring_axioms(self, a, b, c):
@@ -166,7 +159,6 @@ class TestPickleAndDeepcopy:
     @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])
     def test_curve_and_point_over_function_field(self, roundtrip):
-        from ratgrowth.algebra.multipoly import poly_parse
         from ratgrowth.globalfield import GlobalField, primitive_normalize
 
         field = GlobalField.parse("Fq(t):q=2")

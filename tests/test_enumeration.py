@@ -22,7 +22,6 @@ from ratgrowth.enumeration import (
     enum_curve_points_proj,
     enum_proj_points,
     run_query,
-    sz_bound,
 )
 from ratgrowth.enumeration import _solve_sieve_primes
 from ratgrowth.globalfield import GlobalField, height_proj, primitive_normalize
@@ -425,7 +424,7 @@ class TestAffine:
             (0, 1, 1), (1, -1, 0), (1, -1, 1), (1, 1, -1), (1, 1, 2), (2, 0, -2),
         )
         f = poly_parse("x0^2+x1*x2+t", 3, F2T)  # solves for x0
-        prime = PrimeIdealDesc(FqPoly.parse(2, "t^2+t+1"), 4)
+        prime = PrimeIdealDesc(FqPoly(2, [1, 1, 1]), 4)
         res = enum_affine_hypersurface(f, 4, EnumOptions(sieve=(prime,)))
         assert res.sieve_rejections == 384
         assert [" ".join(map(str, p)) for p in res.points] == [
@@ -437,8 +436,8 @@ class TestAffine:
     def test_sieve_prime_from_another_field(self):
         cases = [
             (poly_parse("x0^2+x1^2-x2^2", 3, F2T), PrimeIdealDesc(3, 3), "F_2(t)"),
-            (poly_parse("x0^2+x1^2-x2^2", 3, ZZ), PrimeIdealDesc(FqPoly.parse(2, "t"), 2), "Q"),
-            (poly_parse("x0^2+x1^2-x2^2", 3, F3T), PrimeIdealDesc(FqPoly.parse(2, "t"), 2), "F_3(t)"),
+            (poly_parse("x0^2+x1^2-x2^2", 3, ZZ), PrimeIdealDesc(FqPoly.t(2), 2), "Q"),
+            (poly_parse("x0^2+x1^2-x2^2", 3, F3T), PrimeIdealDesc(FqPoly.t(2), 2), "F_3(t)"),
         ]
         for f, prime, name in cases:
             with pytest.raises(ValueError, match=rf"sieve prime {re.escape(str(prime.generator))}.*{re.escape(name)}"):
@@ -463,10 +462,3 @@ class TestQueryAndBounds:
             PointQuery(Q, "projective", 3, None, 5, mode="cnt")
         q = PointQuery(Q, "projective", 3, None, 2, mode="count")
         assert run_query(q).points is None
-
-    def test_sz_bound(self):
-        assert sz_bound(2, 3, 10) == 20
-        assert sz_bound(1, 5, 100) == 0
-        assert sz_bound(5, 4, 10, c=2) == 4000
-        with pytest.raises(ValueError):
-            sz_bound(0, 3, 10)

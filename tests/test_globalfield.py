@@ -1,7 +1,6 @@
 """Places, absolute values, heights, primitive points, reductions."""
 
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -50,8 +49,6 @@ def random_ff_element(rng, q) -> FqRational:
 
 class TestField:
     def test_unsupported_kind_fails_loudly(self):
-        with pytest.raises(NotImplementedError):
-            GlobalField.number_field("x^2-2")
         with pytest.raises(NotImplementedError):
             GlobalField("cubic")
         with pytest.raises(ValueError):
@@ -212,14 +209,6 @@ class TestReduction:
         r = reduce_point_mod_p(point, prime)
         assert r.domain.kind == "residue_field"
         assert len(r.coords) == 3
-
-    def test_floor_warning(self):
-        field = GlobalField("Q", c2=5)
-        point = primitive_normalize(field, (1, 2, 3))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            reduce_point_mod_p(point, PrimeIdealDesc(3, 3))
-        assert any("floor" in str(w.message) for w in caught)
 
     @pytest.mark.parametrize(
         "field, coords, prime",
