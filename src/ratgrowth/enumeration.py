@@ -11,6 +11,7 @@ grids and normalize afterwards.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, product
 from math import gcd, isqrt
@@ -93,6 +94,11 @@ def _box_side(field: GlobalField, bound: int) -> int:
     if field.is_rational:
         return 2 * bound + 1
     return field.q ** (_max_degree(field.q, bound) + 1)
+
+
+def _lead_count(field: GlobalField, bound: int) -> int:
+    """The number of box values that `is_canonical_lead` accepts."""
+    return bound if field.is_rational else (_box_side(field, bound) - 1) // (field.q - 1)
 
 
 def _box_values(field: GlobalField, bound: int) -> list:
@@ -206,10 +212,9 @@ def enum_proj_points(
         return PointSetResult(count=count, points=None, elapsed=time.perf_counter() - start)
 
     side = _box_side(field, H)
-    leads = H if field.is_rational else (side - 1) // (field.q - 1)
     # the walk visits each canonical lead, then every box value of each
     # later coordinate below it
-    cells = leads * sum((side ** (r + 1) - 1) // (side - 1) for r in range(n + 1))
+    cells = _lead_count(field, H) * sum((side ** (r + 1) - 1) // (side - 1) for r in range(n + 1))
     if cells > options.budget:
         raise BudgetExceededError(options.budget, options.budget + 1)
     values = _box_values(field, H)
@@ -303,28 +308,24 @@ def _univariate(grouped: dict, tables: list, idx, zero) -> dict:
     return coeffs
 
 
-def _eval_grouped(coeffs: dict, table: dict, iv: int, zero):
-    acc = zero
-    for k, c in coeffs.items():
-        acc = acc + c * table[k][iv]
-    return acc
-
-
 def _solve_sieve_primes(field: GlobalField, nvals: int) -> list[PrimeIdealDesc]:
     """The primes that sieve the solve coordinate of a box of nvals values
-    per coordinate: largest norm first among those of norm at most nvals/4,
-    until the product of the norms exceeds nvals.  Empty for small boxes."""
+    per coordinate, among those of norm at most nvals/4: the smallest of
+    norm at least isqrt(nvals) in ascending order, until the product of
+    the norms exceeds nvals, and if that falls short, those of smaller
+    norm in descending order.  Their root tables take about nvals^(3/2)
+    evaluations.  Empty for small boxes."""
+    root, top = isqrt(nvals), nvals // 4
     if field.is_rational:
-        pool = [PrimeIdealDesc(p, p) for p in reversed(rational_primes_below(nvals // 4 + 1))]
+        small = rational_primes_below(top + 1)
+        cut = bisect_left(small, root)
+        pool = (PrimeIdealDesc(p, p) for p in chain(small[cut:], reversed(small[:cut])))
     else:
-        q, deg = field.q, 0
-        while 4 * q ** (deg + 1) <= nvals:
-            deg += 1
-        pool = [
-            PrimeIdealDesc(g, q**k)
-            for k in range(deg, 0, -1)
-            for g in monic_irreducibles_of_degree(q, k)
-        ]
+        q = field.q
+        degrees = range(1, _max_degree(q, top) + 1)
+        order = [k for k in degrees if q**k >= root]
+        order += [k for k in reversed(degrees) if q**k < root]
+        pool = (PrimeIdealDesc(g, q**k) for k in order for g in monic_irreducibles_of_degree(q, k))
     chosen, modulus = [], 1
     for prime in pool:
         if modulus > nvals:
@@ -369,10 +370,11 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
         table = {}
         for key in product(range(len(reps)), repeat=n - 1):
             coeffs = _univariate(grouped, fixed, key, zero)
+            columns = [(powers[solve][k], c) for k, c in coeffs.items()]
             roots = tuple(
                 r
                 for r in range(len(reps))
-                if not _eval_grouped(coeffs, powers[solve], r, zero) % gen
+                if not sum((c * col[r] for col, c in columns), zero) % gen
             )
             if roots not in by_roots:
                 by_roots[roots] = frozenset(iv for r in roots for iv in buckets[r])
@@ -381,40 +383,63 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
     return out
 
 
-def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, sieve: list):
+def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, sieve: list,
+          budget: int, spent: int, counted: int = 0):
     """The zeros of f whose other coordinates are the box values at one of
     the prefix index tuples, as value tuples in scan order, and the number
-    of exact evaluations made.  The prefixes come in rows (head, axis):
-    head + (i,) for each index i in axis.
+    of cells that the first `counted` sieve tables admit.  The prefixes
+    come in rows (head, axis): head + (i,) for each index i in axis.
 
-    For each prefix, only the solve indices that every sieve table admits
-    are evaluated, on the univariate that f collapses to there.  Each row
+    For each prefix, the candidates are the solve indices that every sieve
+    table admits, and each is decided by exact evaluation of the univariate
+    that f collapses to there.  Where that univariate is zero its sum has
+    no term, so every candidate is a zero and none is evaluated.  Each row
     looks up the sieve table of its head once, so a prefix costs one list
-    index per prime."""
+    index per prime.  Every candidate adds one to the work `spent` before
+    the scan, and work past `budget` raises BudgetExceededError."""
     tables = [_power_table(field, values, [e[i] for e in f.terms]) for i in range(f.nvars)]
     fixed, solve_table = tables[:solve] + tables[solve + 1 :], tables[solve]
     grouped = _grouped_terms(f, solve)
     zero = _field_zero(field)
     every = range(len(values))
-    zeros, evaluations = [], 0
+    zeros, work, admitted = [], spent, 0
     for head, axis in rows:
         lookups = [(residues, table[tuple(residues[i] for i in head)]) for residues, table in sieve]
+        first, rest = lookups[:counted], lookups[counted:]
         for last in axis:
             candidates = every
-            for residues, row in lookups:
+            if counted:
+                for residues, row in first:
+                    hits = row[residues[last]]
+                    candidates = hits if candidates is every else candidates & hits
+                admitted += len(candidates)
+            for residues, row in rest:
                 hits = row[residues[last]]
                 candidates = hits if candidates is every else candidates & hits
             if not candidates:
                 continue
-            evaluations += len(candidates)
+            work += len(candidates)
+            if work > budget:
+                raise BudgetExceededError(budget, budget + 1)
             idx = head + (last,)
             coeffs = _univariate(grouped, fixed, idx, zero)
+            columns = [(solve_table[k], c) for k, c in coeffs.items()]
             for iv in candidates:
-                if not _eval_grouped(coeffs, solve_table, iv, zero):
+                acc = zero
+                for column, c in columns:
+                    acc = acc + c * column[iv]
+                if not acc:
                     point = [values[i] for i in idx]
                     point.insert(solve, values[iv])
                     zeros.append(tuple(point))
-    return zeros, evaluations
+    return zeros, admitted
+
+
+def _charged(work: int, budget: int) -> int:
+    """work, if it is within the budget; a refusal reports budget + 1."""
+    if work > budget:
+        raise BudgetExceededError(budget, budget + 1)
+    return work
 
 
 def enum_curve_points_proj(
@@ -426,8 +451,9 @@ def enum_curve_points_proj(
     over the box, skipping pairs whose first nonzero coordinate is not
     canonical (a unit multiple of the pair is visited instead).  For each
     pair, the solve values that survive the residue sieve of
-    `_solve_sieve_primes` are checked by exact evaluation of the collapsed
-    univariate; the zeros are normalized and deduplicated.
+    `_solve_sieve_primes` are zeros if the pair collapses f to the zero
+    univariate, and are checked by exact evaluation of the univariate
+    otherwise; the zeros are normalized and deduplicated.
     """
     if f.is_zero:
         raise ValueError("curve polynomial must be nonzero")
@@ -444,17 +470,18 @@ def enum_curve_points_proj(
     solve = min(appearing, key=lambda i: len({e[i] for e in f.terms}))
 
     nvals = _box_side(field, H)
-    # the budget counts every cell of the box, N per fixed pair, whatever
-    # the sieve and the unit symmetry skip
-    if nvals**3 > options.budget:
-        raise BudgetExceededError(options.budget, max(options.budget // nvals + 1, 1) * nvals)
+    # the budget charges the scan's work: its fixed pairs and the root
+    # tables of its primes before the box is listed, then its candidates
+    spent = _charged(_lead_count(field, H) * (nvals + 1) + 1, options.budget)
+    primes = _solve_sieve_primes(field, nvals)
+    spent = _charged(spent + sum(p.norm**3 for p in primes), options.budget)
     values = _box_values(field, H)
-    sieve = _sieve_tables(f, field, _solve_sieve_primes(field, nvals), solve, values)
+    sieve = _sieve_tables(f, field, primes, solve, values)
 
     izero = values.index(_field_zero(field))
     leads = [i for i, v in enumerate(values) if is_canonical_lead(field, v)]
     rows = [((ia,), range(nvals)) for ia in leads] + [((izero,), [izero] + leads)]
-    zeros, _ = _scan(f, field, values, solve, rows, sieve)
+    zeros, _ = _scan(f, field, values, solve, rows, sieve, options.budget, spent)
     found = set(map(field.integer_domain().primitive, zeros))
     found.discard(None)
 
@@ -501,9 +528,12 @@ def enum_affine_hypersurface(
 ) -> PointSetResult:
     """All x in the O_K box of size B with f(x) = 0.
 
-    The optional sieve pre-filters candidates by their residues modulo
-    small primes before any exact test; it can only skip non-solutions,
-    so the result set is independent of the sieve choice.
+    The user's sieve primes, then the automatic ones of
+    `_solve_sieve_primes` that the user did not supply, pre-filter
+    candidates by their residues before any exact test; they can only skip
+    non-solutions, so the result set is independent of the sieve choice.
+    sieve_rejections counts the cells that a user prime rejects, 0 without
+    a user sieve.
     """
     if f.is_zero:
         raise ValueError("hypersurface polynomial must be nonzero")
@@ -517,21 +547,24 @@ def enum_affine_hypersurface(
     start = time.perf_counter()
     n = f.nvars
     nvals = _box_side(field, B)
-    if nvals**n > options.budget:
-        raise BudgetExceededError(options.budget, options.budget + 1)
+    # charged as on curves: the prefixes and root tables, then the candidates
+    spent = _charged(nvals ** (n - 1), options.budget)
+    user = tuple(options.sieve or ())
+    primes = user + tuple(p for p in _solve_sieve_primes(field, nvals) if p not in user)
+    spent = _charged(spent + sum(p.norm**n for p in primes), options.budget)
     values = _box_values(field, B)
 
     solve = min(range(n), key=lambda i: len({e[i] for e in f.terms}))
-    sieve = _sieve_tables(f, field, options.sieve or (), solve, values)
+    sieve = _sieve_tables(f, field, primes, solve, values)
     rows = ((head, range(nvals)) for head in product(range(nvals), repeat=n - 2))
-    found, evaluations = _scan(f, field, values, solve, rows, sieve)
+    found, admitted = _scan(f, field, values, solve, rows, sieve, options.budget, spent, len(user))
     keyed = sorted(found, key=lambda pt: tuple(_elem_key(field, c) for c in pt))
     elapsed = time.perf_counter() - start
     return PointSetResult(
         count=len(keyed),
         points=tuple(keyed) if options.collect else None,
         elapsed=elapsed,
-        sieve_rejections=nvals**n - evaluations,
+        sieve_rejections=nvals**n - admitted if user else 0,
     )
 
 

@@ -313,14 +313,6 @@ class ResiduePoint:
         return tuple(self.domain.sort_key(c) for c in self.coords)
 
 
-def normalize_residue_tuple(domain: CoeffDomain, coords) -> ResiduePoint:
-    """The residue point of a tuple coerced into `domain`."""
-    scaled = domain.primitive([domain.coerce(c) for c in coords])
-    if scaled is None:
-        raise AllCoordinatesVanish("residue tuple is identically zero")
-    return ResiduePoint(domain, scaled)
-
-
 def reduce_point_mod_p(point: ProjPoint, prime: PrimeIdealDesc) -> ResiduePoint:
     """Coordinate-wise reduction of the primitive representative."""
     field = point.field

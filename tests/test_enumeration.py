@@ -1,5 +1,6 @@
 """Point enumeration: fast paths vs brute-force oracles, sieving, caps."""
 
+import math
 import random
 import re
 
@@ -23,6 +24,7 @@ from ratgrowth.enumeration import (
     enum_proj_points,
     run_query,
 )
+from ratgrowth.enumeration import _box_values as _box
 from ratgrowth.enumeration import _solve_sieve_primes
 from ratgrowth.globalfield import GlobalField, height_proj, primitive_normalize
 
@@ -239,14 +241,27 @@ class TestCurvePoints:
         assert enum_curve_points_proj(f.scale(-3), 5).count == base
 
     def test_sieve_prime_rule(self):
-        # largest norms <= N/4 first, until the product of the norms exceeds N
+        # among the norms <= N/4: the smallest >= isqrt(N) in ascending order
+        # until the product of the norms exceeds N, then the smaller ones in
+        # descending order
         def norms(field, nvals):
             return [(str(p), p.norm) for p in _solve_sieve_primes(field, nvals)]
 
         assert norms(Q, 7) == []
+        assert norms(Q, 61) == [("7", 7), ("11", 11)]
+        assert norms(Q, 71) == norms(Q, 101) == [("11", 11), ("13", 13)]
+        assert norms(Q, 371) == [("19", 19), ("23", 23)]
+        assert norms(F2, 64) == [("t^3+t+1", 8), ("t^3+t^2+1", 8), ("t^4+t+1", 16)]
+        assert norms(F3, 81) == [("t^2+1", 9), ("t^2+t+2", 9), ("t^2+2*t+2", 9)]
+        # the selections of the former largest-norm-first rule at the boxes
+        # of the covers over Q (N <= 41) and of the F_q(t) counts and covers
+        assert norms(Q, 13) == [("3", 3), ("2", 2)]
+        assert norms(Q, 21) == [("5", 5), ("3", 3), ("2", 2)]
         assert norms(Q, 41) == [("7", 7), ("5", 5), ("3", 3)]
-        assert norms(Q, 101) == [("23", 23), ("19", 19)]
+        assert norms(F2, 8) == [("t", 2), ("t+1", 2)]
+        assert norms(F2, 16) == [("t^2+t+1", 4), ("t", 2), ("t+1", 2)]
         assert norms(F2, 32) == [("t^3+t+1", 8), ("t^3+t^2+1", 8)]
+        assert norms(F3, 9) == []
         assert norms(F3, 27) == [("t", 3), ("t+1", 3), ("t+2", 3)]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -311,28 +326,41 @@ class TestCurvePoints:
         assert set(enum_curve_points_proj(f, H).points) == brute_force_curve_points(f, H)
 
     def test_budget_counts_every_box_cell(self):
-        # pinned before the residue sieve: the budget counts N^3 box cells,
-        # N per fixed pair, whatever the sieve and the unit symmetry skip
+        # an implementation pin, named when the budget counted every box
+        # cell: the fixed pairs (canonical leads times
+        # N + 1, plus the zero pair) and the p^3 root-table evaluations of
+        # each sieve prime are charged before the box is listed, then each
+        # candidate solve value; a refusal reports budget + 1
         cases = [
-            (poly_parse("x0^3+x1^3-2*x2^3+x0*x1*x2", 3, ZZ), 10, 21, 1),
-            (poly_parse("x0^3+x1^3+x2^3+x0*x1*x2", 3, F2T), 8, 16, 130),
+            # 10 * 22 + 1 pairs, primes 5, 3, 2, then 116 candidates
+            (poly_parse("x0^3+x1^3-2*x2^3+x0*x1*x2", 3, ZZ), 10, 221, 221 + 160, 497, 1),
+            # 15 * 17 + 1 pairs, primes t^2+t+1, t, t+1, then 925 candidates
+            (poly_parse("x0^3+x1^3+x2^3+x0*x1*x2", 3, F2T), 8, 256, 256 + 80, 1261, 130),
         ]
-        for f, H, N, count in cases:
-            for budget, visited in [(N**3 - 1, N**3), (1000, 1008), (0, N)]:
+        for f, H, pairs, tables, charge, count in cases:
+            for budget in (0, pairs - 1, pairs, tables - 1, tables, charge - 1):
                 with pytest.raises(BudgetExceededError) as err:
                     enum_curve_points_proj(f, H, EnumOptions(budget=budget))
-                assert err.value.visited == visited
-            assert enum_curve_points_proj(f, H, EnumOptions(budget=N**3)).count == count
+                assert (err.value.budget, err.value.visited) == (budget, budget + 1)
+            assert enum_curve_points_proj(f, H, EnumOptions(budget=charge)).count == count
+
+    def test_budget_charges_the_scan_not_the_box(self):
+        # the box of the conic at H = 185 has 371^3 > 5*10^7 cells, but the
+        # scan visits about 7*10^4 prefixes and evaluates few candidates
+        conic = poly_parse("x0*x2 - x1^2", 3, ZZ)
+        assert enum_curve_points_proj(conic, 185).count == 232
 
     def test_huge_height_refused_before_the_box(self):
+        # the fixed pairs alone exceed the budget, so neither the primes
+        # nor the box values are computed
         cases = [
-            (poly_parse("x1*x0^2 - x2^3", 3, ZZ), 10**400, 2 * 10**400 + 1),
-            (poly_parse("x0*x2 - x1^2", 3, F2T), 2**40, 2**41),
+            (poly_parse("x1*x0^2 - x2^3", 3, ZZ), 10**400),
+            (poly_parse("x0*x2 - x1^2", 3, F2T), 2**40),
         ]
-        for f, H, N in cases:
+        for f, H in cases:
             with pytest.raises(BudgetExceededError) as err:
                 enum_curve_points_proj(f, H)
-            assert err.value.visited == N
+            assert err.value.visited == 50_000_001
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -390,20 +418,106 @@ class TestAffine:
             res = enum_affine_hypersurface(f, B, EnumOptions(sieve=sieve))
             assert (res.count, res.sieve_rejections) == (count, rejections)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_automatic_sieve_oracle_random_q(self, seed):
+        # quadrics and cubics in 3 variables at B = 4..12, where the
+        # automatic primes run; half of them times an affine linear form, so
+        # they carry points
+        from ratgrowth.algebra.multipoly import monomials_of_degree
+
+        rng = random.Random(8000 + seed)
+        B = (4, 6, 8, 9, 10, 12)[seed]
+        d = 2 + seed % 2
+
+        def poly(deg):
+            f = MultiPoly.zero(ZZ, 3)
+            while f.is_zero or f.degree < 1:
+                terms = {
+                    e: rng.randint(-3, 3)
+                    for k in range(deg + 1)
+                    for e in monomials_of_degree(3, k)
+                    if rng.random() < 0.6
+                }
+                f = MultiPoly(ZZ, 3, terms)
+            return f
+
+        f = poly(1) * poly(d - 1) if seed % 2 == 0 else poly(d)
+        assert _solve_sieve_primes(Q, 2 * B + 1)
+        res = enum_affine_hypersurface(f, B)
+        assert set(res.points) == brute_force_affine_points(f, B)
+        assert len(res.points) == res.count and res.sieve_rejections == 0
+
+    @pytest.mark.parametrize(
+        "text, dom, B",
+        [
+            # automatic primes t^2+t+1, t, t+1
+            ("x0^2 + x1*x2 + t*x0 + t^2", F2T, 8),
+            # automatic primes t, t+1, t+2; the content t+1 is one of them
+            ("(t+1)*(x0^2 - x1*x2 + t)", F3T, 9),
+            # automatic primes 3, 2 over Q; 3 divides the content
+            ("3*(x0^2 + x1^2 - x2^2)", ZZ, 6),
+        ],
+    )
+    def test_automatic_sieve_oracle(self, text, dom, B):
+        f = poly_parse(text, 3, dom)
+        field = Q if dom is ZZ else GlobalField.function_field(dom.q)
+        assert len(_solve_sieve_primes(field, len(_box(field, B)))) >= 2
+        res = enum_affine_hypersurface(f, B)
+        assert set(res.points) == brute_force_affine_points(f, B)
+        assert res.count > 0 and res.sieve_rejections == 0
+
+    def test_user_prime_equal_to_an_automatic_one(self):
+        # the automatic primes at B = 6 are 3 and 2; the user's 3 is taken
+        # once, and only the user's primes count as rejections
+        f = poly_parse("x0^2 + x1*x2 - 7", 3, ZZ)
+        assert [p.norm for p in _solve_sieve_primes(Q, 13)] == [3, 2]
+        box = range(-6, 7)
+        values = [f.evaluate((a, b, c)) for a in box for b in box for c in box]
+        oracle = brute_force_affine_points(f, 6)
+        for primes in [(3,), (3, 5), (5, 7), (2, 3)]:
+            sieve = tuple(PrimeIdealDesc(p, p) for p in primes)
+            res = enum_affine_hypersurface(f, 6, EnumOptions(sieve=sieve))
+            assert set(res.points) == oracle
+            assert res.sieve_rejections == sum(1 for v in values if any(v % p for p in primes))
+
+    def test_automatic_sieve_at_a_large_box(self):
+        # x0^2 + x1^2 = x2^2 in the box of side 121: each pair (x0, x1)
+        # whose sum of squares is a square s^2 <= 60^2 gives x2 = +-s
+        f = poly_parse("x0^2+x1^2-x2^2", 3, ZZ)
+        want = 0
+        for a in range(-60, 61):
+            for b in range(-60, 61):
+                s = math.isqrt(a * a + b * b)
+                if s * s == a * a + b * b and s <= 60:
+                    want += 1 if s == 0 else 2
+        # without the automatic primes 11 and 13 the 121^3 cells would all
+        # be candidates, far past this budget
+        res = enum_affine_hypersurface(f, 60, EnumOptions(collect=False, budget=10**5))
+        assert (res.count, res.sieve_rejections) == (want, 0) == (897, 0)
+
     def test_ff_affine(self):
         f = poly_parse("x0*x1 - 1", 2, F2T)
         res = enum_affine_hypersurface(f, 2)
         assert set(res.points) == brute_force_affine_points(f, 2)
 
     def test_budget_counts_every_box_cell(self):
-        # pinned before the shared prefix x solve scan: the budget counts
-        # all N^n box cells and a shortfall reports budget + 1 visited
-        for dom, B, N, count in [(ZZ, 3, 7, 25), (F2T, 4, 8, 64)]:
+        # an implementation pin, named when the budget counted every box
+        # cell: the N^(n-1) prefixes and the p^n root-table
+        # evaluations of each sieve prime are charged before the box is
+        # listed, then each candidate; a refusal reports budget + 1
+        cases = [
+            # N = 7: no sieve prime, so all 7^3 cells are candidates
+            (ZZ, 3, 49, 49, 49 + 343, 25),
+            # N = 8: primes t and t+1, then 128 candidates
+            (F2T, 4, 64, 64 + 16, 64 + 16 + 128, 64),
+        ]
+        for dom, B, prefixes, tables, charge, count in cases:
             f = poly_parse("x0^2+x1^2-x2^2", 3, dom)
-            with pytest.raises(BudgetExceededError) as err:
-                enum_affine_hypersurface(f, B, EnumOptions(budget=N**3 - 1))
-            assert (err.value.budget, err.value.visited) == (N**3 - 1, N**3)
-            res = enum_affine_hypersurface(f, B, EnumOptions(budget=N**3))
+            for budget in (0, prefixes - 1, tables - 1, charge - 1):
+                with pytest.raises(BudgetExceededError) as err:
+                    enum_affine_hypersurface(f, B, EnumOptions(budget=budget))
+                assert (err.value.budget, err.value.visited) == (budget, budget + 1)
+            res = enum_affine_hypersurface(f, B, EnumOptions(budget=charge))
             assert (res.count, res.sieve_rejections) == (count, 0)
 
     def test_huge_box_refused_before_the_box(self):

@@ -20,7 +20,6 @@ from ratgrowth.globalfield import (
     height_proj,
     in_box,
     primitive_normalize,
-    normalize_residue_tuple,
     product_formula_check,
     reduce_point_mod_p,
 )
@@ -28,6 +27,15 @@ from ratgrowth.globalfield import (
 Q = GlobalField.rationals()
 F2 = GlobalField.function_field(2)
 F3 = GlobalField.function_field(3)
+
+
+def normalize_residue_tuple(domain: CoeffDomain, coords) -> ResiduePoint:
+    """Oracle for reduce_point_mod_p: the residue point of a tuple coerced
+    into `domain`."""
+    scaled = domain.primitive([domain.coerce(c) for c in coords])
+    if scaled is None:
+        raise AllCoordinatesVanish("residue tuple is identically zero")
+    return ResiduePoint(domain, scaled)
 
 
 def random_rational(rng) -> Fraction:
@@ -197,8 +205,6 @@ class TestReduction:
             permuted_raw = tuple(raw[perm[i]] for i in range(3))
             reduced_perm = reduce_point_mod_p(primitive_normalize(Q, permuted_raw), p7)
             direct_perm = tuple(reduced.coords[perm[i]] for i in range(3))
-            from ratgrowth.globalfield import normalize_residue_tuple
-
             assert reduced_perm == normalize_residue_tuple(reduced.domain, direct_perm)
 
     def test_higher_degree_residue_field(self):
