@@ -192,25 +192,53 @@ class MultiPoly:
             dom, self.nvars, {e: dom.exact_div(v, c) for e, v in self.terms.items()}
         )
 
-    def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact multivariate division by a known factor (grevlex leading-term
-        loop); raises ArithmeticError when the division is not exact."""
+    def divmod(self, divisor: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
+        """(quo, rem) with self = quo * divisor + rem and no term of rem
+        divisible by the grevlex leading term of divisor: the terms are
+        reduced from the top down.  In one variable over a field this is
+        Euclidean division."""
         self._check_compatible(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         dom = self.domain
-        rem = self
-        quo: dict[tuple[int, ...], object] = {}
         lt_e, lt_c = divisor.leading_term()
-        while rem:
-            re, rc = rem.leading_term()
-            qe = tuple(a - b for a, b in zip(re, lt_e))
-            if any(e < 0 for e in qe):
-                raise ArithmeticError("division is not exact")
-            qc = dom.exact_div(rc, lt_c)
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lt_e]
+        # the running remainder; every term a step adds lies below the one it
+        # removes, so the terms moved to rem are never touched again
+        run = dict(self.terms)
+        quo: dict[tuple[int, ...], object] = {}
+        rem: dict[tuple[int, ...], object] = {}
+        while run:
+            top = max(run, key=grevlex_key)
+            c = run.pop(top)
+            qe = tuple(a - b for a, b in zip(top, lt_e))
+            qc = None
+            if min(qe) >= 0:
+                try:
+                    qc = dom.exact_div(c, lt_c)
+                except ArithmeticError:  # over Z or F_q[t] the lead need not divide c
+                    pass
+            if qc is None:
+                rem[top] = c
+                continue
             quo[qe] = qc
-            rem = rem - divisor * MultiPoly.monomial(dom, qe, qc)
-        return MultiPoly(dom, self.nvars, quo)
+            for de, dc in tail:
+                ne = tuple(a + b for a, b in zip(qe, de))
+                v = dom.mul(qc, dc)
+                v = dom.sub(run[ne], v) if ne in run else dom.neg(v)
+                if dom.is_zero(v):
+                    run.pop(ne, None)
+                else:
+                    run[ne] = v
+        return MultiPoly(dom, self.nvars, quo), MultiPoly(dom, self.nvars, rem)
+
+    def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
+        """Exact division by a known factor; raises ArithmeticError when
+        the division is not exact."""
+        quo, rem = self.divmod(divisor)
+        if rem:
+            raise ArithmeticError("division is not exact")
+        return quo
 
     # -- evaluation / substitution -------------------------------------------
 

@@ -272,9 +272,9 @@ def json_float(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def regime_check(d: int, H: float, variant: str = "CurveQ", N: float = 2.0) -> RegimeReport:
+def regime_check(d: int, H: float, variant: str = "CurveQ") -> RegimeReport:
     """The inequality window in which the covering pipeline is guaranteed:
-    (log H)^2 < d < H^(3/2) for plane curves, (log H)^N < d < H for the
+    (log H)^2 < d < H^(3/2) for plane curves, (log H)^2 < d < H for the
     affine hypersurface variant.  The upper end is decided exactly, as
     d^2 < H^3 and d < H."""
     if d < 1 or H <= 2:
@@ -284,7 +284,7 @@ def regime_check(d: int, H: float, variant: str = "CurveQ", N: float = 2.0) -> R
         lhs, rhs = log_h**2, float_power(H, 1.5)
         below = d * d < Fraction(H) ** 3
     elif variant == "AffinePila":
-        lhs, rhs = log_h**N, float_power(H, 1)
+        lhs, rhs = log_h**2, float_power(H, 1)
         below = d < H
     else:
         raise ValueError(f"unknown regime variant {variant!r}")
@@ -463,7 +463,7 @@ def _interpolate(field, monomials, low_monomials, coords_list, nvars, regime_ok,
     return list(_chunked_interpolants(field, low_monomials, coords_list, nvars)), "chunked"
 
 
-def _cover(f, H, field, chart, points, good, regime, threshold, audit, params) -> CoverResult:
+def _cover(f, H, field, chart, points, good, regime, threshold, audit) -> CoverResult:
     """The covering argument on one chart.
 
     Points of low multiplicity at some prime are grouped into residue
@@ -527,7 +527,7 @@ def _cover(f, H, field, chart, points, good, regime, threshold, audit, params) -
     counts = {
         "points": len(points),
         "aux": len(aux_polys),
-        "bound_rhs": params.c * math.log(H) ** params.kappa,
+        "bound_rhs": math.log(H) ** 12,  # the regime's cap on the number of forms
         "xi_s": len(xi_s),
         "num_primes": len(good),
         "max_aux_degree": max((poly.degree for poly, _ in aux_polys), default=0),
@@ -557,8 +557,6 @@ def _cover(f, H, field, chart, points, good, regime, threshold, audit, params) -
 class CoverParams:
     M: float = 4.0
     N: float = 4.0
-    kappa: int = 12
-    c: float = 1.0
     budget: int = 50_000_000
 
 
@@ -617,7 +615,7 @@ def cover_pipeline(f: MultiPoly, H: int, params: CoverParams | None = None) -> C
     (log H, M (log H)^4); the everywhere-high-multiplicity points get one
     form of degree floor(N log H), clamped to [1, d-1].  The result records
     class data, verifies the cover pointwise, and reports the count
-    against c (log H)^kappa.
+    against (log H)^12.
     """
     params = params or CoverParams()
     if f.is_zero or f.nvars != 3 or not f.is_homogeneous:
@@ -632,7 +630,7 @@ def cover_pipeline(f: MultiPoly, H: int, params: CoverParams | None = None) -> C
     good = _prime_window(f, field, log_h, params.M, 4)
     d_prime = max(min(int(params.N * log_h), d - 1), 1)
     audit = _high_mult_audit(field, [prime for prime, _ in good], d_prime, log_h)
-    return _cover(f, H, field, _PROJECTIVE, points, good, regime, d / log_h, audit, params)
+    return _cover(f, H, field, _PROJECTIVE, points, good, regime, d / log_h, audit)
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +640,8 @@ def cover_pipeline(f: MultiPoly, H: int, params: CoverParams | None = None) -> C
 
 @dataclass(frozen=True)
 class AffineCoverParams:
-    alpha: float = 1.0
-    C: float = 2.0
-    ell: float = 4.0
     M: float = 4.0
     a: float = EMU_A_BASELINE
-    kappa: int = 12
-    c: float = 1.0
     budget: int = 50_000_000
     primes: tuple[PrimeIdealDesc, ...] | None = None
 
@@ -659,12 +652,12 @@ def cover_pipeline_affine(
     """Covering pipeline for an affine hypersurface over O_K.
 
     Multiplicities are taken at the reduced affine points; low
-    multiplicity means below d/(log B)^alpha at a prime of norm in
-    (log B, M (log B)^ell), or at the supplied primes.  Interpolation uses
+    multiplicity means below d/log B at a prime of norm in
+    (log B, M (log B)^4), or at the supplied primes.  Interpolation uses
     all monomials of degree < d (equivalently, homogeneous degree d-1
     forms after prepending a homogenizing coordinate), and the residual
     everywhere-high-multiplicity set gets a single form of degree
-    floor((log B)^C), clamped to [1, d-1].  The valuation monitor exponent
+    floor((log B)^2), clamped to [1, d-1].  The valuation monitor exponent
     for the homogenized certificates is recorded per class, never asserted.
     """
     params = params or AffineCoverParams()
@@ -688,13 +681,12 @@ def cover_pipeline_affine(
             if prime not in kept:
                 raise PipelineError(f"supplied prime {prime.generator} has bad reduction")
     else:
-        good = _prime_window(f, field, log_b, params.M, params.ell)
+        good = _prime_window(f, field, log_b, params.M, 4)
     if not good:
         raise PipelineError("no usable primes in the requested window")
 
     result = _cover(
-        f, B, field, _AFFINE, points, good, regime, d / (log_b**params.alpha),
-        {"d_prime": int(log_b**params.C)}, params,
+        f, B, field, _AFFINE, points, good, regime, d / log_b, {"d_prime": int(log_b**2)}
     )
     s = len(monomials_up_to_degree(n, d - 1))
     result.counts["monitors"] = [

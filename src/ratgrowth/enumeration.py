@@ -485,15 +485,14 @@ def enum_curve_points_proj(
     found = set(map(field.integer_domain().primitive, zeros))
     found.discard(None)
 
-    points = [
-        ProjPoint(field, coords, height_of_primitive(field, coords)) for coords in found
-    ]
-    points.sort(key=ProjPoint.sort_key)
-    elapsed = time.perf_counter() - start
+    points = None
+    if options.collect:
+        points = [
+            ProjPoint(field, coords, height_of_primitive(field, coords)) for coords in found
+        ]
+        points = tuple(sorted(points, key=ProjPoint.sort_key))
     return PointSetResult(
-        count=len(points),
-        points=tuple(points) if options.collect else None,
-        elapsed=elapsed,
+        count=len(found), points=points, elapsed=time.perf_counter() - start
     )
 
 

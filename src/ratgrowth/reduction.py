@@ -3,8 +3,11 @@
 Multiplicity of a point on a hypersurface is the least order with a
 nonvanishing Hasse-Taylor coefficient, which works uniformly in every
 characteristic.  Local intersection numbers of plane curves are computed
-by the classical recursive reduction against the defining axioms, with a
-bivariate gcd for detecting shared components.  On top of those sit the
+by the classical recursive reduction against the defining axioms (W.
+Fulton, Algebraic Curves, 3.3), with a bivariate gcd for detecting shared
+components.  Both run on MultiPoly: the gcd is a primitive Euclid in
+(F[x])[y], its y-coefficients polynomials in x alone, divided with
+MultiPoly.divmod.  On top of those sit the
 derivative-cycle construction, the intersection bookkeeping for the
 cycle audit, and the capture of high-multiplicity loci by low-degree
 interpolants.
@@ -17,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb
 
@@ -142,6 +146,13 @@ class _TaylorPlan:
         raise AssertionError("nonzero polynomial with no Taylor coefficients")
 
 
+def _to_chart(dom: CoeffDomain, coords) -> tuple[int, tuple]:
+    """The chart of the last nonzero coordinate, and the point on it."""
+    chart = max(i for i, c in enumerate(coords) if not dom.is_zero(c))
+    inv = dom.inv(coords[chart])
+    return chart, tuple(dom.mul(c, inv) for i, c in enumerate(coords) if i != chart)
+
+
 def _affine_mult(f: MultiPoly, point, stop: int | None = None, plans: dict | None = None) -> int:
     dom, plans = f.domain, {} if plans is None else plans
     if "affine" not in plans:
@@ -182,10 +193,7 @@ def mult_at_point(
     # over Z or F_q[t] the chart coordinates live in the fraction field;
     # the O_K coefficients multiply them as they are
     dom, plans = f.domain.fraction_field(), {} if plans is None else plans
-    coords = [dom.coerce(x) for x in point]
-    chart = max(i for i, c in enumerate(coords) if not dom.is_zero(c))
-    inv = dom.inv(coords[chart])
-    affine_point = [dom.mul(c, inv) for i, c in enumerate(coords) if i != chart]
+    chart, affine_point = _to_chart(dom, [dom.coerce(x) for x in point])
     if chart not in plans:
         chart_f = f.dehomogenize(chart)
         if chart_f.is_zero:
@@ -245,6 +253,14 @@ def cycle_mult(cycle: FactoredCycle, point) -> MultiplicityReport:
     return MultiplicityReport(tuple(point), total, "cycle")
 
 
+def _directional(f: MultiPoly, direction) -> MultiPoly:
+    """sum(a_i * df/dx_i) for the direction (a_i)."""
+    out = MultiPoly.zero(f.domain, f.nvars)
+    for coeff, i in zip(direction, range(f.nvars)):
+        out = out + f.partial(i).scale(coeff)
+    return out
+
+
 def derivative_cycle(
     f: MultiPoly, a=None, rng_seed: int = 0, max_retries: int = 8
 ) -> MultiPoly:
@@ -254,18 +270,13 @@ def derivative_cycle(
     if f.is_constant:
         raise ValueError("derivative cycle needs a nonconstant polynomial")
     dom = f.domain
-    partials = [f.partial(i) for i in range(f.nvars)]
     rng = random.Random(rng_seed)
-    attempts = []
-    if a is not None:
-        attempts.append([dom.coerce(x) for x in a])
     for attempt in range(max_retries + 1):
-        if attempt >= len(attempts):
-            attempts.append([dom.sample(rng) for _ in range(f.nvars)])
-        direction = attempts[attempt]
-        out = MultiPoly.zero(dom, f.nvars)
-        for coeff, partial in zip(direction, partials):
-            out = out + partial.scale(coeff)
+        if attempt == 0 and a is not None:
+            direction = [dom.coerce(x) for x in a]
+        else:
+            direction = [dom.sample(rng) for _ in range(f.nvars)]
+        out = _directional(f, direction)
         if not out.is_zero:
             return out
     raise DerivativeIdenticallyZero(
@@ -281,200 +292,58 @@ def derivative_cycle(
 INFINITE = math.inf
 
 
-def _u_trim(dom, a: list) -> list:
-    while a and dom.is_zero(a[-1]):
-        a.pop()
-    return a
-
-
-def _u_mul(dom, a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [dom.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if dom.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = dom.add(out[i + j], dom.mul(x, y))
-    return _u_trim(dom, out)
-
-
-def _u_divmod(dom, a: list, b: list) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError
-    rem = list(a)
-    quo = [dom.zero] * max(len(a) - len(b) + 1, 0)
-    inv_lead = dom.inv(b[-1])
-    while len(rem) >= len(b):
-        _u_trim(dom, rem)
-        if len(rem) < len(b):
-            break
-        shift = len(rem) - len(b)
-        factor = dom.mul(rem[-1], inv_lead)
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] = dom.sub(rem[shift + i], dom.mul(factor, c))
-    return _u_trim(dom, quo), _u_trim(dom, rem)
-
-
-def _u_gcd(dom, a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _u_divmod(dom, a, b)
-        a, b = b, r
-    # monic: the top coefficient, last in the list, scaled to 1
-    return list(dom.primitive(a[::-1])[::-1]) if a else a
-
-
-def _to_nested(f: MultiPoly) -> list[list]:
-    """2-var polynomial as a list over y-degree of x-coefficient lists."""
-    dom = f.domain
-    ydeg = f.degree_in(1)
-    out = [[] for _ in range(max(ydeg, -1) + 1)]
-    xdeg = f.degree_in(0)
-    for row in out:
-        row.extend([dom.zero] * (xdeg + 1))
+def _y_coeffs(f: MultiPoly) -> dict[int, MultiPoly]:
+    """{k: the coefficient of y^k}, each a polynomial in x alone."""
+    rows: dict[int, dict] = {}
     for (ex, ey), c in f.terms.items():
-        out[ey][ex] = c
-    return [_u_trim(dom, row) for row in out]
+        rows.setdefault(ey, {})[(ex, 0)] = c
+    return {ey: MultiPoly(f.domain, 2, row) for ey, row in rows.items()}
 
 
-def _from_nested(dom: CoeffDomain, nested: list[list]) -> MultiPoly:
-    terms = {}
-    for ey, row in enumerate(nested):
-        for ex, c in enumerate(row):
-            if not dom.is_zero(c):
-                terms[(ex, ey)] = c
-    return MultiPoly(dom, 2, terms)
+def _x_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Monic gcd of two polynomials in x alone (Euclid with divmod)."""
+    while b:
+        a, b = b, a.divmod(b)[1]
+    return a.primitive_part()
 
 
-def _nested_trim(nested: list[list]) -> list[list]:
-    while nested and not nested[-1]:
-        nested.pop()
-    return nested
-
-
-def _nested_content(dom, nested: list[list]) -> list:
-    g: list = []
-    for row in nested:
-        if row:
-            g = list(row) if not g else _u_gcd(dom, g, row)
-    return g
-
-
-def _nested_primitive(dom, nested: list[list]) -> list[list]:
-    g = _nested_content(dom, nested)
-    if not g or len(g) == 1:
-        return nested
-    out = []
-    for row in nested:
-        if not row:
-            out.append([])
-        else:
-            quo, rem = _u_divmod(dom, row, g)
-            assert not rem
-            out.append(quo)
-    return out
-
-
-def _nested_scale(dom, nested: list[list], c: list) -> list[list]:
-    return [_u_mul(dom, row, c) for row in nested]
-
-
-def _nested_sub(dom, a: list[list], b: list[list]) -> list[list]:
-    out = []
-    for i in range(max(len(a), len(b))):
-        ra = a[i] if i < len(a) else []
-        rb = b[i] if i < len(b) else []
-        row = [dom.zero] * max(len(ra), len(rb))
-        for j, c in enumerate(ra):
-            row[j] = c
-        for j, c in enumerate(rb):
-            row[j] = dom.sub(row[j], c)
-        out.append(_u_trim(dom, row))
-    return _nested_trim(out)
-
-
-def _nested_shift_y(nested: list[list], k: int) -> list[list]:
-    return [[] for _ in range(k)] + nested
+def _y_primitive(f: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """(content, primitive part) of f in (F[x])[y]; the content is monic."""
+    content = reduce(_x_gcd, _y_coeffs(f).values(), MultiPoly.zero(f.domain, 2))
+    return content, f if content.is_constant else f.exact_div(content)
 
 
 def gcd_bivariate(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """gcd of two 2-variable polynomials over a field (primitive Euclid in
     (F[x])[y]); normalized so the grevlex-leading coefficient is 1."""
-    dom = f.domain
-    if not dom.is_field:
+    if f.nvars != 2 or g.nvars != 2:
+        raise ValueError(
+            f"bivariate gcd needs 2-variable polynomials, got {f.nvars} and {g.nvars} variables"
+        )
+    if not f.domain.is_field:
         raise TypeError("bivariate gcd needs field coefficients")
-    if f.is_zero:
-        return g
-    if g.is_zero:
-        return f
-    A, B = _nested_trim(_to_nested(f)), _nested_trim(_to_nested(g))
-    if len(A) < len(B):
+    if f.is_zero or g.is_zero:
+        return (f + g).primitive_part()
+    (cont_a, A), (cont_b, B) = _y_primitive(f), _y_primitive(g)
+    content = _x_gcd(cont_a, cont_b)
+    if A.degree_in(1) < B.degree_in(1):
         A, B = B, A
-    # y-degree zero cases reduce to univariate gcds in x
-    if len(B) == 1:
-        content = _nested_content(dom, A)
-        h = _u_gcd(dom, content, B[0])
-        result = _from_nested(dom, [h])
-    else:
-        contA, contB = _nested_content(dom, A), _nested_content(dom, B)
-        d = _u_gcd(dom, contA, contB)
-        A, B = _nested_primitive(dom, A), _nested_primitive(dom, B)
-        while True:
-            # pseudo-remainder of A by B in y
-            while len(A) >= len(B):
-                lcA, lcB = A[-1], B[-1]
-                shift = len(A) - len(B)
-                A = _nested_sub(
-                    dom,
-                    _nested_scale(dom, A, lcB),
-                    _nested_shift_y(_nested_scale(dom, B, lcA), shift),
-                )
-                if not A:
-                    break
-            if not A:
-                result_nested = B
-                break
-            A = _nested_primitive(dom, A)
-            A, B = B, A
-            if len(B) == 1:
-                # dropped to y-degree 0: gcd of primitive parts is in F[x]
-                content = _nested_content(dom, A)
-                result_nested = [_u_gcd(dom, content, B[0])]
-                break
-        result = _from_nested(dom, _nested_scale(dom, result_nested, d) if d else result_nested)
-    return result.primitive_part()
+    # B stays primitive; once its y-degree is 0 it is a unit
+    while B.degree_in(1) > 0:
+        # pseudo-remainder of A by B in y
+        lc_b = _y_coeffs(B)[B.degree_in(1)]
+        while A and A.degree_in(1) >= B.degree_in(1):
+            shift = A.degree_in(1) - B.degree_in(1)
+            lc_a = _y_coeffs(A)[A.degree_in(1)]
+            A = A * lc_b - B * lc_a * MultiPoly.monomial(f.domain, (0, shift))
+        if not A:
+            return (B * content).primitive_part()
+        A, B = B, _y_primitive(A)[1]
+    return content
 
 
 def _const_term(f: MultiPoly):
     return f.coefficient((0,) * f.nvars)
-
-
-def _univariate_in_x(f: MultiPoly) -> list:
-    """f(x, 0) as a coefficient list."""
-    dom = f.domain
-    out = [dom.zero] * (f.degree_in(0) + 1)
-    for (ex, ey), c in f.terms.items():
-        if ey == 0:
-            out[ex] = c
-    return _u_trim(dom, out)
-
-
-def _ord_at_zero(dom, coeffs: list) -> int:
-    for i, c in enumerate(coeffs):
-        if not dom.is_zero(c):
-            return i
-    raise AssertionError("ord of the zero polynomial")
-
-
-def _divide_out_y(f: MultiPoly) -> MultiPoly:
-    dom = f.domain
-    terms = {}
-    for (ex, ey), c in f.terms.items():
-        assert ey >= 1
-        terms[(ex, ey - 1)] = c
-    return MultiPoly(dom, 2, terms)
 
 
 def fulton_intersection_number(f: MultiPoly, g: MultiPoly, point) -> int | float:
@@ -502,30 +371,31 @@ def fulton_intersection_number(f: MultiPoly, g: MultiPoly, point) -> int | float
             return INFINITE
         tf = tf.exact_div(h)
         tg = tg.exact_div(h)
+    y = MultiPoly.variable(dom, 2, 1)
     total = 0
     while True:
         if not dom.is_zero(_const_term(tf)) or not dom.is_zero(_const_term(tg)):
             return total
-        a = _univariate_in_x(tf)
-        b = _univariate_in_x(tg)
-        if not a and not b:
+        # f(x, 0) and g(x, 0)
+        a = _y_coeffs(tf).get(0)
+        b = _y_coeffs(tg).get(0)
+        if a is None and b is None:
             # both divisible by y despite gcd division: defensive
             return INFINITE
-        if not a:
-            total += _ord_at_zero(dom, b)
-            tf = _divide_out_y(tf)
+        if a is None:
+            total += b.lowest_degree()
+            tf = tf.exact_div(y)
             continue
-        if not b:
-            total += _ord_at_zero(dom, a)
-            tg = _divide_out_y(tg)
+        if b is None:
+            total += a.lowest_degree()
+            tg = tg.exact_div(y)
             continue
-        if len(a) > len(b):
+        if a.degree > b.degree:
             tf, tg = tg, tf
             a, b = b, a
         # kill the top coefficient of g(x, 0)
-        lc_a, lc_b = a[-1], b[-1]
-        shift = len(b) - len(a)
-        xshift = MultiPoly.monomial(dom, (shift, 0), lc_b)
+        (_, lc_a), (_, lc_b) = a.leading_term(), b.leading_term()
+        xshift = MultiPoly.monomial(dom, (b.degree - a.degree, 0), lc_b)
         tg = tg.scale(lc_a) - tf * xshift
         if tg.is_zero:
             return INFINITE
@@ -665,9 +535,7 @@ def cycle_A(
             candidate = [dom.sample(rng) for _ in range(3)]
         derivs, ok = [], True
         for poly, _ in cycle.components:
-            combo = MultiPoly.zero(dom, 3)
-            for coeff, i in zip(candidate, range(3)):
-                combo = combo + poly.partial(i).scale(coeff)
+            combo = _directional(poly, candidate)
             if combo.is_zero:
                 ok = False
                 last_error = DerivativeIdenticallyZero(
@@ -757,10 +625,7 @@ def _common_proj_zeros(f: MultiPoly, g: MultiPoly):
 
 
 def _proj_intersection_number(f: MultiPoly, g: MultiPoly, pt: tuple) -> int | float:
-    dom = f.domain
-    chart = max(i for i, c in enumerate(pt) if not dom.is_zero(c))
-    inv = dom.inv(pt[chart])
-    affine_pt = tuple(dom.mul(c, inv) for i, c in enumerate(pt) if i != chart)
+    chart, affine_pt = _to_chart(f.domain, pt)
     return fulton_intersection_number(
         f.dehomogenize(chart), g.dehomogenize(chart), affine_pt
     )

@@ -232,7 +232,7 @@ class TestRegime:
         assert not r.ok and r.rhs == math.inf  # 200 < (log H)^2 = 8.5e5
         assert regime_check(10**600 - 1, H).ok
         assert not regime_check(10**600, H).ok
-        r = regime_check(10**6, H, "AffinePila", N=2.0)
+        r = regime_check(10**6, H, "AffinePila")
         assert r.ok and r.rhs == math.inf
 
     def test_huge_height_cover_json_is_strict(self):
@@ -247,7 +247,7 @@ class TestRegime:
         assert payload["regime"]["rhs"] is None and payload["regime"]["d"] == 200
 
     def test_affine_variant(self):
-        r = regime_check(9, 20, "AffinePila", N=2.0)
+        r = regime_check(9, 20, "AffinePila")
         assert r.rhs == 20.0
         assert r.ok == (math.log(20) ** 2 < 9 < 20)
 

@@ -234,6 +234,32 @@ class TestCurvePoints:
             res = enum_curve_points_proj(f, H)
             assert set(res.points) == brute_force_curve_points(f, H)
 
+    def test_count_mode_builds_no_points(self, monkeypatch):
+        # the oracle curves of this class; count mode must give the collect
+        # count without building a ProjPoint
+        import ratgrowth.enumeration as enumeration
+
+        cases = [
+            (poly_parse("x0*x2 - x1^2", 3, ZZ), 4),
+            (poly_parse("x0*x2 - x1^2", 3, F2T), 4),
+            (poly_parse("x0*x1*(x0-x1)*(x1+x2)", 3, ZZ), 13),
+            (poly_parse("(t^3+t+1)*(x0*x2 - x1^2 + t*x0*x1)", 3, F2T), 16),
+            (poly_parse("(t+1)*(x0*x2 - x1^2)*(x1 + t*x2)", 3, F3T), 9),
+            (poly_parse("x0*x2/2 - x1^2/3 + x0*x1", 3, CoeffDomain.rationals()), 12),
+        ]
+        collected = [enum_curve_points_proj(f, H) for f, H in cases]
+        assert all(res.count == len(res.points) > 0 for res in collected)
+
+        def build(*args):
+            raise AssertionError("count mode built a point")
+
+        monkeypatch.setattr(enumeration, "ProjPoint", build)
+        for (f, H), res in zip(cases, collected):
+            counted = enum_curve_points_proj(f, H, EnumOptions(collect=False))
+            assert (counted.count, counted.points) == (res.count, None)
+        with pytest.raises(AssertionError, match="built a point"):
+            enum_curve_points_proj(*cases[0])
+
     def test_count_invariance_under_permutation_and_scaling(self):
         f = poly_parse("x0*x2 - x1^2 + x0*x1", 3, ZZ)
         base = enum_curve_points_proj(f, 5).count

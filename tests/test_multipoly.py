@@ -121,6 +121,50 @@ class TestArithmetic:
         with pytest.raises(ArithmeticError):
             poly_parse("x0^2 + x1", 2, ZZ).exact_div(g)
 
+    @pytest.mark.parametrize("dom", ALL_DOMAINS + [CoeffDomain.residue_field(FqPoly(2, [1, 1, 1]))])
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_divmod(self, dom, nvars, seed):
+        rng = random.Random(seed)
+        f = random_poly(dom, nvars, rng, max_deg=4, nterms=6)
+        d = random_poly(dom, nvars, rng, max_deg=2, nterms=3)
+        if d.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                f.divmod(d)
+            return
+        quo, rem = f.divmod(d)
+        assert quo * d + rem == f
+        # no term of rem is divisible by the leading term of d
+        lt_e, lt_c = d.leading_term()
+        for e, c in rem.terms.items():
+            if all(a >= b for a, b in zip(e, lt_e)):
+                assert not dom.is_field
+                with pytest.raises(ArithmeticError):
+                    dom.exact_div(c, lt_c)
+        assert (f * d).divmod(d) == (f, MultiPoly.zero(dom, nvars))
+        assert (f * d).exact_div(d) == f
+
+    @pytest.mark.parametrize("p", [2, 5, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_univariate_divmod_matches_fqpoly(self, p, seed):
+        """In one variable over F_p, divmod is Euclidean division; FqPoly's
+        packed-int divmod is an independent implementation of it."""
+        rng = random.Random(seed)
+        dom = CoeffDomain.prime_field(p)
+        a = [rng.randrange(p) for _ in range(rng.randint(0, 9))]
+        b = [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [rng.randrange(1, p)]
+        as_multi = lambda cs: MultiPoly(dom, 1, {(i,): c for i, c in enumerate(cs)})
+        quo, rem = divmod(FqPoly(p, a), FqPoly(p, b))
+        assert as_multi(a).divmod(as_multi(b)) == (as_multi(quo.coeffs), as_multi(rem.coeffs))
+
+    def test_divmod_over_z_keeps_indivisible_leads(self):
+        # 3*x0 is a multiple of the monomial x0 but not of 2*x0
+        f = poly_parse("4*x0^2 + 3*x0 + 1", 1, ZZ)
+        quo, rem = f.divmod(poly_parse("2*x0", 1, ZZ))
+        assert (quo, rem) == (poly_parse("2*x0", 1, ZZ), poly_parse("3*x0 + 1", 1, ZZ))
+
     def test_evaluate(self):
         f = poly_parse("x0*x2 - x1^2", 3, ZZ)
         assert f.evaluate((1, 2, 4)) == 0
