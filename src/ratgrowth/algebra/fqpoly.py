@@ -22,7 +22,8 @@ coefficients by construction.
 ``FqRational`` is a normalized numerator/denominator pair, i.e. an element
 of F_q(t).  q is restricted to primes so residue arithmetic stays on plain
 integers.  Everything is immutable and hashable, which lets the rest of the
-package treat these values exactly like ints and Fractions.
+package treat these values exactly like ints and Fractions.  ``FqPoly``
+values of one q are ordered by their canonical index.
 """
 
 from __future__ import annotations
@@ -228,6 +229,13 @@ class FqPoly:
 
     def __hash__(self) -> int:
         return hash((self.q, self.packed))
+
+    def __lt__(self, other) -> bool:
+        # packed slots hold digits below their base, as the index does, so
+        # both order by degree and then by coefficients from the top
+        if isinstance(other, FqPoly) and self.q == other.q:
+            return self.packed < other.packed
+        return NotImplemented
 
     # -- arithmetic --------------------------------------------------------
 

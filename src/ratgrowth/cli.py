@@ -23,7 +23,7 @@ from .detmethod import (
     interp_det_certificate,
     monomial_basis,
 )
-from .enumeration import EnumOptions, enum_curve_points_proj, enum_proj_points, enum_affine_hypersurface
+from .enumeration import PointQuery, enum_curve_points_proj, run_query
 from .globalfield import GlobalField, primitive_normalize, reduce_point_mod_p
 from .harness import run_experiment
 from .reduction import high_mult_locus, mult_at_point, reduce_curve_mod_p
@@ -46,7 +46,7 @@ def _ring_element(field: GlobalField, text: str):
 
 def _prime_for(field: GlobalField, text: str) -> PrimeIdealDesc:
     gen = _ring_element(field, text)
-    return PrimeIdealDesc(gen, gen if field.is_rational else field.q**gen.degree)
+    return PrimeIdealDesc(gen, field.size(gen))
 
 
 def _parse_point(field: GlobalField, text: str) -> tuple:
@@ -59,23 +59,24 @@ def cmd_count(args) -> dict:
     sieve = None
     if args.sieve:
         sieve = tuple(_prime_for(field, s) for s in args.sieve.split(","))
-    options = EnumOptions(collect=args.collect, sieve=sieve, budget=args.budget)
     if args.projective:
         if args.box is not None:
             raise SystemExit("--box bounds an affine count; a projective count takes --height")
-        height = 10 if args.height is None else args.height
-        if args.poly:
-            f = poly_parse(args.poly, 3, field.integer_domain())
-            result = enum_curve_points_proj(f, height, options)
-        else:
-            result = enum_proj_points(args.nvars - 1, height, field, options)
+        bound = 10 if args.height is None else args.height
     else:
         if args.height is not None:
             raise SystemExit("--height bounds a projective count; an affine count takes --box")
         if not args.poly:
             raise SystemExit("affine counting requires --poly")
-        f = poly_parse(args.poly, args.nvars, field.integer_domain())
-        result = enum_affine_hypersurface(f, 10 if args.box is None else args.box, options)
+        bound = 10 if args.box is None else args.box
+    f = None
+    if args.poly:
+        # a projective polynomial is a plane curve
+        f = poly_parse(args.poly, 3 if args.projective else args.nvars, field.integer_domain())
+    ambient = "projective" if args.projective else "affine"
+    mode = "collect" if args.collect else "count"
+    nvars = args.nvars if f is None else f.nvars
+    result = run_query(PointQuery(field, ambient, nvars, f, bound, mode, sieve, args.budget))
     payload = {
         "count": result.count,
         "elapsed_ms": (time.perf_counter() - t0) * 1000.0,

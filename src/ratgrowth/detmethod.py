@@ -75,15 +75,6 @@ def monomial_basis(nvars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(nvars, degree, monos)
 
 
-def _norm_of(field: GlobalField, value) -> int:
-    """The absolute norm of a nonzero O_K element (0 for 0)."""
-    if field.is_rational:
-        return abs(value)
-    if not value:
-        return 0
-    return field.q**value.degree
-
-
 def _valuation_of(field: GlobalField, value, prime: PrimeIdealDesc) -> int | float:
     return ord_at(field, value, prime) if value else math.inf
 
@@ -167,7 +158,7 @@ def interp_det_certificate(
     dom = field.integer_domain()
     rows = [monomial_row(dom, basis.monomials, p.coords) for p in points]
     delta = det_exact(ExactMatrix.from_rows(dom, rows))
-    det_norm = _norm_of(field, delta)
+    det_norm = field.size(delta)
     valuation = _valuation_of(field, delta, prime)
     s = basis.s
     bound_rhs = s * s / (2.0 * mu) - a * s

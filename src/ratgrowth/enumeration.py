@@ -13,10 +13,10 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, product
-from math import gcd, isqrt
+from itertools import chain, count, product, takewhile
+from math import isqrt
 
-from .algebra.fqpoly import FqPoly, all_polys, fq_gcd, monic_irreducibles_of_degree, poly_to_index
+from .algebra.fqpoly import all_polys, monic_irreducibles_of_degree
 from .algebra.multipoly import MultiPoly
 from .algebra.primes import PrimeIdealDesc, rational_primes_below
 from .globalfield import (
@@ -28,6 +28,9 @@ from .globalfield import (
 )
 
 DEFAULT_BUDGET = 50_000_000
+# the most points that collect mode keeps from P^n; a walk of P^2 over Q
+# peaks at about 240 bytes a point, so about 2.4 * 10^8 bytes
+COLLECT_CAP = 1_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -37,6 +40,15 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"enumeration budget exceeded: {visited} > {budget}")
         self.budget = budget
         self.visited = visited
+
+
+class CollectCapExceededError(RuntimeError):
+    """Collect mode would keep more points than COLLECT_CAP."""
+
+    def __init__(self, count: int, cap: int):
+        super().__init__(f"collect mode would keep {count} points, above the cap of {cap}")
+        self.count = count
+        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -79,56 +91,6 @@ class PointSetResult:
     points: tuple | None
     elapsed: float
     sieve_rejections: int = 0
-
-
-def _max_degree(q: int, bound: int) -> int:
-    """The largest k with q^k <= bound: the degree cap of the F_q(t) box."""
-    k = 0
-    while q ** (k + 1) <= bound:
-        k += 1
-    return k
-
-
-def _box_side(field: GlobalField, bound: int) -> int:
-    """The number of O_K elements x with |x| <= bound, without listing them."""
-    if field.is_rational:
-        return 2 * bound + 1
-    return field.q ** (_max_degree(field.q, bound) + 1)
-
-
-def _lead_count(field: GlobalField, bound: int) -> int:
-    """The number of box values that `is_canonical_lead` accepts."""
-    return bound if field.is_rational else (_box_side(field, bound) - 1) // (field.q - 1)
-
-
-def _box_values(field: GlobalField, bound: int) -> list:
-    """All O_K elements x with |x| <= bound, in canonical order."""
-    if field.is_rational:
-        b = int(bound)
-        return list(range(-b, b + 1))
-    return list(all_polys(field.q, _max_degree(field.q, bound)))
-
-
-def _elem_key(field: GlobalField, x):
-    return x if field.is_rational else poly_to_index(x)
-
-
-def _is_unit_gcd(field: GlobalField, g) -> bool:
-    if field.is_rational:
-        return g == 1
-    return g.degree == 0
-
-
-def _gcd_step(field: GlobalField, g, x):
-    if field.is_rational:
-        return gcd(g, abs(x))
-    if not x:
-        return g
-    return x.monic() if not g else fq_gcd(g, x)
-
-
-def _field_zero(field: GlobalField):
-    return 0 if field.is_rational else FqPoly.zero(field.q)
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +138,17 @@ def _count_proj_q(n: int, H: int, budget: int) -> int:
     return prim[H] // 2
 
 
-def _count_proj_fq(n: int, H: int, q: int) -> int:
+def _count_proj_fq(n: int, H: int, field: GlobalField) -> int:
     """#P^n(F_q(t), H) in closed form.
 
-    With k the degree cap of the box, the nonzero tuples of degree <= k
-    group by their monic gcd, and the sum of mu(g) over monic g of degree j
-    is 1, -q, 0, 0, ... for j = 0, 1, 2, ...; so the primitive tuples
-    number q^((k+1)(n+1)) - 1 - q (q^(k(n+1)) - 1), which is q^(n+1) - 1
+    The box holds the S = q^(k+1) polynomials of degree <= k.  Its nonzero
+    tuples group by their monic gcd, and the sum of mu(g) over monic g of
+    degree j is 1, -q, 0, 0, ... for j = 0, 1, 2, ...; so the primitive
+    tuples number S^(n+1) - 1 - q ((S/q)^(n+1) - 1), which is q^(n+1) - 1
     at k = 0 too.  Each point has q - 1 of them.
     """
-    k = _max_degree(q, H)
-    return (q ** ((k + 1) * (n + 1)) - q ** (k * (n + 1) + 1) + q - 1) // (q - 1)
+    q, cells = field.q, field.box_side(H) ** (n + 1)
+    return (cells - cells // q**n + q - 1) // (q - 1)
 
 
 def enum_proj_points(
@@ -195,48 +157,52 @@ def enum_proj_points(
     """All points of P^n(K) with height <= H, each exactly once in primitive
     normal form, ordered by (height, coordinates).
 
-    Count mode does not enumerate: over Q it runs the divisor recursion of
-    `_count_proj_q`, whose blocks are the budget steps, and over F_q(t) it
-    evaluates the closed form of `_count_proj_fq`, which takes no step.
-    Collect mode walks the box, and the budget counts the cells it visits.
+    Both modes first count without enumerating: over Q by the divisor
+    recursion of `_count_proj_q`, whose blocks are the budget steps, and
+    over F_q(t) by the closed form of `_count_proj_fq`, which takes no
+    step.  Collect mode then walks the box: the budget counts the cells it
+    visits, and a count above COLLECT_CAP is refused before the walk.
     """
     if n < 1 or H < 1:
         raise ValueError("need n >= 1 and H >= 1")
     options = options or EnumOptions()
     start = time.perf_counter()
+    if field.is_rational:
+        npoints = _count_proj_q(n, H, options.budget)
+    else:
+        npoints = _count_proj_fq(n, H, field)
     if not options.collect:
-        if field.is_rational:
-            count = _count_proj_q(n, H, options.budget)
-        else:
-            count = _count_proj_fq(n, H, field.q)
-        return PointSetResult(count=count, points=None, elapsed=time.perf_counter() - start)
+        return PointSetResult(count=npoints, points=None, elapsed=time.perf_counter() - start)
 
-    side = _box_side(field, H)
+    side = field.box_side(H)
     # the walk visits each canonical lead, then every box value of each
     # later coordinate below it
-    cells = _lead_count(field, H) * sum((side ** (r + 1) - 1) // (side - 1) for r in range(n + 1))
+    cells = field.box_leads(H) * sum((side ** (r + 1) - 1) // (side - 1) for r in range(n + 1))
     if cells > options.budget:
         raise BudgetExceededError(options.budget, options.budget + 1)
-    values = _box_values(field, H)
+    if npoints > COLLECT_CAP:
+        raise CollectCapExceededError(npoints, COLLECT_CAP)
+    values = field.box(H)
     positives = [v for v in values if is_canonical_lead(field, v)]
     points: list[ProjPoint] = []
+    one = field.one
 
     def extend_filtered(prefix: list, g, remaining: int):
         # only unit-gcd completions are points
         if remaining == 0:
-            if _is_unit_gcd(field, g):
+            if g == one:
                 coords = tuple(prefix)
                 points.append(ProjPoint(field, coords, height_of_primitive(field, coords)))
             return
         for v in values:
             prefix.append(v)
-            extend_filtered(prefix, _gcd_step(field, g, v), remaining - 1)
+            extend_filtered(prefix, field.gcd(g, v), remaining - 1)
             prefix.pop()
 
-    zero = _field_zero(field)
+    zero = field.zero
     for lead_pos in range(n + 1):
         for lead in positives:
-            extend_filtered([zero] * lead_pos + [lead], _gcd_step(field, zero, lead), n - lead_pos)
+            extend_filtered([zero] * lead_pos + [lead], field.gcd(zero, lead), n - lead_pos)
 
     points.sort(key=ProjPoint.sort_key)
     return PointSetResult(
@@ -248,12 +214,12 @@ def brute_force_proj_points(n: int, H: int, field: GlobalField) -> set[ProjPoint
     """Oracle: all raw tuples in the box, normalized into a set."""
     from .globalfield import primitive_normalize
 
-    values = _box_values(field, H)
+    values = field.box(H)
     out: set[ProjPoint] = set()
 
     def rec(prefix: list, remaining: int):
         if remaining == 0:
-            if any((v != 0) if field.is_rational else bool(v) for v in prefix):
+            if any(prefix):
                 out.add(primitive_normalize(field, tuple(prefix)))
             return
         for v in values:
@@ -273,10 +239,9 @@ def brute_force_proj_points(n: int, H: int, field: GlobalField) -> set[ProjPoint
 def _power_table(field: GlobalField, values: list, exponents) -> dict[int, list]:
     """exponent -> [value^e for value in values]."""
     table: dict[int, list] = {}
-    one = 1 if field.is_rational else FqPoly.one(field.q)
     for e in sorted(set(exponents)):
         if e == 0:
-            table[0] = [one] * len(values)
+            table[0] = [field.one] * len(values)
         else:
             table[e] = [v**e for v in values]
     return table
@@ -322,7 +287,7 @@ def _solve_sieve_primes(field: GlobalField, nvals: int) -> list[PrimeIdealDesc]:
         pool = (PrimeIdealDesc(p, p) for p in chain(small[cut:], reversed(small[:cut])))
     else:
         q = field.q
-        degrees = range(1, _max_degree(q, top) + 1)
+        degrees = list(takewhile(lambda k: q**k <= top, count(1)))
         order = [k for k in degrees if q**k >= root]
         order += [k for k in reversed(degrees) if q**k < root]
         pool = (PrimeIdealDesc(g, q**k) for k in order for g in monic_irreducibles_of_degree(q, k))
@@ -362,7 +327,7 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
         reps = list(range(gen)) if field.is_rational else list(all_polys(field.q, gen.degree - 1))
         powers = [_power_table(field, reps, [e[i] for e in f.terms]) for i in range(n)]
         fixed = powers[:solve] + powers[solve + 1 :]
-        residues = [_elem_key(field, v % gen) for v in values]
+        residues = [field.key(v % gen) for v in values]
         buckets: list[list[int]] = [[] for _ in reps]
         for iv, r in enumerate(residues):
             buckets[r].append(iv)
@@ -400,7 +365,7 @@ def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, siev
     tables = [_power_table(field, values, [e[i] for e in f.terms]) for i in range(f.nvars)]
     fixed, solve_table = tables[:solve] + tables[solve + 1 :], tables[solve]
     grouped = _grouped_terms(f, solve)
-    zero = _field_zero(field)
+    zero = field.zero
     every = range(len(values))
     zeros, work, admitted = [], spent, 0
     for head, axis in rows:
@@ -469,16 +434,16 @@ def enum_curve_points_proj(
         raise ValueError("constant polynomial defines no curve")
     solve = min(appearing, key=lambda i: len({e[i] for e in f.terms}))
 
-    nvals = _box_side(field, H)
+    nvals = field.box_side(H)
     # the budget charges the scan's work: its fixed pairs and the root
     # tables of its primes before the box is listed, then its candidates
-    spent = _charged(_lead_count(field, H) * (nvals + 1) + 1, options.budget)
+    spent = _charged(field.box_leads(H) * (nvals + 1) + 1, options.budget)
     primes = _solve_sieve_primes(field, nvals)
     spent = _charged(spent + sum(p.norm**3 for p in primes), options.budget)
-    values = _box_values(field, H)
+    values = field.box(H)
     sieve = _sieve_tables(f, field, primes, solve, values)
 
-    izero = values.index(_field_zero(field))
+    izero = values.index(field.zero)
     leads = [i for i, v in enumerate(values) if is_canonical_lead(field, v)]
     rows = [((ia,), range(nvals)) for ia in leads] + [((izero,), [izero] + leads)]
     zeros, _ = _scan(f, field, values, solve, rows, sieve, options.budget, spent)
@@ -501,17 +466,13 @@ def brute_force_curve_points(f: MultiPoly, H: int) -> set[ProjPoint]:
     from .globalfield import primitive_normalize
 
     field = field_for_poly(f)
-    values = _box_values(field, H)
+    values = field.box(H)
     out: set[ProjPoint] = set()
     for a in values:
         for b in values:
             for c in values:
-                if field.is_rational:
-                    if a == 0 and b == 0 and c == 0:
-                        continue
-                else:
-                    if not a and not b and not c:
-                        continue
+                if not (a or b or c):
+                    continue
                 if not f.evaluate((a, b, c)):
                     out.add(primitive_normalize(field, (a, b, c)))
     return out
@@ -545,19 +506,19 @@ def enum_affine_hypersurface(
             raise ValueError(f"sieve prime {prime.generator} is not a prime of {field.describe()}")
     start = time.perf_counter()
     n = f.nvars
-    nvals = _box_side(field, B)
+    nvals = field.box_side(B)
     # charged as on curves: the prefixes and root tables, then the candidates
     spent = _charged(nvals ** (n - 1), options.budget)
     user = tuple(options.sieve or ())
     primes = user + tuple(p for p in _solve_sieve_primes(field, nvals) if p not in user)
     spent = _charged(spent + sum(p.norm**n for p in primes), options.budget)
-    values = _box_values(field, B)
+    values = field.box(B)
 
     solve = min(range(n), key=lambda i: len({e[i] for e in f.terms}))
     sieve = _sieve_tables(f, field, primes, solve, values)
     rows = ((head, range(nvals)) for head in product(range(nvals), repeat=n - 2))
     found, admitted = _scan(f, field, values, solve, rows, sieve, options.budget, spent, len(user))
-    keyed = sorted(found, key=lambda pt: tuple(_elem_key(field, c) for c in pt))
+    keyed = sorted(found)
     elapsed = time.perf_counter() - start
     return PointSetResult(
         count=len(keyed),
@@ -569,7 +530,7 @@ def enum_affine_hypersurface(
 
 def brute_force_affine_points(f: MultiPoly, B: int) -> set[tuple]:
     field = field_for_poly(f)
-    values = _box_values(field, B)
+    values = field.box(B)
     out: set[tuple] = set()
 
     def rec(prefix: list, remaining: int):

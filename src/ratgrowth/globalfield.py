@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .algebra.domains import CoeffDomain
-from .algebra.fqpoly import FqPoly, fq_factor
+from .algebra.domains import CoeffDomain, _is_prime_int
+from .algebra.fqpoly import FqPoly, fq_factor, fq_gcd, poly_from_index, poly_to_index
 from .algebra.multipoly import MultiPoly
 from .algebra.primes import PrimeIdealDesc
 
@@ -23,7 +24,9 @@ class AllCoordinatesVanish(RuntimeError):
 
 @dataclass(frozen=True)
 class GlobalField:
-    """Q or F_q(t) (q prime); d_K = 1 for both supported kinds."""
+    """Q or F_q(t) (q prime); d_K = 1 for both supported kinds.  It owns
+    O_K (Z resp. F_q[t]): its elements' sizes, canonical order and gcds,
+    and the height box."""
 
     kind: str  # "Q" | "Fq(t)"
     q: int | None = None
@@ -33,8 +36,6 @@ class GlobalField:
             if self.q is not None:
                 raise ValueError("Q carries no q")
         elif self.kind == "Fq(t)":
-            from .algebra.domains import _is_prime_int
-
             if not _is_prime_int(self.q or 0):
                 raise ValueError(f"function-field constant field size {self.q} must be prime")
         else:
@@ -72,6 +73,10 @@ class GlobalField:
     def describe(self) -> str:
         return "Q" if self.is_rational else f"F_{self.q}(t)"
 
+    def descriptor(self) -> str:
+        """The descriptor that `parse` reads back into this field."""
+        return "Q" if self.is_rational else f"Fq(t):q={self.q}"
+
     def owns_prime(self, prime: PrimeIdealDesc) -> bool:
         """Whether the prime is a finite prime of this field."""
         if self.is_rational or prime.is_rational:
@@ -89,6 +94,54 @@ class GlobalField:
     def coerce(self, x):
         """Into K itself (Fraction / FqRational)."""
         return self.element_domain().coerce(x)
+
+    # -- the ring of integers -----------------------------------------------
+
+    @property
+    def zero(self):
+        return 0 if self.is_rational else FqPoly.zero(self.q)
+
+    @property
+    def one(self):
+        return 1 if self.is_rational else FqPoly.one(self.q)
+
+    def size(self, x) -> int:
+        """|x| of an O_K element: its absolute value over Q, q^deg(x) over
+        F_q(t), and 0 for 0."""
+        if self.is_rational:
+            return abs(x)
+        return self.q**x.degree if x else 0
+
+    def key(self, x) -> int:
+        """The canonical index of an O_K element: x itself over Q, the index
+        sum(c_i q^i) over F_q(t)."""
+        return x if self.is_rational else poly_to_index(x)
+
+    def gcd(self, g, x):
+        """The gcd of two O_K elements, nonnegative over Q and monic over
+        F_q(t), so a unit gcd equals `one`."""
+        return gcd(g, x) if self.is_rational else fq_gcd(g, x)
+
+    def box(self, bound) -> list:
+        """All O_K elements of size at most bound in canonical order: by
+        value over Q, by index over F_q(t), as FqPoly values compare."""
+        if self.is_rational:
+            return list(range(-bound, bound + 1))
+        return [poly_from_index(self.q, i) for i in range(self.box_side(bound))]
+
+    def box_side(self, bound) -> int:
+        """len(box(bound)), without listing the box."""
+        if self.is_rational:
+            return 2 * bound + 1
+        side = self.q  # q^(k+1) for the largest k with q^k <= bound
+        while side <= bound:
+            side *= self.q
+        return side
+
+    def box_leads(self, bound) -> int:
+        """The number of elements of box(bound) that `is_canonical_lead`
+        accepts, without listing the box."""
+        return bound if self.is_rational else (self.box_side(bound) - 1) // (self.q - 1)
 
 
 def field_for_poly(f: MultiPoly) -> GlobalField:
@@ -214,7 +267,7 @@ def places_with_nontrivial_value(field: GlobalField, x) -> list[Place]:
         for pi, _ in fq_factor(f):
             if pi not in seen:
                 seen.add(pi)
-                out.append(Place.finite(PrimeIdealDesc(pi, field.q**pi.degree)))
+                out.append(Place.finite(PrimeIdealDesc(pi, field.size(pi))))
     return out
 
 
@@ -252,11 +305,8 @@ class ProjPoint:
         return [str(c) for c in self.coords]
 
     def sort_key(self):
-        if self.field.is_rational:
-            return (self.height, self.coords)
-        from .algebra.fqpoly import poly_to_index
-
-        return (self.height, tuple(poly_to_index(c) for c in self.coords))
+        # coordinates compare in the canonical order of GlobalField.box
+        return (self.height, self.coords)
 
 
 def primitive_normalize(field: GlobalField, raw) -> ProjPoint:
@@ -272,9 +322,7 @@ def primitive_normalize(field: GlobalField, raw) -> ProjPoint:
 
 def height_of_primitive(field: GlobalField, coords) -> int:
     """Height of a tuple already in primitive form."""
-    if field.is_rational:
-        return max(abs(c) for c in coords)
-    return field.q ** max(c.degree for c in coords if c)
+    return max(map(field.size, coords))
 
 
 def height_proj(field: GlobalField, point) -> int:
@@ -286,12 +334,7 @@ def height_proj(field: GlobalField, point) -> int:
 
 def in_box(field: GlobalField, x, bound) -> bool:
     """Membership of an O_K element in the height box of size `bound`."""
-    x = field.integer_domain().coerce(x)
-    if field.is_rational:
-        return abs(x) <= bound
-    if not x:
-        return True
-    return field.q**x.degree <= bound
+    return field.size(field.integer_domain().coerce(x)) <= bound
 
 
 @dataclass(frozen=True)

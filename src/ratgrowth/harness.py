@@ -150,14 +150,8 @@ def family_count(
     if family == LINE_FAMILY:
         return count_p1_points(field, H, budget)
     if family == CUSPIDAL_FAMILY:
-        if field.is_rational:
-            X = _integer_nth_root(H, d)
-            return count_p1_points(field, max(X, 1), budget)
-        # function field: height q^(d * max deg) <= H
-        j = 0
-        while field.q ** (d * (j + 1)) <= H:
-            j += 1
-        return count_p1_points(field, field.q**j, budget)
+        # heights are integers, so H(s : t)^d <= H iff H(s : t) <= floor(H^(1/d))
+        return count_p1_points(field, max(_integer_nth_root(H, d), 1), budget)
     poly = family.polynomial(d, field)
     return enum_curve_points_proj(poly, H, EnumOptions(collect=False, budget=budget)).count
 
@@ -295,7 +289,7 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
         ratio = (count / bound) if (count is not None and bound > 0) else None
         return ExperimentRow(
             family=family.name,
-            field=_field_str(field),
+            field=field.descriptor(),
             d=d,
             H=H,
             count=count,
@@ -323,7 +317,7 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
                     r
                     for r in rows
                     if r.family == family.name
-                    and r.field == _field_str(field)
+                    and r.field == field.descriptor()
                     and r.d == d
                 ]
                 fitted_exponent = fitted_c = None
@@ -335,7 +329,7 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
                 reports.append(
                     ExperimentReport(
                         family=family.name,
-                        field=_field_str(field),
+                        field=field.descriptor(),
                         d=d,
                         rows=group,
                         fitted_exponent=fitted_exponent,
@@ -345,10 +339,6 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
                     )
                 )
     return reports, emit_csv(rows)
-
-
-def _field_str(field: GlobalField) -> str:
-    return field.kind if field.is_rational else f"Fq(t):q={field.q}"
 
 
 def emit_csv(rows) -> str:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ratgrowth.cli import main
+from ratgrowth.globalfield import GlobalField
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +61,33 @@ class TestCountBounds:
         with pytest.raises(SystemExit, match="--box"):
             main(["count", "--projective", "--poly", "x0*x2 - x1^2", "--box", "3"])
         assert capsys.readouterr().out == ""
+
+    def test_projective_curve_ignores_nvars(self, capsys):
+        # a projective --poly is a plane curve whatever --nvars says
+        _, plain = run_cli(capsys, "count", "--projective", "--poly", "x0*x2 - x1^2", "--height", "4")
+        _, five = run_cli(
+            capsys, "count", "--projective", "--poly", "x0*x2 - x1^2", "--nvars", "5", "--height", "4"
+        )
+        assert plain["count"] == five["count"] == 8
+
+    def test_bound_below_one_refused(self, capsys):
+        for argv in (("--projective", "--height", "0"), ("--poly", "x0*x2 - x1^2", "--box", "0")):
+            code, payload = run_cli(capsys, "count", *argv)
+            assert code == 1
+            assert payload == {"error": "ValueError", "message": "bound must be >= 1"}
+
+    def test_collect_above_the_cap_refused(self, capsys, monkeypatch):
+        # 26 806 753 points from 3.2 * 10^7 cells, within the default budget
+        def walk(*args):
+            raise AssertionError("collect mode built the height box")
+
+        monkeypatch.setattr(GlobalField, "box", walk)
+        code, payload = run_cli(
+            capsys, "count", "--projective", "--nvars", "3", "--height", "200", "--collect"
+        )
+        assert code == 1
+        assert payload["error"] == "CollectCapExceededError"
+        assert "collect mode would keep 26806753 points, above the cap of 1000000" in payload["message"]
 
     def test_unset_bounds_default_to_ten(self, capsys):
         conic = ("--poly", "x0*x2 - x1^2")

@@ -24,7 +24,6 @@ from ratgrowth.enumeration import (
     enum_proj_points,
     run_query,
 )
-from ratgrowth.enumeration import _box_values as _box
 from ratgrowth.enumeration import _solve_sieve_primes
 from ratgrowth.globalfield import GlobalField, height_proj, primitive_normalize
 
@@ -145,12 +144,10 @@ class TestProjectiveSpace:
                     assert got == prim[k] // (q - 1), (n, k, H)
 
     def test_count_mode_never_walks_the_box(self, monkeypatch):
-        import ratgrowth.enumeration as enumeration
-
         def walk(*args):
             raise AssertionError("count mode built the height box")
 
-        monkeypatch.setattr(enumeration, "_box_values", walk)
+        monkeypatch.setattr(GlobalField, "box", walk)
         for field, H in [(Q, 1), (Q, 2), (Q, 1000), (F2, 1), (F2, 2**40), (F3, 10)]:
             for n in (1, 2, 3):
                 assert enum_proj_points(n, H, field, EnumOptions(collect=False)).count > 0
@@ -177,6 +174,24 @@ class TestProjectiveSpace:
                 enum_proj_points(n, H, field, EnumOptions(budget=cells - 1))
             assert err.value.visited == cells
             assert enum_proj_points(n, H, field, EnumOptions(budget=cells)).count > 0
+
+    @pytest.mark.parametrize(
+        "field, n, H, count",
+        # 3.2 * 10^7 and 1.7 * 10^7 cells, both within the default budget
+        [(Q, 2, 200, 26_806_753), (F2, 2, 2**7, 2**24 - 2**22 + 1)],
+    )
+    def test_collect_refuses_above_the_cap_before_the_box(self, monkeypatch, field, n, H, count):
+        import ratgrowth.enumeration as enumeration
+
+        def walk(*args):
+            raise AssertionError("collect mode built the height box")
+
+        monkeypatch.setattr(GlobalField, "box", walk)
+        with pytest.raises(enumeration.CollectCapExceededError, match="collect mode") as err:
+            enum_proj_points(n, H, field)
+        assert (err.value.count, err.value.cap) == (count, enumeration.COLLECT_CAP)
+        assert f"{count} points" in str(err.value) and str(enumeration.COLLECT_CAP) in str(err.value)
+        assert enum_proj_points(n, H, field, EnumOptions(collect=False)).count == count
 
     def test_huge_height_refused_before_the_box(self):
         with pytest.raises(BudgetExceededError) as err:
@@ -487,7 +502,7 @@ class TestAffine:
     def test_automatic_sieve_oracle(self, text, dom, B):
         f = poly_parse(text, 3, dom)
         field = Q if dom is ZZ else GlobalField.function_field(dom.q)
-        assert len(_solve_sieve_primes(field, len(_box(field, B)))) >= 2
+        assert len(_solve_sieve_primes(field, field.box_side(B))) >= 2
         res = enum_affine_hypersurface(f, B)
         assert set(res.points) == brute_force_affine_points(f, B)
         assert res.count > 0 and res.sieve_rejections == 0

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratgrowth.algebra.fqpoly import FqPoly, FqRational, poly_from_index
+from ratgrowth.algebra.fqpoly import FqPoly, FqRational, all_polys, fq_gcd, poly_from_index, poly_to_index
 from ratgrowth.algebra.domains import CoeffDomain
 from ratgrowth.algebra.primes import PrimeIdealDesc, primes_in_range
 from ratgrowth.globalfield import (
@@ -17,8 +18,10 @@ from ratgrowth.globalfield import (
     Place,
     ResiduePoint,
     abs_value,
+    height_of_primitive,
     height_proj,
     in_box,
+    is_canonical_lead,
     primitive_normalize,
     product_formula_check,
     reduce_point_mod_p,
@@ -27,6 +30,7 @@ from ratgrowth.globalfield import (
 Q = GlobalField.rationals()
 F2 = GlobalField.function_field(2)
 F3 = GlobalField.function_field(3)
+F5 = GlobalField.function_field(5)
 
 
 def normalize_residue_tuple(domain: CoeffDomain, coords) -> ResiduePoint:
@@ -66,6 +70,147 @@ class TestField:
         assert GlobalField.parse("Q").is_rational
         f = GlobalField.parse("Fq(t):q=3")
         assert f.q == 3 and f.d_K == 1
+
+
+# -- oracles: the per-field helpers that GlobalField's O_K methods replaced ----
+
+
+def _max_degree(q: int, bound: int) -> int:
+    k = 0
+    while q ** (k + 1) <= bound:
+        k += 1
+    return k
+
+
+def _box_side(field: GlobalField, bound: int) -> int:
+    if field.is_rational:
+        return 2 * bound + 1
+    return field.q ** (_max_degree(field.q, bound) + 1)
+
+
+def _lead_count(field: GlobalField, bound: int) -> int:
+    return bound if field.is_rational else (_box_side(field, bound) - 1) // (field.q - 1)
+
+
+def _box_values(field: GlobalField, bound: int) -> list:
+    if field.is_rational:
+        b = int(bound)
+        return list(range(-b, b + 1))
+    return list(all_polys(field.q, _max_degree(field.q, bound)))
+
+
+def _norm_of(field: GlobalField, value) -> int:
+    if field.is_rational:
+        return abs(value)
+    if not value:
+        return 0
+    return field.q**value.degree
+
+
+def _height_of_primitive(field: GlobalField, coords) -> int:
+    if field.is_rational:
+        return max(abs(c) for c in coords)
+    return field.q ** max(c.degree for c in coords if c)
+
+
+def _is_unit_gcd(field: GlobalField, g) -> bool:
+    if field.is_rational:
+        return g == 1
+    return g.degree == 0
+
+
+def _gcd_step(field: GlobalField, g, x):
+    if field.is_rational:
+        return gcd(g, abs(x))
+    if not x:
+        return g
+    return x.monic() if not g else fq_gcd(g, x)
+
+
+def _old_sort_key(point: ProjPoint):
+    if point.field.is_rational:
+        return (point.height, point.coords)
+    return (point.height, tuple(poly_to_index(c) for c in point.coords))
+
+
+def _bounds(field: GlobalField) -> list[int]:
+    """Every bound from 1 to 70, and each q^k and q^k - 1 in F_q(t)."""
+    out = set(range(1, 71))
+    if not field.is_rational:
+        for k in range(1, 41):
+            out |= {field.q**k, field.q**k - 1}
+    return sorted(out)
+
+
+FIELDS = [Q, F2, F3, F5]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=GlobalField.describe)
+class TestIntegerRing:
+    # the boxes are listed up to this many elements; larger bounds compare
+    # the side and the lead count, which are computed without listing
+    LISTED = 5**5
+
+    def test_descriptor_inverts_parse(self, field):
+        assert GlobalField.parse(field.descriptor()) == field
+        assert field.descriptor() == (field.kind if field.is_rational else f"Fq(t):q={field.q}")
+
+    def test_zero_and_one(self, field):
+        assert not field.zero and field.size(field.zero) == 0
+        assert field.one == field.integer_domain().one and field.size(field.one) == 1
+
+    def test_box_side_and_leads(self, field):
+        for bound in _bounds(field):
+            side = field.box_side(bound)
+            assert side == _box_side(field, bound), bound
+            assert field.box_leads(bound) == _lead_count(field, bound), bound
+            if side <= self.LISTED:
+                box = field.box(bound)
+                assert box == _box_values(field, bound), bound
+                assert len(box) == side
+                assert sum(map(is_canonical_lead, [field] * side, box)) == field.box_leads(bound)
+
+    def test_key_size_and_order(self, field):
+        box = field.box(self.LISTED // 2 if field.is_rational else self.LISTED // field.q)
+        keys = [field.key(x) for x in box]
+        assert keys == (box if field.is_rational else list(map(poly_to_index, box)))
+        if not field.is_rational:
+            assert keys == list(range(len(box)))
+        # elements compare in the canonical order of the box
+        assert sorted(reversed(box)) == sorted(box, key=field.key) == box
+        assert [field.size(x) for x in box] == [_norm_of(field, x) for x in box]
+        assert all(in_box(field, x, field.size(x)) for x in box)
+        assert not any(in_box(field, x, field.size(x) - 1) for x in box if x)
+
+    def test_height_and_sort_key(self, field):
+        rng = random.Random(field.descriptor())
+        box = field.box(40 if field.is_rational else field.q**3)
+        points = set()
+        while len(points) < 300:
+            raw = [rng.choice(box) for _ in range(3)]
+            if any(raw):
+                points.add(primitive_normalize(field, raw))
+        for point in points:
+            assert point.height == height_of_primitive(field, point.coords)
+            assert point.height == _height_of_primitive(field, point.coords)
+        assert sorted(points, key=ProjPoint.sort_key) == sorted(points, key=_old_sort_key)
+
+    def test_gcd_fold(self, field):
+        rng = random.Random(field.descriptor())
+        for bound in _bounds(field):
+            if field.box_side(bound) > self.LISTED:
+                continue
+            box = field.box(bound)
+            for x in box:  # a zero argument still normalizes
+                assert field.gcd(x, field.zero) == field.gcd(field.zero, x) == _gcd_step(field, field.zero, x)
+            for _ in range(40):
+                xs = [rng.choice(box) for _ in range(rng.randint(1, 4))]
+                g, old = field.zero, field.zero
+                for x in xs:
+                    g, old = field.gcd(g, x), _gcd_step(field, old, x)
+                    assert g == old, (bound, xs)
+                assert (g == field.one) == _is_unit_gcd(field, old)
+                assert not g or is_canonical_lead(field, g)  # nonnegative resp. monic
 
 
 class TestAbsValue:
