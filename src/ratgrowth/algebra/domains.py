@@ -73,6 +73,12 @@ class CoeffDomain:
                 raise ValueError("residue_field needs a monic modulus over F_q")
             if not is_irreducible(self.pi):
                 raise ValueError(f"residue_field modulus {self.pi} is reducible")
+        # decided once: what add, sub, neg and mul reduce by (p for F_p, pi
+        # for F_q[t]/(pi), None otherwise), and the two constants
+        set_attr = object.__setattr__
+        set_attr(self, "modulus", {PRIME_FIELD: self.p, RESIDUE_FIELD: self.pi}.get(self.kind))
+        set_attr(self, "zero", self.coerce(0))
+        set_attr(self, "one", self.coerce(1))
 
     # -- constructors ------------------------------------------------------
 
@@ -127,14 +133,6 @@ class CoeffDomain:
             return self.q**self.pi.degree
         return None
 
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
-
     # -- element handling ----------------------------------------------------
 
     def coerce(self, x):
@@ -183,32 +181,16 @@ class CoeffDomain:
         return not x
 
     def add(self, a, b):
-        if self.kind == RESIDUE_FIELD:
-            return (a + b) % self.pi
-        if self.kind == PRIME_FIELD:
-            return (a + b) % self.p
-        return a + b
+        return a + b if self.modulus is None else (a + b) % self.modulus
 
     def sub(self, a, b):
-        if self.kind == RESIDUE_FIELD:
-            return (a - b) % self.pi
-        if self.kind == PRIME_FIELD:
-            return (a - b) % self.p
-        return a - b
+        return a - b if self.modulus is None else (a - b) % self.modulus
 
     def neg(self, a):
-        if self.kind == RESIDUE_FIELD:
-            return (-a) % self.pi
-        if self.kind == PRIME_FIELD:
-            return (-a) % self.p
-        return -a
+        return -a if self.modulus is None else (-a) % self.modulus
 
     def mul(self, a, b):
-        if self.kind == RESIDUE_FIELD:
-            return (a * b) % self.pi
-        if self.kind == PRIME_FIELD:
-            return (a * b) % self.p
-        return a * b
+        return a * b if self.modulus is None else (a * b) % self.modulus
 
     def inv(self, a):
         k = self.kind
@@ -233,18 +215,12 @@ class CoeffDomain:
 
     def exact_div(self, a, b):
         """Exact division in an integral domain; raises if b does not divide a."""
-        k = self.kind
-        if k == INTEGERS:
-            quo, rem = divmod(a, b)
-            if rem:
-                raise ArithmeticError(f"{b} does not divide {a} in Z")
-            return quo
-        if k == POLY_RING:
-            quo, rem = divmod(a, b)
-            if rem:
-                raise ArithmeticError(f"{b} does not divide {a} in F_q[t]")
-            return quo
-        return self.div(a, b)
+        if self.kind in _FIELD_KINDS:
+            return self.div(a, b)
+        quo, rem = divmod(a, b)
+        if rem:
+            raise ArithmeticError(f"{b} does not divide {a} in {self.describe()}")
+        return quo
 
     def primitive(self, values) -> tuple | None:
         """The canonical representative, up to units, of a sequence of

@@ -12,6 +12,7 @@ from functools import lru_cache
 from math import comb
 
 from .domains import CoeffDomain
+from .linalg import ExactMatrix, kernel_vector
 
 
 def grevlex_key(exps: tuple[int, ...]):
@@ -605,3 +606,28 @@ def monomial_row(dom: CoeffDomain, monomials, coords) -> list:
                 acc = dom.mul(acc, table[e])
         row.append(acc)
     return row
+
+
+def evaluation_matrix(dom: CoeffDomain, monomials, points) -> ExactMatrix:
+    """The monomials at the points, one monomial_row per point; the entries
+    are elements of dom already, so they are not coerced again."""
+    return ExactMatrix(dom, tuple(tuple(monomial_row(dom, monomials, pt)) for pt in points))
+
+
+def interpolant(dom: CoeffDomain, monomials, points) -> MultiPoly | None:
+    """A nonzero form on the monomial list vanishing at every point, or None
+    at full rank.
+
+    Its coefficients are the kernel vector at the first dependent column
+    (linalg.kernel_vector), made primitive with the last monomial of its
+    support leading: positive over Z, monic over F_q[t], 1 over a field.
+    The vanishing is checked exactly before the form is returned."""
+    vec = kernel_vector(evaluation_matrix(dom, monomials, points))
+    if vec is None:
+        return None
+    coeffs = dom.primitive(vec[::-1])[::-1]
+    form = MultiPoly(dom, len(monomials[0]), dict(zip(monomials, coeffs)))
+    for pt in points:
+        if not dom.is_zero(form.evaluate(pt)):
+            raise AssertionError("interpolant fails to vanish on its points")
+    return form

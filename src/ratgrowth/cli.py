@@ -29,6 +29,10 @@ from .harness import run_experiment
 from .reduction import high_mult_locus, mult_at_point, reduce_curve_mod_p
 
 
+class UsageError(Exception):
+    """A refused combination of flags: exits 2 like argparse's own refusals."""
+
+
 def _parse_field(value: str) -> GlobalField:
     return GlobalField.parse(value)
 
@@ -56,19 +60,19 @@ def _parse_point(field: GlobalField, text: str) -> tuple:
 def cmd_count(args) -> dict:
     field = _parse_field(args.field)
     t0 = time.perf_counter()
-    sieve = None
-    if args.sieve:
-        sieve = tuple(_prime_for(field, s) for s in args.sieve.split(","))
     if args.projective:
         if args.box is not None:
-            raise SystemExit("--box bounds an affine count; a projective count takes --height")
+            raise UsageError("--box bounds an affine count; a projective count takes --height")
+        if args.sieve:
+            raise UsageError("--sieve applies to affine counts only")
         bound = 10 if args.height is None else args.height
     else:
         if args.height is not None:
-            raise SystemExit("--height bounds a projective count; an affine count takes --box")
+            raise UsageError("--height bounds a projective count; an affine count takes --box")
         if not args.poly:
-            raise SystemExit("affine counting requires --poly")
+            raise UsageError("affine counting requires --poly")
         bound = 10 if args.box is None else args.box
+    sieve = tuple(_prime_for(field, s) for s in args.sieve.split(",")) if args.sieve else None
     f = None
     if args.poly:
         # a projective polynomial is a plane curve
@@ -215,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--collect", action="store_true")
     p.add_argument("--sieve", default=None, help="comma-separated primes")
     p.add_argument("--budget", type=int, default=50_000_000)
-    p.set_defaults(func=cmd_count)
+    p.set_defaults(func=cmd_count, usage_error=p.error)
 
     p = sub.add_parser("mult", help="multiplicity of a point")
     p.add_argument("--field", default="Q")
@@ -272,6 +276,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.func(args)
+    except UsageError as exc:
+        args.usage_error(str(exc))
     except Exception as exc:  # structured errors for scripting
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stdout)
         sys.stdout.write("\n")

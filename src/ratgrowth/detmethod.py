@@ -16,10 +16,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra.linalg import ExactMatrix, det_exact, kernel_vector
+from .algebra.linalg import det_exact
 from .algebra.multipoly import (
     MultiPoly,
-    monomial_row,
+    evaluation_matrix,
+    interpolant,
     monomials_of_degree,
     monomials_up_to_degree,
 )
@@ -156,8 +157,7 @@ def interp_det_certificate(
             raise ValueError(f"stated mu={mu} but reduced curve gives {mu_check}")
 
     dom = field.integer_domain()
-    rows = [monomial_row(dom, basis.monomials, p.coords) for p in points]
-    delta = det_exact(ExactMatrix.from_rows(dom, rows))
+    delta = det_exact(evaluation_matrix(dom, basis.monomials, [p.coords for p in points]))
     det_norm = field.size(delta)
     valuation = _valuation_of(field, delta, prime)
     s = basis.s
@@ -205,25 +205,10 @@ def interp_det_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _kernel_poly(field: GlobalField, monomials, points_coords, nvars: int) -> MultiPoly | None:
-    """A nonzero polynomial on the monomial list vanishing at all the given
-    coordinate tuples, with O_K coefficients, or None at full rank.
-
-    The coefficients are the kernel vector at the first dependent column,
-    divided by their content and made positive (over Z) or monic (over
-    F_q[t]) at that column.  The vanishing is checked exactly before the
-    polynomial is returned."""
-    dom = field.integer_domain()
-    rows = [monomial_row(dom, monomials, coords) for coords in points_coords]
-    vec = kernel_vector(ExactMatrix.from_rows(dom, rows))
-    if vec is None:
-        return None
-    coeffs = dom.primitive(vec[::-1])[::-1]
-    poly = MultiPoly(dom, nvars, dict(zip(monomials, coeffs)))
-    for coords in points_coords:
-        if not dom.is_zero(poly.evaluate(coords)):
-            raise AssertionError("interpolant fails to vanish on its points")
-    return poly
+def _kernel_poly(field: GlobalField, monomials, points_coords) -> MultiPoly | None:
+    """The interpolant over O_K of the coordinate tuples (multipoly.interpolant),
+    or None at full rank: the covers' one source of aux polys."""
+    return interpolant(field.integer_domain(), monomials, points_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +248,7 @@ def json_float(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def regime_check(d: int, H: float, variant: str = "CurveQ") -> RegimeReport:
+def regime_check(d: int, H: float, variant: str = "Curve") -> RegimeReport:
     """The inequality window in which the covering pipeline is guaranteed:
     (log H)^2 < d < H^(3/2) for plane curves, (log H)^2 < d < H for the
     affine hypersurface variant.  The upper end is decided exactly, as
@@ -271,7 +256,7 @@ def regime_check(d: int, H: float, variant: str = "CurveQ") -> RegimeReport:
     if d < 1 or H <= 2:
         raise ValueError("need d >= 1 and H > 2")
     log_h = math.log(H)
-    if variant in ("CurveQ", "CurveK"):
+    if variant == "Curve":
         lhs, rhs = log_h**2, float_power(H, 1.5)
         below = d * d < Fraction(H) ** 3
     elif variant == "AffinePila":
@@ -429,29 +414,29 @@ def _high_mult_audit(field: GlobalField, primes, d_prime: int, log_h: float) -> 
     }
 
 
-def _chunked_interpolants(field: GlobalField, monomials, coords_list, nvars: int):
+def _chunked_interpolants(field: GlobalField, monomials, coords_list):
     """Cover a point list by interpolants on chunks of size s-1 (each chunk
     is rank-deficient by pigeonhole, so a nonzero form always exists)."""
     chunk_size = max(len(monomials) - 1, 1)
     for i in range(0, len(coords_list), chunk_size):
-        poly = _kernel_poly(field, monomials, coords_list[i : i + chunk_size], nvars)
+        poly = _kernel_poly(field, monomials, coords_list[i : i + chunk_size])
         assert poly is not None, "rank-deficient chunk must have a kernel"
         yield poly
 
 
-def _interpolate(field, monomials, low_monomials, coords_list, nvars, regime_ok, what):
+def _interpolate(field, monomials, low_monomials, coords_list, regime_ok, what):
     """(forms, status): one form on `monomials` through all the points, or,
     at full rank, chunked forms on the degree d-1 `low_monomials`.
 
     The fallback is only taken out of regime; in regime a full-rank set
     contradicts the determinant bound and is an error.
     """
-    poly = _kernel_poly(field, monomials, coords_list, nvars)
+    poly = _kernel_poly(field, monomials, coords_list)
     if poly is not None:
         return [poly], "ok"
     if regime_ok:
         raise PipelineError(f"irrecoverable {what}: no interpolant exists at full rank")
-    return list(_chunked_interpolants(field, low_monomials, coords_list, nvars)), "chunked"
+    return list(_chunked_interpolants(field, low_monomials, coords_list)), "chunked"
 
 
 def _cover(f, H, field, chart, points, good, regime, threshold, audit) -> CoverResult:
@@ -472,7 +457,7 @@ def _cover(f, H, field, chart, points, good, regime, threshold, audit) -> CoverR
     for prime, rp in sorted(classes, key=lambda key: (key[0].sort_key(), chart.sort_key(key[1]))):
         mu, klass = classes[(prime, rp)]
         polys, status = _interpolate(
-            field, low, low, [chart.coords(p) for p in klass], n, regime.ok,
+            field, low, low, [chart.coords(p) for p in klass], regime.ok,
             f"class at prime {prime.generator}, point {rp}",
         )
         if status == "ok":
@@ -499,7 +484,7 @@ def _cover(f, H, field, chart, points, good, regime, threshold, audit) -> CoverR
     else:
         degree = min(max(audit["d_prime"], 1), d - 1)
         polys, audit["status"] = _interpolate(
-            field, chart.monomials(n, degree), low, [chart.coords(p) for p in xi_s], n,
+            field, chart.monomials(n, degree), low, [chart.coords(p) for p in xi_s],
             regime.ok, "high-multiplicity set",
         )
         if audit["status"] == "ok":
@@ -593,7 +578,7 @@ def cover_high_mult(
         audit["status"] = "empty_class"
         return None, audit
     basis = monomial_basis(f.nvars, d_prime)
-    poly = _kernel_poly(field, basis.monomials, [p.coords for p in xi_s], f.nvars)
+    poly = _kernel_poly(field, basis.monomials, [p.coords for p in xi_s])
     audit["status"] = "ok" if poly is not None else "full_rank"
     return poly, audit
 
@@ -615,7 +600,7 @@ def cover_pipeline(f: MultiPoly, H: int, params: CoverParams | None = None) -> C
     if d < 2:
         raise NotApplicable("degree must be >= 2 so that degree d-1 forms exist")
     field = field_for_poly(f)
-    regime = regime_check(d, H, "CurveQ" if field.is_rational else "CurveK")
+    regime = regime_check(d, H)
     points = enum_curve_points_proj(f, H, EnumOptions(collect=True, budget=params.budget)).points
     log_h = math.log(H)
     good = _prime_window(f, field, log_h, params.M, 4)

@@ -78,6 +78,8 @@ class PointQuery:
             raise ValueError(f"unknown mode {self.mode!r}: expected 'collect' or 'count'")
         if self.bound < 1:
             raise ValueError("bound must be >= 1")
+        if self.sieve and self.ambient == "projective":
+            raise ValueError("a sieve applies to affine queries only")
         if self.f is not None:
             if self.f.nvars != self.nvars:
                 raise ValueError("polynomial arity does not match the ambient space")

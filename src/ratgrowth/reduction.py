@@ -25,9 +25,9 @@ from itertools import product
 from math import comb
 
 from .algebra.domains import CoeffDomain
-from .algebra.linalg import ExactMatrix, kernel_vector
-from .algebra.multipoly import MultiPoly, monomial_row, monomials_of_degree
+from .algebra.multipoly import MultiPoly, interpolant, monomials_of_degree
 from .algebra.primes import PrimeIdealDesc
+from .enumeration import BudgetExceededError
 from .globalfield import field_for_poly
 
 
@@ -261,6 +261,16 @@ def _directional(f: MultiPoly, direction) -> MultiPoly:
     return out
 
 
+def _directions(dom: CoeffDomain, nvars: int, a, seed: int, max_retries: int):
+    """The directions to try, max_retries + 1 in all: a first when given,
+    then samples drawn from random.Random(seed), each only when asked for."""
+    rng = random.Random(seed)
+    if a is not None:
+        yield [dom.coerce(x) for x in a]
+    for _ in range(max_retries + (a is None)):
+        yield [dom.sample(rng) for _ in range(nvars)]
+
+
 def derivative_cycle(
     f: MultiPoly, a=None, rng_seed: int = 0, max_retries: int = 8
 ) -> MultiPoly:
@@ -269,13 +279,7 @@ def derivative_cycle(
     identically."""
     if f.is_constant:
         raise ValueError("derivative cycle needs a nonconstant polynomial")
-    dom = f.domain
-    rng = random.Random(rng_seed)
-    for attempt in range(max_retries + 1):
-        if attempt == 0 and a is not None:
-            direction = [dom.coerce(x) for x in a]
-        else:
-            direction = [dom.sample(rng) for _ in range(f.nvars)]
+    for direction in _directions(f.domain, f.nvars, a, rng_seed, max_retries):
         out = _directional(f, direction)
         if not out.is_zero:
             return out
@@ -432,13 +436,11 @@ class NoInterpolantError(RuntimeError):
         )
 
 
-def high_mult_locus(
-    f_p: MultiPoly,
-    k,
-    cap_degree: int,
-    strict: bool = True,
-    budget: int = 2_000_000,
-) -> HighMultLocus:
+# the most points of P^(n-1)(F) that a high-multiplicity scan visits
+LOCUS_BUDGET = 2_000_000
+
+
+def high_mult_locus(f_p: MultiPoly, k, cap_degree: int, strict: bool = True) -> HighMultLocus:
     """Locate the points of multiplicity above deg(f)/k and produce a
     minimal-degree nonzero form vanishing on all of them.
 
@@ -460,8 +462,8 @@ def high_mult_locus(
         return HighMultLocus("all_points", None, None, (), threshold)
     n = f_p.nvars
     npoints = sum(dom.size**i for i in range(n))
-    if npoints > budget:
-        raise BudgetExceededScan(npoints, budget)
+    if npoints > LOCUS_BUDGET:
+        raise BudgetExceededError(LOCUS_BUDGET, npoints)
     # each canonical point is read on the chart of its leading 1, and only
     # as far as the comparison with the threshold needs
     plans = [_TaylorPlan(dom, f_p.dehomogenize(i).terms) for i in range(n)]
@@ -475,21 +477,10 @@ def high_mult_locus(
     if not locus:
         return HighMultLocus("empty", None, 0, (), threshold)
     for degree in range(1, cap_degree + 1):
-        monos = monomials_of_degree(n, degree)
-        rows = [monomial_row(dom, monos, pt) for pt in locus]
-        vec = kernel_vector(ExactMatrix.from_rows(dom, rows))
-        if vec is not None:
-            # the coefficient of the last monomial in the kernel's support is 1
-            h = MultiPoly(dom, n, zip(monos, dom.primitive(vec[::-1])[::-1]))
-            for pt in locus:
-                assert dom.is_zero(h.evaluate(pt)), "interpolant fails to vanish"
+        h = interpolant(dom, monomials_of_degree(n, degree), locus)
+        if h is not None:
             return HighMultLocus("ok", h, degree, tuple(locus), threshold)
     raise NoInterpolantError(cap_degree, len(locus))
-
-
-class BudgetExceededScan(RuntimeError):
-    def __init__(self, npoints: int, budget: int):
-        super().__init__(f"point scan of size {npoints} exceeds budget {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +515,10 @@ def cycle_A(
         raise TypeError("cycle audit needs a finite residue field")
     if cycle.nvars != 3:
         raise ValueError("cycle audit is implemented for plane curves")
-    rng = random.Random(seed)
     direction = None
     derivs: list[MultiPoly | None] = []
     last_error: Exception | None = None
-    for attempt in range(max_retries + 1):
-        if attempt == 0 and a is not None:
-            candidate = [dom.coerce(x) for x in a]
-        else:
-            candidate = [dom.sample(rng) for _ in range(3)]
+    for candidate in _directions(dom, 3, a, seed, max_retries):
         derivs, ok = [], True
         for poly, _ in cycle.components:
             combo = _directional(poly, candidate)

@@ -51,16 +51,35 @@ class TestCount:
 
 
 class TestCountBounds:
+    # usage errors exit 2 with the message on stderr, as argparse's own
+    # refusals do, so a script can tell them from a failed count (exit 1)
+    @staticmethod
+    def refused(capsys, *argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(["count", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
     def test_affine_count_rejects_height(self, capsys):
         # an affine count scans --box; --height used to be ignored silently
-        with pytest.raises(SystemExit, match="--height"):
-            main(["count", "--poly", "x0*x2 - x1^2", "--height", "180"])
-        assert capsys.readouterr().out == ""
+        err = self.refused(capsys, "--poly", "x0*x2 - x1^2", "--height", "180")
+        assert "--height bounds a projective count" in err
 
     def test_projective_count_rejects_box(self, capsys):
-        with pytest.raises(SystemExit, match="--box"):
-            main(["count", "--projective", "--poly", "x0*x2 - x1^2", "--box", "3"])
-        assert capsys.readouterr().out == ""
+        for argv in (("--poly", "x0*x2 - x1^2"), ()):
+            err = self.refused(capsys, "--projective", *argv, "--box", "3")
+            assert "--box bounds an affine count" in err
+
+    def test_affine_count_requires_poly(self, capsys):
+        assert "affine counting requires --poly" in self.refused(capsys, "--nvars", "2")
+
+    def test_projective_sieve_refused(self, capsys):
+        # neither projective enumerator reads a sieve; it used to be ignored
+        for argv in (("--poly", "x0^2+x1^2-x2^2"), ("--nvars", "3")):
+            err = self.refused(capsys, "--projective", *argv, "--height", "20", "--sieve", "3,5")
+            assert "--sieve applies to affine counts only" in err
 
     def test_projective_curve_ignores_nvars(self, capsys):
         # a projective --poly is a plane curve whatever --nvars says

@@ -1,6 +1,7 @@
 """Domain arithmetic: F_q[t], F_q(t), prime/residue fields, exactness."""
 
 import copy
+import dataclasses
 import pickle
 import random
 
@@ -226,3 +227,82 @@ class TestCoeffDomain:
         assert dom.mul(dom.mul(a, b), c) == dom.mul(a, dom.mul(b, c))
         assert dom.mul(a, dom.add(b, c)) == dom.add(dom.mul(a, b), dom.mul(a, c))
         assert dom.add(a, dom.neg(a)) == dom.zero
+
+
+SIX_KINDS = [
+    CoeffDomain.integers(),
+    CoeffDomain.rationals(),
+    CoeffDomain.prime_field(7),
+    CoeffDomain.poly_ring(3),
+    CoeffDomain.rational_functions(2),
+    CoeffDomain.residue_field(FqPoly(2, (1, 1, 0, 1))),
+]
+
+
+class TestModulusDecidedOnce:
+    """add, sub, neg, mul and exact_div against the per-kind branches they
+    replaced, which are kept here as the oracle."""
+
+    @staticmethod
+    def reduced(dom, value):
+        if dom.kind == "residue_field":
+            return value % dom.pi
+        if dom.kind == "prime_field":
+            return value % dom.p
+        return value
+
+    @classmethod
+    def old_exact_div(cls, dom, a, b):
+        if dom.kind in ("integers", "poly_ring"):
+            quo, rem = divmod(a, b)
+            if rem:
+                raise ArithmeticError(f"{b} does not divide {a}")
+            return quo
+        return dom.div(a, b)
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            value = fn(*args)
+        except ArithmeticError as exc:
+            return type(exc)
+        return type(value), value
+
+    @pytest.mark.parametrize("dom", SIX_KINDS, ids=lambda d: d.describe())
+    def test_ops_match_the_kind_branches(self, dom):
+        rng = random.Random(16)
+        for _ in range(200):
+            a, b = dom.sample(rng), dom.sample(rng)
+            for got, want in (
+                (dom.add(a, b), self.reduced(dom, a + b)),
+                (dom.sub(a, b), self.reduced(dom, a - b)),
+                (dom.neg(a), self.reduced(dom, -a)),
+                (dom.mul(a, b), self.reduced(dom, a * b)),
+            ):
+                assert type(got) is type(want) and got == want
+            if dom.is_zero(b):
+                continue
+            # a multiple of b, and a draw that b need not divide
+            for num in (dom.mul(a, b), a):
+                assert self.outcome(dom.exact_div, num, b) == self.outcome(self.old_exact_div, dom, num, b)
+
+    @pytest.mark.parametrize("dom", SIX_KINDS, ids=lambda d: d.describe())
+    def test_constants_and_modulus(self, dom):
+        assert dom.zero == dom.coerce(0) and dom.one == dom.coerce(1)
+        assert type(dom.zero) is type(dom.coerce(0))
+        want = {"prime_field": dom.p, "residue_field": dom.pi}.get(dom.kind)
+        assert dom.modulus == want
+
+    @pytest.mark.parametrize("dom", SIX_KINDS, ids=lambda d: d.describe())
+    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_identity_is_the_four_fields(self, dom, roundtrip):
+        assert [f.name for f in dataclasses.fields(CoeffDomain)] == ["kind", "p", "q", "pi"]
+        twin = CoeffDomain(dom.kind, dom.p, dom.q, dom.pi)
+        assert twin == dom and hash(twin) == hash(dom) and repr(twin) == repr(dom)
+        assert "modulus" not in repr(dom)
+        back = roundtrip(dom)
+        assert back == dom and hash(back) == hash(dom)
+        assert (back.modulus, back.zero, back.one) == (dom.modulus, dom.zero, dom.one)
+        assert back.add(back.one, back.one) == dom.add(dom.one, dom.one)
+        assert dom != CoeffDomain.prime_field(5)

@@ -617,3 +617,13 @@ class TestQueryAndBounds:
             PointQuery(Q, "projective", 3, None, 5, mode="cnt")
         q = PointQuery(Q, "projective", 3, None, 2, mode="count")
         assert run_query(q).points is None
+
+    def test_query_rejects_projective_sieve(self):
+        # the projective enumerators read no sieve, so a sieve there would
+        # silently do nothing
+        sieve = (PrimeIdealDesc(3, 3), PrimeIdealDesc(5, 5))
+        conic = poly_parse("x0^2+x1^2-x2^2", 3, ZZ)
+        for f in (None, conic):
+            with pytest.raises(ValueError, match="sieve applies to affine queries only"):
+                PointQuery(Q, "projective", 3, f, 20, "count", sieve)
+        assert run_query(PointQuery(Q, "affine", 3, conic, 20, "count", sieve)).count > 0

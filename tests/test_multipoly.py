@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratgrowth.algebra.domains import CoeffDomain
+from ratgrowth.algebra import multipoly
 from ratgrowth.algebra.fqpoly import FqPoly
+from ratgrowth.algebra.linalg import ExactMatrix, kernel_vector
 from ratgrowth.algebra.multipoly import (
     MultiPoly,
     ParseError,
+    evaluation_matrix,
+    interpolant,
     monomial_row,
     monomials_of_degree,
     monomials_up_to_degree,
@@ -229,6 +233,82 @@ class TestMonomialRow:
     def test_constant_monomials_only(self):
         assert monomial_row(GF5, [(0, 0)], (0, 3)) == [1]
         assert monomial_row(ZZ, [], (2,)) == []
+
+
+def kernel_poly_oracle(dom, monomials, points_coords, nvars):
+    """The body of detmethod._kernel_poly before it became interpolant."""
+    rows = [monomial_row(dom, monomials, coords) for coords in points_coords]
+    vec = kernel_vector(ExactMatrix.from_rows(dom, rows))
+    if vec is None:
+        return None
+    coeffs = dom.primitive(vec[::-1])[::-1]
+    poly = MultiPoly(dom, nvars, dict(zip(monomials, coeffs)))
+    for coords in points_coords:
+        if not dom.is_zero(poly.evaluate(coords)):
+            raise AssertionError("interpolant fails to vanish on its points")
+    return poly
+
+
+def locus_form_oracle(dom, n, monos, locus):
+    """One degree of high_mult_locus's loop before it called interpolant."""
+    rows = [monomial_row(dom, monos, pt) for pt in locus]
+    vec = kernel_vector(ExactMatrix.from_rows(dom, rows))
+    if vec is not None:
+        h = MultiPoly(dom, n, zip(monos, dom.primitive(vec[::-1])[::-1]))
+        for pt in locus:
+            assert dom.is_zero(h.evaluate(pt)), "interpolant fails to vanish"
+        return h
+    return None
+
+
+class TestInterpolant:
+    DOMAINS = [ZZ, GF5, F2T, CoeffDomain.residue_field(FqPoly(2, (1, 1, 1)))]
+
+    @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.describe())
+    def test_matches_the_replaced_bodies(self, dom):
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(60):
+            nvars = rng.randint(2, 3)
+            degree = rng.randint(1, 3)
+            monos = (monomials_of_degree if rng.random() < 0.5 else monomials_up_to_degree)(nvars, degree)
+            # up to two points past the monomial count, so full rank occurs
+            points = [
+                tuple(dom.sample(rng) for _ in range(nvars))
+                for _ in range(rng.randint(1, len(monos) + 2))
+            ]
+            assert evaluation_matrix(dom, monos, points) == ExactMatrix.from_rows(
+                dom, [monomial_row(dom, monos, pt) for pt in points]
+            )
+            got = interpolant(dom, monos, points)
+            assert got == kernel_poly_oracle(dom, monos, points, nvars)
+            assert got == locus_form_oracle(dom, nvars, monos, points)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_full_rank_is_none(self):
+        monos = monomials_of_degree(3, 1)
+        unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert interpolant(ZZ, monos, unit) is None
+        assert interpolant(GF5, monos, unit) is None
+        assert interpolant(ZZ, monos, unit[:2]) == poly_parse("x2", 3, ZZ)
+
+    def test_last_support_monomial_leads(self):
+        # through (1:1:1) and (2:1:0) over Z: x0 - 2*x1 + x2, scaled so the
+        # coefficient of x2 is positive
+        form = interpolant(ZZ, monomials_of_degree(3, 1), [(1, 1, 1), (2, 1, 0)])
+        assert form == poly_parse("x0 - 2*x1 + x2", 3, ZZ)
+
+    def test_doctored_kernel_fails_loudly(self, monkeypatch):
+        # the vanishing check is an exact test, not an assert that -O strips
+        from ratgrowth.detmethod import cover_pipeline
+        from ratgrowth.reduction import high_mult_locus
+
+        monkeypatch.setattr(multipoly, "kernel_vector", lambda m: (m.domain.one,) * m.cols)
+        with pytest.raises(AssertionError, match="fails to vanish"):
+            cover_pipeline(poly_parse("x0*x2 - x1^2", 3, ZZ), 20)
+        with pytest.raises(AssertionError, match="fails to vanish"):
+            high_mult_locus(poly_parse("x0", 3, GF5) ** 4, 2, 5)
 
 
 class TestCanonicalText:

@@ -11,10 +11,14 @@ from ratgrowth.algebra.domains import CoeffDomain
 from ratgrowth.algebra.fqpoly import FqPoly
 from ratgrowth.algebra.multipoly import MultiPoly, monomials_of_degree, poly_parse
 from ratgrowth.algebra.primes import PrimeIdealDesc
+from ratgrowth.enumeration import BudgetExceededError
 from ratgrowth.reduction import (
     INFINITE,
+    LOCUS_BUDGET,
     DerivativeIdenticallyZero,
     FactoredCycle,
+    NoInterpolantError,
+    _directions,
     cycle_A,
     cycle_mult,
     derivative_cycle,
@@ -227,6 +231,22 @@ class TestDerivativeCycle:
         f = poly_parse("x1^2 - x0*x2", 3, GF5)
         out = derivative_cycle(f, a=(0, 0, 0), rng_seed=3)
         assert not out.is_zero
+
+    @pytest.mark.parametrize("dom", [QQ, GF5, F2T], ids=lambda d: d.describe())
+    def test_directions_make_the_old_draws(self, dom):
+        # the loop derivative_cycle and cycle_A each carried before
+        def old_loop(nvars, a, seed, max_retries):
+            rng = random.Random(seed)
+            for attempt in range(max_retries + 1):
+                if attempt == 0 and a is not None:
+                    yield [dom.coerce(x) for x in a]
+                else:
+                    yield [dom.sample(rng) for _ in range(nvars)]
+
+        for a in (None, (1, 0, 2)):
+            for seed, max_retries in ((0, 0), (3, 1), (7, 12)):
+                want = list(old_loop(3, a, seed, max_retries))
+                assert list(_directions(dom, 3, a, seed, max_retries)) == want
 
 
 class TestFulton:
@@ -445,6 +465,22 @@ class TestHighMultLocus:
                 continue
             for pt in loc.locus:
                 assert GF5.is_zero(loc.poly.evaluate(pt))
+
+    def test_scan_above_the_budget_refused(self):
+        # P^2(F_1511) has 2 284 633 points
+        f = poly_parse("x0^2*x1", 3, CoeffDomain.prime_field(1511))
+        with pytest.raises(BudgetExceededError) as exc:
+            high_mult_locus(f, 2, 3)
+        assert (exc.value.budget, exc.value.visited) == (LOCUS_BUDGET, 1 + 1511 + 1511**2)
+
+    def test_no_form_below_the_cap(self):
+        # the three vertices of the triangle x0*x1*x2 lie on no line
+        f = poly_parse("x0*x1*x2", 3, GF5)
+        with pytest.raises(NoInterpolantError, match="degree <= 1 vanishes on all 3"):
+            high_mult_locus(f, 2, 1)
+        loc = high_mult_locus(f, 2, 2)
+        assert loc.locus == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert loc.degree == 2 and loc.poly == poly_parse("x0*x1", 3, GF5)
 
     def test_strict_vs_nonstrict(self):
         f = poly_parse("x0", 3, GF5) ** 4
