@@ -34,19 +34,22 @@ COLLECT_CAP = 1_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """The enumeration visited more candidates than its budget allows."""
+    """A stage visited more candidates than its budget allows."""
 
-    def __init__(self, budget: int, visited: int):
-        super().__init__(f"enumeration budget exceeded: {visited} > {budget}")
+    def __init__(self, budget: int, visited: int, stage: str = "enumeration"):
+        super().__init__(f"{stage} budget exceeded: {visited} > {budget}")
         self.budget = budget
         self.visited = visited
+        self.stage = stage
 
 
 class CollectCapExceededError(RuntimeError):
-    """Collect mode would keep more points than COLLECT_CAP."""
+    """Collect mode would keep more points than COLLECT_CAP; with at_least,
+    count is the number kept when the scan stopped."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"collect mode would keep {count} points, above the cap of {cap}")
+    def __init__(self, count: int, cap: int, at_least: bool = False):
+        amount = f"at least {count}" if at_least else count
+        super().__init__(f"collect mode would keep {amount} points, above the cap of {cap}")
         self.count = count
         self.cap = cap
 
@@ -168,6 +171,8 @@ def enum_proj_points(
     if n < 1 or H < 1:
         raise ValueError("need n >= 1 and H >= 1")
     options = options or EnumOptions()
+    if options.sieve:
+        raise ValueError("a sieve applies to affine queries only")
     start = time.perf_counter()
     if field.is_rational:
         npoints = _count_proj_q(n, H, options.budget)
@@ -351,11 +356,12 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
 
 
 def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, sieve: list,
-          budget: int, spent: int, counted: int = 0):
-    """The zeros of f whose other coordinates are the box values at one of
-    the prefix index tuples, as value tuples in scan order, and the number
-    of cells that the first `counted` sieve tables admit.  The prefixes
-    come in rows (head, axis): head + (i,) for each index i in axis.
+          budget: int, spent: int, emit, counted: int = 0) -> int:
+    """Hand each prefix index tuple and the solve indices that complete it
+    to a zero of f, in scan order, to emit(prefix, hits); return the
+    number of cells that the first `counted` sieve tables admit.  The
+    prefixes come in rows (head, axis): head + (i,) for each index i in
+    axis, and a prefix without a zero is not emitted.
 
     For each prefix, the candidates are the solve indices that every sieve
     table admits, and each is decided by exact evaluation of the univariate
@@ -369,7 +375,7 @@ def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, siev
     grouped = _grouped_terms(f, solve)
     zero = field.zero
     every = range(len(values))
-    zeros, work, admitted = [], spent, 0
+    work, admitted = spent, 0
     for head, axis in rows:
         lookups = [(residues, table[tuple(residues[i] for i in head)]) for residues, table in sieve]
         first, rest = lookups[:counted], lookups[counted:]
@@ -390,16 +396,20 @@ def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, siev
                 raise BudgetExceededError(budget, budget + 1)
             idx = head + (last,)
             coeffs = _univariate(grouped, fixed, idx, zero)
+            if not coeffs:
+                emit(idx, candidates)
+                continue
             columns = [(solve_table[k], c) for k, c in coeffs.items()]
+            hits = []
             for iv in candidates:
                 acc = zero
                 for column, c in columns:
                     acc = acc + c * column[iv]
                 if not acc:
-                    point = [values[i] for i in idx]
-                    point.insert(solve, values[iv])
-                    zeros.append(tuple(point))
-    return zeros, admitted
+                    hits.append(iv)
+            if hits:
+                emit(idx, hits)
+    return admitted
 
 
 def _charged(work: int, budget: int) -> int:
@@ -412,7 +422,8 @@ def _charged(work: int, budget: int) -> int:
 def enum_curve_points_proj(
     f: MultiPoly, H: int, options: EnumOptions | None = None
 ) -> PointSetResult:
-    """Exactly the height-<=H rational points of the plane curve f = 0.
+    """Exactly the height-<=H rational points of the plane curve f = 0,
+    each once in primitive normal form, ordered by (height, coordinates).
 
     Strategy: pick a solve variable and iterate the other two coordinates
     over the box, skipping pairs whose first nonzero coordinate is not
@@ -420,13 +431,24 @@ def enum_curve_points_proj(
     pair, the solve values that survive the residue sieve of
     `_solve_sieve_primes` are zeros if the pair collapses f to the zero
     univariate, and are checked by exact evaluation of the univariate
-    otherwise; the zeros are normalized and deduplicated.
+    otherwise.
+
+    A zero is kept iff it is primitive, so each point is kept once and
+    nothing is normalized or deduplicated: if a zero's gcd d, taken
+    positive resp. monic, is not a unit, its quotient by d is a zero in
+    the box on a canonical pair, which the scan visits.  On the zero pair
+    only the solve value 1 is kept.  Where the solve coordinate comes
+    first and is not canonical, the kept zero is multiplied by the unit
+    that makes it canonical.  Collect mode stops once it keeps more than
+    COLLECT_CAP points.
     """
     if f.is_zero:
         raise ValueError("curve polynomial must be nonzero")
     if f.nvars != 3 or not f.is_homogeneous:
         raise ValueError("expected a nonzero homogeneous polynomial in 3 variables")
     options = options or EnumOptions()
+    if options.sieve:
+        raise ValueError("a sieve applies to affine queries only")
     field = field_for_poly(f)
     start = time.perf_counter()
 
@@ -448,19 +470,40 @@ def enum_curve_points_proj(
     izero = values.index(field.zero)
     leads = [i for i, v in enumerate(values) if is_canonical_lead(field, v)]
     rows = [((ia,), range(nvals)) for ia in leads] + [((izero,), [izero] + leads)]
-    zeros, _ = _scan(f, field, values, solve, rows, sieve, options.budget, spent)
-    found = set(map(field.integer_domain().primitive, zeros))
-    found.discard(None)
+    one, ione, gcd = field.one, values.index(field.one), field.gcd
+    # per box value: its size, and the unit that makes it canonical
+    sizes = [field.size(v) for v in values]
+    units = [field.lead_unit(v) for v in values]
+    cap = COLLECT_CAP if options.collect else None
+    kept = []  # (height, point)
 
+    def emit(idx, hits):
+        ia, ib = idx
+        pair = (values[ia], values[ib])
+        before, after = pair[:solve], pair[solve:]
+        if not any(pair):
+            # the coordinate point of the solve axis, from its one canonical value
+            hits = [ione] if ione in hits else []
+        g = gcd(*pair)
+        leading = not any(before)
+        height = max(sizes[ia], sizes[ib])
+        for iv in hits:
+            c = values[iv]
+            if g != one and gcd(g, c) != one:
+                continue
+            point = (*before, c, *after)
+            if leading and units[iv] != 1:
+                point = tuple([x * units[iv] for x in point])
+            kept.append((max(height, sizes[iv]), point))
+        if cap is not None and len(kept) > cap:
+            raise CollectCapExceededError(len(kept), cap, at_least=True)
+
+    _scan(f, field, values, solve, rows, sieve, options.budget, spent, emit)
     points = None
     if options.collect:
-        points = [
-            ProjPoint(field, coords, height_of_primitive(field, coords)) for coords in found
-        ]
-        points = tuple(sorted(points, key=ProjPoint.sort_key))
-    return PointSetResult(
-        count=len(found), points=points, elapsed=time.perf_counter() - start
-    )
+        kept.sort()
+        points = tuple(ProjPoint(field, coords, height) for height, coords in kept)
+    return PointSetResult(count=len(kept), points=points, elapsed=time.perf_counter() - start)
 
 
 def brute_force_curve_points(f: MultiPoly, H: int) -> set[ProjPoint]:
@@ -519,7 +562,14 @@ def enum_affine_hypersurface(
     solve = min(range(n), key=lambda i: len({e[i] for e in f.terms}))
     sieve = _sieve_tables(f, field, primes, solve, values)
     rows = ((head, range(nvals)) for head in product(range(nvals), repeat=n - 2))
-    found, admitted = _scan(f, field, values, solve, rows, sieve, options.budget, spent, len(user))
+    found = []
+
+    def emit(idx, hits):
+        prefix = [values[i] for i in idx]
+        before, after = prefix[:solve], prefix[solve:]
+        found.extend((*before, values[iv], *after) for iv in hits)
+
+    admitted = _scan(f, field, values, solve, rows, sieve, options.budget, spent, emit, len(user))
     keyed = sorted(found)
     elapsed = time.perf_counter() - start
     return PointSetResult(

@@ -112,6 +112,14 @@ class GlobalField:
             return abs(x)
         return self.q**x.degree if x else 0
 
+    def lead_unit(self, x) -> int:
+        """The unit u for which u x is canonical (`is_canonical_lead`): the
+        sign of x over Q, the inverse of its leading coefficient over
+        F_q(t), and 1 for 0."""
+        if self.is_rational:
+            return -1 if x < 0 else 1
+        return pow(x.leading_coeff, -1, self.q) if x else 1
+
     def key(self, x) -> int:
         """The canonical index of an O_K element: x itself over Q, the index
         sum(c_i q^i) over F_q(t)."""

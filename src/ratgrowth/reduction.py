@@ -463,7 +463,7 @@ def high_mult_locus(f_p: MultiPoly, k, cap_degree: int, strict: bool = True) -> 
     n = f_p.nvars
     npoints = sum(dom.size**i for i in range(n))
     if npoints > LOCUS_BUDGET:
-        raise BudgetExceededError(LOCUS_BUDGET, npoints)
+        raise BudgetExceededError(LOCUS_BUDGET, npoints, "high-multiplicity locus")
     # each canonical point is read on the chart of its leading 1, and only
     # as far as the comparison with the threshold needs
     plans = [_TaylorPlan(dom, f_p.dehomogenize(i).terms) for i in range(n)]

@@ -190,6 +190,17 @@ class TestHighMult:
         assert payload["poly"] == "x0"
         assert len(payload["locus_points"]) == 6
 
+    def test_budget_refusal_names_the_locus_scan(self, capsys):
+        # P^2(F_1511) has 2 284 633 points, above the locus budget
+        code, payload = run_cli(
+            capsys, "highmult", "--poly", "x0^2*x1", "--prime", "1511", "--k", "2",
+        )
+        assert code == 1
+        assert payload == {
+            "error": "BudgetExceededError",
+            "message": "high-multiplicity locus budget exceeded: 2284633 > 2000000",
+        }
+
 
 class TestCover:
     def test_cover_json(self, capsys, tmp_path):

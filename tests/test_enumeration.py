@@ -197,8 +197,18 @@ class TestProjectiveSpace:
         with pytest.raises(BudgetExceededError) as err:
             enum_proj_points(2, 10**400, Q)
         assert err.value.visited == 50_000_001
+        assert (err.value.stage, str(err.value)) == (
+            "enumeration", "enumeration budget exceeded: 50000001 > 50000000"
+        )
         with pytest.raises(BudgetExceededError):
             enum_proj_points(2, 2**40, F2)
+
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_sieve_refused(self, collect):
+        # the walk and the counts read no sieve, so one would silently do nothing
+        sieve = (PrimeIdealDesc(3, 3), PrimeIdealDesc(5, 5))
+        with pytest.raises(ValueError, match="sieve applies to affine queries only"):
+            enum_proj_points(2, 5, Q, EnumOptions(collect=collect, sieve=sieve))
 
 
 class TestCurvePoints:
@@ -402,6 +412,34 @@ class TestCurvePoints:
             with pytest.raises(BudgetExceededError) as err:
                 enum_curve_points_proj(f, H)
             assert err.value.visited == 50_000_001
+
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_sieve_refused(self, collect):
+        # the scan takes its own primes, so a given sieve would silently do nothing
+        conic = poly_parse("x0^2+x1^2-x2^2", 3, ZZ)
+        sieve = (PrimeIdealDesc(3, 3), PrimeIdealDesc(5, 5))
+        with pytest.raises(ValueError, match="sieve applies to affine queries only"):
+            enum_curve_points_proj(conic, 20, EnumOptions(collect=collect, sieve=sieve))
+
+    @pytest.mark.parametrize(
+        "text, dom, H",
+        [("x0*x1*x2*(x0-x1)*(x1-x2)*(x0-x2)", ZZ, 10), ("x0*x1*x2*(x0+x1)*(x1+x2)", F2T, 8)],
+    )
+    def test_collect_stops_at_the_cap_as_it_scans(self, monkeypatch, text, dom, H):
+        import ratgrowth.enumeration as enumeration
+
+        f = poly_parse(text, 3, dom)
+        total = enum_curve_points_proj(f, H).count
+        cap = total // 4
+        monkeypatch.setattr(enumeration, "COLLECT_CAP", cap)
+        with pytest.raises(enumeration.CollectCapExceededError) as err:
+            enum_curve_points_proj(f, H)
+        # the scan stopped once it kept more than the cap, well before the end
+        assert cap < err.value.count < total and err.value.cap == cap
+        assert f"would keep at least {err.value.count} points, above the cap of {cap}" in str(err.value)
+        assert enum_curve_points_proj(f, H, EnumOptions(collect=False)).count == total
+        monkeypatch.setattr(enumeration, "COLLECT_CAP", total)
+        assert len(enum_curve_points_proj(f, H).points) == total
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -212,6 +212,17 @@ class TestIntegerRing:
                 assert (g == field.one) == _is_unit_gcd(field, old)
                 assert not g or is_canonical_lead(field, g)  # nonnegative resp. monic
 
+    def test_lead_unit(self, field):
+        box = field.box(40 if field.is_rational else field.q**3)
+        units = {field.lead_unit(x) for x in box}
+        # the units of O_K, each making its multiples canonical
+        assert units == ({1, -1} if field.is_rational else set(range(1, field.q)))
+        assert field.lead_unit(field.zero) == 1
+        for x in box:
+            if x:
+                assert is_canonical_lead(field, x * field.lead_unit(x))
+                assert (field.lead_unit(x) == 1) == is_canonical_lead(field, x)
+
 
 class TestAbsValue:
     def test_spec_values(self):

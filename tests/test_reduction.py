@@ -472,6 +472,9 @@ class TestHighMultLocus:
         with pytest.raises(BudgetExceededError) as exc:
             high_mult_locus(f, 2, 3)
         assert (exc.value.budget, exc.value.visited) == (LOCUS_BUDGET, 1 + 1511 + 1511**2)
+        # the refusal names the locus scan, not an enumeration
+        assert exc.value.stage == "high-multiplicity locus"
+        assert str(exc.value) == "high-multiplicity locus budget exceeded: 2284633 > 2000000"
 
     def test_no_form_below_the_cap(self):
         # the three vertices of the triangle x0*x1*x2 lie on no line
