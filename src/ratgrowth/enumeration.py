@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, count, product, takewhile
 from math import isqrt
 
@@ -23,7 +24,6 @@ from .globalfield import (
     GlobalField,
     ProjPoint,
     field_for_poly,
-    height_of_primitive,
     is_canonical_lead,
 )
 
@@ -160,61 +160,12 @@ def enum_proj_points(
     n: int, H: int, field: GlobalField, options: EnumOptions | None = None
 ) -> PointSetResult:
     """All points of P^n(K) with height <= H, each exactly once in primitive
-    normal form, ordered by (height, coordinates).
-
-    Both modes first count without enumerating: over Q by the divisor
-    recursion of `_count_proj_q`, whose blocks are the budget steps, and
-    over F_q(t) by the closed form of `_count_proj_fq`, which takes no
-    step.  Collect mode then walks the box: the budget counts the cells it
-    visits, and a count above COLLECT_CAP is refused before the walk.
-    """
-    if n < 1 or H < 1:
-        raise ValueError("need n >= 1 and H >= 1")
-    options = options or EnumOptions()
-    if options.sieve:
-        raise ValueError("a sieve applies to affine queries only")
-    start = time.perf_counter()
-    if field.is_rational:
-        npoints = _count_proj_q(n, H, options.budget)
-    else:
-        npoints = _count_proj_fq(n, H, field)
-    if not options.collect:
-        return PointSetResult(count=npoints, points=None, elapsed=time.perf_counter() - start)
-
-    side = field.box_side(H)
-    # the walk visits each canonical lead, then every box value of each
-    # later coordinate below it
-    cells = field.box_leads(H) * sum((side ** (r + 1) - 1) // (side - 1) for r in range(n + 1))
-    if cells > options.budget:
-        raise BudgetExceededError(options.budget, options.budget + 1)
-    if npoints > COLLECT_CAP:
-        raise CollectCapExceededError(npoints, COLLECT_CAP)
-    values = field.box(H)
-    positives = [v for v in values if is_canonical_lead(field, v)]
-    points: list[ProjPoint] = []
-    one = field.one
-
-    def extend_filtered(prefix: list, g, remaining: int):
-        # only unit-gcd completions are points
-        if remaining == 0:
-            if g == one:
-                coords = tuple(prefix)
-                points.append(ProjPoint(field, coords, height_of_primitive(field, coords)))
-            return
-        for v in values:
-            prefix.append(v)
-            extend_filtered(prefix, field.gcd(g, v), remaining - 1)
-            prefix.pop()
-
-    zero = field.zero
-    for lead_pos in range(n + 1):
-        for lead in positives:
-            extend_filtered([zero] * lead_pos + [lead], field.gcd(zero, lead), n - lead_pos)
-
-    points.sort(key=ProjPoint.sort_key)
-    return PointSetResult(
-        count=len(points), points=tuple(points), elapsed=time.perf_counter() - start
-    )
+    normal form, ordered by (height, coordinates): the zero set of the zero
+    form in n + 1 variables, which `_enum_proj_zeros` counts in closed form
+    (`_count_proj_q`, whose blocks are budget steps, or `_count_proj_fq`)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _enum_proj_zeros(MultiPoly.zero(field.integer_domain(), n + 1), H, options)
 
 
 def brute_force_proj_points(n: int, H: int, field: GlobalField) -> set[ProjPoint]:
@@ -356,12 +307,12 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
 
 
 def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, sieve: list,
-          budget: int, spent: int, emit, counted: int = 0) -> int:
-    """Hand each prefix index tuple and the solve indices that complete it
-    to a zero of f, in scan order, to emit(prefix, hits); return the
+          budget: int, spent: int, emit_row, counted: int = 0) -> int:
+    """Hand each row's prefixes and the solve indices that complete them to
+    a zero of f to emit_row(head)(last, hits), in scan order; return the
     number of cells that the first `counted` sieve tables admit.  The
-    prefixes come in rows (head, axis): head + (i,) for each index i in
-    axis, and a prefix without a zero is not emitted.
+    prefixes come in rows (head, axis): head + (last,) for each index last
+    in axis, and a prefix without a zero is not emitted.
 
     For each prefix, the candidates are the solve indices that every sieve
     table admits, and each is decided by exact evaluation of the univariate
@@ -379,6 +330,7 @@ def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, siev
     for head, axis in rows:
         lookups = [(residues, table[tuple(residues[i] for i in head)]) for residues, table in sieve]
         first, rest = lookups[:counted], lookups[counted:]
+        emit = emit_row(head)
         for last in axis:
             candidates = every
             if counted:
@@ -394,10 +346,9 @@ def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, siev
             work += len(candidates)
             if work > budget:
                 raise BudgetExceededError(budget, budget + 1)
-            idx = head + (last,)
-            coeffs = _univariate(grouped, fixed, idx, zero)
+            coeffs = _univariate(grouped, fixed, head + (last,), zero)
             if not coeffs:
-                emit(idx, candidates)
+                emit(last, candidates)
                 continue
             columns = [(solve_table[k], c) for k, c in coeffs.items()]
             hits = []
@@ -408,7 +359,7 @@ def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, siev
                 if not acc:
                     hits.append(iv)
             if hits:
-                emit(idx, hits)
+                emit(last, hits)
     return admitted
 
 
@@ -419,91 +370,132 @@ def _charged(work: int, budget: int) -> int:
     return work
 
 
-def enum_curve_points_proj(
-    f: MultiPoly, H: int, options: EnumOptions | None = None
-) -> PointSetResult:
-    """Exactly the height-<=H rational points of the plane curve f = 0,
-    each once in primitive normal form, ordered by (height, coordinates).
+def _lead_rows(n: int, nvals: int, izero: int, leads: list):
+    """The rows (head, axis) of the L (nvals^n - 1) / (nvals - 1) + 1
+    prefixes of n box indices whose first nonzero value is one of the L
+    canonical leads, by the position of that value, then the zero prefix."""
+    every = range(nvals)
+    for k in range(n - 1):
+        for lead in leads:
+            for tail in product(every, repeat=n - 2 - k):
+                yield (izero,) * k + (lead,) + tail, every
+    yield (izero,) * (n - 1), [izero] + leads
 
-    Strategy: pick a solve variable and iterate the other two coordinates
-    over the box, skipping pairs whose first nonzero coordinate is not
-    canonical (a unit multiple of the pair is visited instead).  For each
-    pair, the solve values that survive the residue sieve of
-    `_solve_sieve_primes` are zeros if the pair collapses f to the zero
+
+def _enum_proj_zeros(f: MultiPoly, H: int, options: EnumOptions | None) -> PointSetResult:
+    """Exactly the height-<=H points of P^n on the zero set of the form f in
+    n + 1 >= 2 variables, each once in primitive normal form, ordered by
+    (height, coordinates).
+
+    Strategy: pick a solve variable and iterate the other n coordinates
+    over the box, skipping prefixes whose first nonzero coordinate is not
+    canonical (a unit multiple of the prefix is visited instead).  For each
+    prefix, the solve values that survive the residue sieve of
+    `_solve_sieve_primes` are zeros if the prefix collapses f to the zero
     univariate, and are checked by exact evaluation of the univariate
-    otherwise.
+    otherwise.  The zero form, whose zero set is P^n, is neither sieved nor
+    evaluated, and its points are counted in closed form first: count mode
+    returns that count, and collect mode refuses one above COLLECT_CAP.
 
     A zero is kept iff it is primitive, so each point is kept once and
     nothing is normalized or deduplicated: if a zero's gcd d, taken
     positive resp. monic, is not a unit, its quotient by d is a zero in
-    the box on a canonical pair, which the scan visits.  On the zero pair
-    only the solve value 1 is kept.  Where the solve coordinate comes
-    first and is not canonical, the kept zero is multiplied by the unit
-    that makes it canonical.  Collect mode stops once it keeps more than
-    COLLECT_CAP points.
+    the box on a canonical prefix, which the scan visits.  On the zero
+    prefix only the solve value 1 is kept.  Where the solve coordinate
+    comes first and is not canonical, the kept zero is multiplied by the
+    unit that makes it canonical.  Collect mode stops once it keeps more
+    than COLLECT_CAP points; count mode keeps none.
     """
-    if f.is_zero:
-        raise ValueError("curve polynomial must be nonzero")
-    if f.nvars != 3 or not f.is_homogeneous:
-        raise ValueError("expected a nonzero homogeneous polynomial in 3 variables")
     options = options or EnumOptions()
+    if H < 1:
+        raise ValueError("bound must be >= 1")
     if options.sieve:
         raise ValueError("a sieve applies to affine queries only")
     field = field_for_poly(f)
     start = time.perf_counter()
+    n, npoints = f.nvars - 1, None
+    if f.is_zero:
+        npoints = _count_proj_q(n, H, options.budget) if field.is_rational else _count_proj_fq(n, H, field)
+        if not options.collect:
+            return PointSetResult(count=npoints, points=None, elapsed=time.perf_counter() - start)
 
-    # solve variable: one that actually appears, with the fewest distinct exponents
-    appearing = [i for i in range(3) if f.degree_in(i) > 0]
-    if not appearing:
-        raise ValueError("constant polynomial defines no curve")
+    # solve variable: one that actually appears, with the fewest distinct
+    # exponents; the zero form solves the last, which leads only the zero prefix
+    appearing = [i for i in range(n + 1) if f.degree_in(i) > 0] or [n]
     solve = min(appearing, key=lambda i: len({e[i] for e in f.terms}))
 
     nvals = field.box_side(H)
-    # the budget charges the scan's work: its fixed pairs and the root
-    # tables of its primes before the box is listed, then its candidates
-    spent = _charged(field.box_leads(H) * (nvals + 1) + 1, options.budget)
-    primes = _solve_sieve_primes(field, nvals)
-    spent = _charged(spent + sum(p.norm**3 for p in primes), options.budget)
+    # the budget charges the scan's work: its prefixes and the root tables
+    # of its primes before the box is listed, then its candidates
+    spent = _charged(field.box_leads(H) * ((nvals**n - 1) // (nvals - 1)) + 1, options.budget)
+    primes = [] if f.is_zero else _solve_sieve_primes(field, nvals)
+    spent = _charged(spent + sum(p.norm ** (n + 1) for p in primes), options.budget)
+    if npoints is not None and npoints > COLLECT_CAP:
+        raise CollectCapExceededError(npoints, COLLECT_CAP)
     values = field.box(H)
     sieve = _sieve_tables(f, field, primes, solve, values)
 
     izero = values.index(field.zero)
     leads = [i for i, v in enumerate(values) if is_canonical_lead(field, v)]
-    rows = [((ia,), range(nvals)) for ia in leads] + [((izero,), [izero] + leads)]
-    one, ione, gcd = field.one, values.index(field.one), field.gcd
+    zero, one, ione, gcd = field.zero, field.one, values.index(field.one), field.gcd
     # per box value: its size, and the unit that makes it canonical
     sizes = [field.size(v) for v in values]
     units = [field.lead_unit(v) for v in values]
-    cap = COLLECT_CAP if options.collect else None
-    kept = []  # (height, point)
+    collect = options.collect
+    kept = []  # collect mode: (height, point)
+    total = 0  # count mode: the number of points
 
-    def emit(idx, hits):
-        ia, ib = idx
-        pair = (values[ia], values[ib])
-        before, after = pair[:solve], pair[solve:]
-        if not any(pair):
-            # the coordinate point of the solve axis, from its one canonical value
-            hits = [ione] if ione in hits else []
-        g = gcd(*pair)
-        leading = not any(before)
-        height = max(sizes[ia], sizes[ib])
-        for iv in hits:
-            c = values[iv]
-            if g != one and gcd(g, c) != one:
-                continue
-            point = (*before, c, *after)
-            if leading and units[iv] != 1:
-                point = tuple([x * units[iv] for x in point])
-            kept.append((max(height, sizes[iv]), point))
-        if cap is not None and len(kept) > cap:
-            raise CollectCapExceededError(len(kept), cap, at_least=True)
+    def emit_row(head):
+        # the head's values, their gcd up to a unit, and their height
+        row = tuple([values[i] for i in head])
+        zero_row, g_row = not any(row), reduce(gcd, row) if row else zero
+        size_row = max([sizes[i] for i in head], default=0)
 
-    _scan(f, field, values, solve, rows, sieve, options.budget, spent, emit)
+        def emit(last, hits):
+            nonlocal total
+            b = values[last]
+            if zero_row and last == izero:
+                # the coordinate point of the solve axis, from its one canonical value
+                hits = [ione] if ione in hits else []
+            g = gcd(g_row, b)
+            if not collect:
+                total += len(hits) if g == one else sum(gcd(g, values[iv]) == one for iv in hits)
+                return
+            prefix = (*row, b)
+            before, after = prefix[:solve], prefix[solve:]
+            leading = not any(before)
+            height = max(size_row, sizes[last])
+            for iv in hits:
+                c = values[iv]
+                if g != one and gcd(g, c) != one:
+                    continue
+                point = (*before, c, *after)
+                if leading and units[iv] != 1:
+                    point = tuple([x * units[iv] for x in point])
+                kept.append((max(height, sizes[iv]), point))
+            if len(kept) > COLLECT_CAP:
+                raise CollectCapExceededError(len(kept), COLLECT_CAP, at_least=True)
+
+        return emit
+
+    _scan(f, field, values, solve, _lead_rows(n, nvals, izero, leads), sieve, options.budget, spent, emit_row)
     points = None
-    if options.collect:
+    if collect:
         kept.sort()
         points = tuple(ProjPoint(field, coords, height) for height, coords in kept)
-    return PointSetResult(count=len(kept), points=points, elapsed=time.perf_counter() - start)
+        total = len(kept)
+    return PointSetResult(count=total, points=points, elapsed=time.perf_counter() - start)
+
+
+def enum_curve_points_proj(
+    f: MultiPoly, H: int, options: EnumOptions | None = None
+) -> PointSetResult:
+    """Exactly the height-<=H rational points of the plane curve f = 0,
+    each once in primitive normal form, ordered by (height, coordinates):
+    the scan of `_enum_proj_zeros` on P^2."""
+    if f.nvars != 3 or not f.is_homogeneous or f.degree < 1:
+        raise ValueError("expected a nonconstant homogeneous polynomial in 3 variables")
+    return _enum_proj_zeros(f, H, options)
 
 
 def brute_force_curve_points(f: MultiPoly, H: int) -> set[ProjPoint]:
@@ -544,6 +536,8 @@ def enum_affine_hypersurface(
         raise ValueError("hypersurface polynomial must be nonzero")
     if f.nvars < 2:
         raise ValueError("need at least 2 variables")
+    if B < 1:
+        raise ValueError("bound must be >= 1")
     options = options or EnumOptions()
     field = field_for_poly(f)
     for prime in options.sieve or ():
@@ -564,12 +558,17 @@ def enum_affine_hypersurface(
     rows = ((head, range(nvals)) for head in product(range(nvals), repeat=n - 2))
     found = []
 
-    def emit(idx, hits):
-        prefix = [values[i] for i in idx]
-        before, after = prefix[:solve], prefix[solve:]
-        found.extend((*before, values[iv], *after) for iv in hits)
+    def emit_row(head):
+        row = tuple(values[i] for i in head)
 
-    admitted = _scan(f, field, values, solve, rows, sieve, options.budget, spent, emit, len(user))
+        def emit(last, hits):
+            prefix = (*row, values[last])
+            before, after = prefix[:solve], prefix[solve:]
+            found.extend((*before, values[iv], *after) for iv in hits)
+
+        return emit
+
+    admitted = _scan(f, field, values, solve, rows, sieve, options.budget, spent, emit_row, len(user))
     keyed = sorted(found)
     elapsed = time.perf_counter() - start
     return PointSetResult(

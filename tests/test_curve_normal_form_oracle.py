@@ -76,14 +76,17 @@ def normalize_and_dedupe(f, H):
     rows = [((ia,), range(nvals)) for ia in leads] + [((izero,), [izero] + leads)]
     zeros = []
 
-    def emit(idx, hits):
-        prefix = [values[i] for i in idx]
-        for iv in hits:
-            point = list(prefix)
-            point.insert(solve, values[iv])
-            zeros.append(tuple(point))
+    def emit_row(head):
+        def emit(last, hits):
+            prefix = [values[i] for i in head + (last,)]
+            for iv in hits:
+                point = list(prefix)
+                point.insert(solve, values[iv])
+                zeros.append(tuple(point))
 
-    _scan(f, field, values, solve, rows, sieve, 10**9, 0, emit)
+        return emit
+
+    _scan(f, field, values, solve, rows, sieve, 10**9, 0, emit_row)
     found = set(map(field.integer_domain().primitive, zeros))
     found.discard(None)
     points = [ProjPoint(field, coords, height_of_primitive(field, coords)) for coords in found]

@@ -167,9 +167,11 @@ class TestProjectiveSpace:
         assert enum_proj_points(2, 2**40, F2, EnumOptions(budget=0, collect=False)).count == 2**123 - 2**121 + 1
 
     def test_collect_budget_counts_visited_cells(self):
-        # pinned before the budget was checked ahead of the walk: each
-        # canonical lead, then each box value of every later coordinate
-        for field, n, H, cells in [(Q, 1, 2, 14), (Q, 2, 3, 198), (F2, 1, 2, 18), (F3, 2, 3, 408)]:
+        # collect mode is the scan of the zero form, so the budget charges
+        # the scan's work: its L (N^n - 1) / (N - 1) + 1 prefixes, where L
+        # of the N box values are canonical leads, then N candidates for
+        # each prefix; there is no sieve prime and so no root table
+        for field, n, H, cells in [(Q, 1, 2, 18), (Q, 2, 3, 200), (F2, 1, 2, 20), (F3, 2, 3, 410)]:
             with pytest.raises(BudgetExceededError) as err:
                 enum_proj_points(n, H, field, EnumOptions(budget=cells - 1))
             assert err.value.visited == cells
@@ -203,9 +205,22 @@ class TestProjectiveSpace:
         with pytest.raises(BudgetExceededError):
             enum_proj_points(2, 2**40, F2)
 
+    @pytest.mark.parametrize(
+        "field, n, heights",
+        [(Q, 3, (1, 2, 3)), (F2, 3, (1, 2, 4)), (F3, 3, (1, 3)), (F3, 1, (1, 3, 9, 27))],
+    )
+    def test_oracle_points_and_order(self, field, n, heights):
+        # prefixes of n = 3 coordinates lead with any of the first three,
+        # and n = 1 leaves the zero prefix and one row of leads
+        for H in heights:
+            res = enum_proj_points(n, H, field)
+            oracle = brute_force_proj_points(n, H, field)
+            assert list(res.points) == sorted(oracle, key=lambda p: p.sort_key()), (n, H)
+            assert res.count == len(oracle)
+
     @pytest.mark.parametrize("collect", [True, False])
     def test_sieve_refused(self, collect):
-        # the walk and the counts read no sieve, so one would silently do nothing
+        # the scan takes no prime and the counts read none, so one would silently do nothing
         sieve = (PrimeIdealDesc(3, 3), PrimeIdealDesc(5, 5))
         with pytest.raises(ValueError, match="sieve applies to affine queries only"):
             enum_proj_points(2, 5, Q, EnumOptions(collect=collect, sieve=sieve))
@@ -665,3 +680,36 @@ class TestQueryAndBounds:
             with pytest.raises(ValueError, match="sieve applies to affine queries only"):
                 PointQuery(Q, "projective", 3, f, 20, "count", sieve)
         assert run_query(PointQuery(Q, "affine", 3, conic, 20, "count", sieve)).count > 0
+
+    @pytest.mark.parametrize("dom", [ZZ, F2T], ids=["Q", "F_2(t)"])
+    @pytest.mark.parametrize("H", [0, -1])
+    def test_bounds_below_one_refused(self, dom, H):
+        # over F_q(t) the box of a bound below 1 would hold the constants,
+        # of size 1 > H; over Q it would be empty or fail inside the scan
+        field = GlobalField.function_field(dom.q) if dom.q else Q
+        conic = poly_parse("x0*x2 - x1^2", 3, dom)
+        plane = poly_parse("x0 + x1 + 1", 2, dom)
+        for collect in (True, False):
+            options = EnumOptions(collect=collect)
+            with pytest.raises(ValueError, match="bound must be >= 1"):
+                enum_curve_points_proj(conic, H, options)
+            with pytest.raises(ValueError, match="bound must be >= 1"):
+                enum_affine_hypersurface(plane, H, options)
+            with pytest.raises(ValueError, match="bound must be >= 1"):
+                enum_proj_points(2, H, field, options)
+
+
+def test_curve_count_mode_keeps_no_points():
+    # count mode adds each prefix's primitive zeros to a counter, so its
+    # memory does not grow with the count: 18 565 points at H = 50
+    import tracemalloc
+
+    f = poly_parse("x0*x1*x2*(x0-x1)*(x1-x2)*(x0-x2)", 3, ZZ)
+    tracemalloc.start()
+    try:
+        count = enum_curve_points_proj(f, 50, EnumOptions(collect=False)).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 18565
+    assert peak <= 2**20, peak
