@@ -10,7 +10,6 @@ from .algebra import (
     MultiPoly,
     ParseError,
     PrimeIdealDesc,
-    chebyshev_theta,
     det_exact,
     kernel_basis,
     kernel_vector,
@@ -42,7 +41,6 @@ from .globalfield import (
     ProjPoint,
     abs_value,
     height_proj,
-    in_box,
     primitive_normalize,
     product_formula_check,
     reduce_point_mod_p,
@@ -52,7 +50,6 @@ from .reduction import (
     FactoredCycle,
     cycle_A,
     cycle_mult,
-    derivative_cycle,
     fulton_intersection_number,
     high_mult_locus,
     mult_at_point,

@@ -10,7 +10,7 @@ from .multipoly import (
     monomials_up_to_degree,
     poly_parse,
 )
-from .primes import PrimeIdealDesc, chebyshev_theta, primes_in_range, recheck_prime
+from .primes import PrimeIdealDesc, primes_in_range, recheck_prime
 
 __all__ = [
     "CoeffDomain",
@@ -20,7 +20,6 @@ __all__ = [
     "MultiPoly",
     "ParseError",
     "PrimeIdealDesc",
-    "chebyshev_theta",
     "det_exact",
     "fq_gcd",
     "fq_lcm",

@@ -347,12 +347,6 @@ class FqPoly:
             return self
         return self.scale(pow(lead, self.q - 2, self.q))
 
-    def shift(self, k: int) -> "FqPoly":
-        """Multiply by t^k."""
-        if not self.packed:
-            return self
-        return _make(self.q, self.packed << k * _width(self.q))
-
     def evaluate(self, a: int) -> int:
         """Evaluate at a in F_q."""
         q, v = self.q, self.packed
@@ -363,9 +357,6 @@ class FqPoly:
         for c in reversed(_unpack(v, _layout(q).bits)):
             acc = (acc * a + c) % q
         return acc
-
-    def derivative(self) -> "FqPoly":
-        return FqPoly(self.q, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     # -- text --------------------------------------------------------------
 

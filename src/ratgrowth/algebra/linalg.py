@@ -44,9 +44,6 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def row(self, i: int):
-        return self.entries[i]
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.domain != other.domain or self.cols != other.rows:
             raise ValueError("shape/domain mismatch")

@@ -309,23 +309,6 @@ class MultiPoly:
             out[ne] = dom.add(out[ne], c) if ne in out else c
         return MultiPoly(dom, self.nvars - 1, out)
 
-    def homogenize(self, position: int = 0) -> "MultiPoly":
-        """Insert a fresh homogenizing variable at the given position."""
-        d = max(self.degree, 0)
-        out = {}
-        for exps, c in self.terms.items():
-            extra = d - sum(exps)
-            ne = exps[:position] + (extra,) + exps[position:]
-            out[ne] = c
-        return MultiPoly(self.domain, self.nvars + 1, out)
-
-    def homogeneous_part(self, k: int) -> "MultiPoly":
-        return MultiPoly(
-            self.domain,
-            self.nvars,
-            {e: c for e, c in self.terms.items() if sum(e) == k},
-        )
-
     def lowest_degree(self) -> int:
         """Smallest total degree with a nonzero term; -1 for zero."""
         return min((sum(e) for e in self.terms), default=-1)

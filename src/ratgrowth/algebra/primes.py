@@ -1,4 +1,4 @@
-"""Prime ideals of Z and F_q[t]: enumeration and Chebyshev-style sums.
+"""Prime ideals of Z and F_q[t]: their residue maps and enumeration by norm.
 
 Ideals are described by a generator (a prime number, or a monic
 irreducible polynomial) together with its norm.  All tests are
@@ -15,7 +15,6 @@ from functools import cached_property, lru_cache
 from .domains import CoeffDomain, _is_prime_int
 from .fqpoly import (
     FqPoly,
-    count_monic_irreducibles,
     is_irreducible,
     monic_irreducibles_of_degree,
     poly_to_index,
@@ -125,25 +124,6 @@ def primes_in_range(lo: float, hi: float, q: int | None = None) -> list[PrimeIde
         deg += 1
     out.sort(key=PrimeIdealDesc.sort_key)
     return out
-
-
-def chebyshev_theta(T: float, q: int | None = None) -> float:
-    """sum of log(norm) over prime ideals of Q (q None) or F_q(t) of
-    norm < T (strict).
-
-    Diagnostic only; function-field counts use the exact irreducible-count
-    formula rather than enumeration so large T stays cheap.
-    """
-    if T < 2:
-        raise ValueError("need T >= 2")
-    if q is None:
-        return float(sum(math.log(p) for p in rational_primes_below(T)))
-    total = 0.0
-    deg = 1
-    while q**deg < T:
-        total += count_monic_irreducibles(q, deg) * deg * math.log(q)
-        deg += 1
-    return total
 
 
 def recheck_prime(desc: PrimeIdealDesc) -> bool:

@@ -370,11 +370,12 @@ def _good_reductions(f: MultiPoly, primes) -> list:
 
 
 def _prime_window(f: MultiPoly, field: GlobalField, log_h: float, M: float, exponent: float):
-    """The good primes with norm in (log H, M (log H)^exponent)."""
+    """The good primes with norm in (log H, M (log H)^exponent).  No prime
+    has norm 1 or less, so a floor below 1 (H < e) is read as 1."""
     hi = M * log_h**exponent
     if hi <= log_h + 1:
         hi = log_h + 2
-    return _good_reductions(f, primes_in_range(log_h, hi, field.q))
+    return _good_reductions(f, primes_in_range(max(log_h, 1), hi, field.q))
 
 
 def _partition(chart: _Chart, points, good, threshold: float) -> tuple[dict, list]:

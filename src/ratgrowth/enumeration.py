@@ -14,12 +14,12 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, count, product, takewhile
+from itertools import chain, product
 from math import isqrt
 
-from .algebra.fqpoly import all_polys, monic_irreducibles_of_degree
+from .algebra.fqpoly import all_polys
 from .algebra.multipoly import MultiPoly
-from .algebra.primes import PrimeIdealDesc, rational_primes_below
+from .algebra.primes import PrimeIdealDesc, primes_in_range
 from .globalfield import (
     GlobalField,
     ProjPoint,
@@ -239,16 +239,20 @@ def _solve_sieve_primes(field: GlobalField, nvals: int) -> list[PrimeIdealDesc]:
     norm in descending order.  Their root tables take about nvals^(3/2)
     evaluations.  Empty for small boxes."""
     root, top = isqrt(nvals), nvals // 4
-    if field.is_rational:
-        small = rational_primes_below(top + 1)
-        cut = bisect_left(small, root)
-        pool = (PrimeIdealDesc(p, p) for p in chain(small[cut:], reversed(small[:cut])))
-    else:
-        q = field.q
-        degrees = list(takewhile(lambda k: q**k <= top, count(1)))
-        order = [k for k in degrees if q**k >= root]
-        order += [k for k in reversed(degrees) if q**k < root]
-        pool = (PrimeIdealDesc(g, q**k) for k in order for g in monic_irreducibles_of_degree(q, k))
+    if top < 2:
+        return []
+    # three primes of norm >= root > 2 exceed nvals, so the list grows only
+    # until it holds three of them: a list up to top would cost as much as
+    # the scan on large affine boxes over F_q(t)
+    hi = 2 * root
+    while True:
+        primes = primes_in_range(1, min(hi, top + 1), field.q)
+        cut = bisect_left(primes, root, key=lambda p: p.norm)
+        if len(primes) - cut >= 3 or hi > top:
+            break
+        hi *= 2
+    # the sort is stable, so each norm keeps its canonical order
+    pool = primes[cut:] + sorted(primes[:cut], key=lambda p: -p.norm)
     chosen, modulus = [], 1
     for prime in pool:
         if modulus > nvals:

@@ -340,11 +340,6 @@ def height_proj(field: GlobalField, point) -> int:
     return primitive_normalize(field, point).height
 
 
-def in_box(field: GlobalField, x, bound) -> bool:
-    """Membership of an O_K element in the height box of size `bound`."""
-    return field.size(field.integer_domain().coerce(x)) <= bound
-
-
 @dataclass(frozen=True)
 class ResiduePoint:
     """A projective point over a finite residue field, normalized so the

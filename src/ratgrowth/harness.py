@@ -2,7 +2,7 @@
 
 Evaluates the counting bounds for each theorem family, fits log-log
 slopes of measured counts against height, and emits deterministic
-CSV/JSON reports.  Counts come either from direct enumeration or, for
+CSV reports.  Counts come either from direct enumeration or, for
 the shipped parametrizable family, from pulling the count back to P^1.
 """
 
@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from dataclasses import dataclass
 
 from .algebra.multipoly import MultiPoly, poly_parse
-from .detmethod import float_power, json_float, regime_check
+from .detmethod import float_power, regime_check
 from .enumeration import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -238,8 +237,6 @@ class ExperimentReport:
     d: int
     rows: list[ExperimentRow]
     fitted_exponent: float | None
-    fitted_c: float | None
-    elapsed_ms: float
 
 
 def _resolve_family(entry) -> FamilySpec:
@@ -312,7 +309,6 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
     for family in families:
         for field in fields:
             for d in degrees:
-                t0 = time.perf_counter()
                 group = [
                     r
                     for r in rows
@@ -320,12 +316,11 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
                     and r.field == field.descriptor()
                     and r.d == d
                 ]
-                fitted_exponent = fitted_c = None
+                fitted_exponent = None
                 usable = [r for r in group if r.count and r.count > 0]
                 if len(usable) >= 2:
                     fit = ols_loglog([r.H for r in usable], [r.count for r in usable])
                     fitted_exponent = fit.slope
-                    fitted_c = math.exp(fit.intercept)
                 reports.append(
                     ExperimentReport(
                         family=family.name,
@@ -333,9 +328,6 @@ def run_experiment(config: dict) -> tuple[list[ExperimentReport], str]:
                         d=d,
                         rows=group,
                         fitted_exponent=fitted_exponent,
-                        fitted_c=fitted_c,
-                        elapsed_ms=(time.perf_counter() - t0) * 1000.0
-                        + sum(r.elapsed_ms for r in group),
                     )
                 )
     return reports, emit_csv(rows)
@@ -386,29 +378,3 @@ def parse_csv(text: str) -> list[ExperimentRow]:
         )
     return rows
 
-
-def report_to_json(reports) -> str:
-    payload = []
-    for rep in reports:
-        payload.append(
-            {
-                "family": rep.family,
-                "field": rep.field,
-                "d": rep.d,
-                "fitted_exponent": rep.fitted_exponent,
-                "fitted_c": rep.fitted_c,
-                "elapsed_ms": rep.elapsed_ms,
-                "rows": [
-                    {
-                        "H": r.H,
-                        "count": r.count,
-                        "bound": json_float(r.bound),
-                        "ratio": r.ratio,
-                        "regime_ok": r.regime_ok,
-                        "status": r.status,
-                    }
-                    for r in rep.rows
-                ],
-            }
-        )
-    return json.dumps(payload, indent=2)

@@ -271,24 +271,6 @@ def _directions(dom: CoeffDomain, nvars: int, a, seed: int, max_retries: int):
         yield [dom.sample(rng) for _ in range(nvars)]
 
 
-def derivative_cycle(
-    f: MultiPoly, a=None, rng_seed: int = 0, max_retries: int = 8
-) -> MultiPoly:
-    """A direction-derivative combination sum(a_i * df/dx_i), resampling the
-    direction from a seeded generator whenever the combination vanishes
-    identically."""
-    if f.is_constant:
-        raise ValueError("derivative cycle needs a nonconstant polynomial")
-    for direction in _directions(f.domain, f.nvars, a, rng_seed, max_retries):
-        out = _directional(f, direction)
-        if not out.is_zero:
-            return out
-    raise DerivativeIdenticallyZero(
-        f"all sampled directions annihilate {f}: every partial derivative "
-        "combination vanished"
-    )
-
-
 # ---------------------------------------------------------------------------
 # local intersection numbers of plane curves
 # ---------------------------------------------------------------------------
@@ -499,9 +481,11 @@ class CycleIntersection:
     direction: tuple
 
 
-def cycle_A(
-    cycle: FactoredCycle, a=None, seed: int = 0, max_retries: int = 12
-) -> CycleIntersection:
+# the sampled directions that cycle_A tries after a before it gives up
+CYCLE_RETRIES = 12
+
+
+def cycle_A(cycle: FactoredCycle, a=None, seed: int = 0) -> CycleIntersection:
     """Point-multiplicity data and exact total degree for the intersection
     cycle sum_j n_j C_j . (n_j C'_j + sum_{l != j} n_l C_l).
 
@@ -518,7 +502,7 @@ def cycle_A(
     direction = None
     derivs: list[MultiPoly | None] = []
     last_error: Exception | None = None
-    for candidate in _directions(dom, 3, a, seed, max_retries):
+    for candidate in _directions(dom, 3, a, seed, CYCLE_RETRIES):
         derivs, ok = [], True
         for poly, _ in cycle.components:
             combo = _directional(poly, candidate)

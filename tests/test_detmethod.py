@@ -170,6 +170,15 @@ class TestCoverHighMult:
         poly, audit = cover_high_mult(f, 2, [PrimeIdealDesc(5, 5)])
         assert poly is None and audit["status"] == "empty_class"
 
+    def test_height_two_picks_its_own_window(self):
+        # at H = 2 the window's floor log 2 is below 1, which primes_in_range
+        # refuses; no prime has norm 1 or less, so the window is (1, 2 + log 2)
+        f = poly_parse("x1*x0^25 - x2^26", 3, ZZ)
+        for primes in (None, []):
+            poly, audit = cover_high_mult(f, 2, primes)
+            assert poly is None
+            assert (audit["num_primes"], audit["status"]) == (1, "empty_class")
+
     def test_degree30_fixture_against_rank_oracle(self):
         # degree-30 curve at H = 20 with the everywhere-high set computed by
         # full multiplicity scans over the primes with norms in (3, 81)

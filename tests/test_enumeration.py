@@ -330,6 +330,56 @@ class TestCurvePoints:
         assert norms(F3, 9) == []
         assert norms(F3, 27) == [("t", 3), ("t+1", 3), ("t+2", 3)]
 
+    def test_sieve_primes_match_the_per_field_pools(self, monkeypatch):
+        # the former pools, one per field, built from the rational primes and
+        # from the monic irreducibles of each degree
+        from bisect import bisect_left
+        from itertools import chain, count, takewhile
+
+        import ratgrowth.enumeration as enumeration
+        from ratgrowth.algebra.fqpoly import monic_irreducibles_of_degree
+        from ratgrowth.algebra.primes import primes_in_range, rational_primes_below
+
+        # the pool is listed near isqrt(N), not up to N/4
+        tops = []
+
+        def listing(lo, hi, q):
+            tops.append(hi)
+            return primes_in_range(lo, hi, q)
+
+        monkeypatch.setattr(enumeration, "primes_in_range", listing)
+
+        def oracle(field, nvals):
+            root, top = math.isqrt(nvals), nvals // 4
+            if field.is_rational:
+                small = rational_primes_below(top + 1)
+                cut = bisect_left(small, root)
+                pool = (PrimeIdealDesc(p, p) for p in chain(small[cut:], reversed(small[:cut])))
+            else:
+                q = field.q
+                degrees = list(takewhile(lambda k: q**k <= top, count(1)))
+                order = [k for k in degrees if q**k >= root]
+                order += [k for k in reversed(degrees) if q**k < root]
+                pool = (PrimeIdealDesc(g, q**k) for k in order for g in monic_irreducibles_of_degree(q, k))
+            chosen, modulus = [], 1
+            for prime in pool:
+                if modulus > nvals:
+                    break
+                chosen.append(prime)
+                modulus *= prime.norm
+            return chosen
+
+        def check(field, nvals):
+            tops.clear()
+            assert _solve_sieve_primes(field, nvals) == oracle(field, nvals), (field, nvals)
+            assert max(tops, default=0) <= 8 * math.isqrt(nvals), (field, nvals, tops)
+
+        for nvals in range(1, 3000):
+            check(Q, nvals)
+        for q in (2, 3, 5, 7):
+            for nvals in takewhile(lambda n: n < 10**6, (q**k for k in count(1))):
+                check(GlobalField.function_field(q), nvals)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_sieved_oracle_random_q(self, seed):
         # cubics and quartics at H = 12..25, where the residue sieve runs;

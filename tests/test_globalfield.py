@@ -20,7 +20,6 @@ from ratgrowth.globalfield import (
     abs_value,
     height_of_primitive,
     height_proj,
-    in_box,
     is_canonical_lead,
     primitive_normalize,
     product_formula_check,
@@ -179,8 +178,6 @@ class TestIntegerRing:
         # elements compare in the canonical order of the box
         assert sorted(reversed(box)) == sorted(box, key=field.key) == box
         assert [field.size(x) for x in box] == [_norm_of(field, x) for x in box]
-        assert all(in_box(field, x, field.size(x)) for x in box)
-        assert not any(in_box(field, x, field.size(x) - 1) for x in box if x)
 
     def test_height_and_sort_key(self, field):
         rng = random.Random(field.descriptor())
@@ -325,12 +322,13 @@ class TestHeights:
 
 class TestBox:
     def test_spec_examples(self):
-        assert in_box(Q, -7, 7)
+        # box(bound) holds exactly the O_K elements of size at most bound
+        assert -7 in Q.box(7) and Q.size(-7) == 7
         t = FqPoly.t(2)
-        assert in_box(F2, t**3, 8)
-        assert not in_box(F2, t**3, 7)
-        assert in_box(Q, 0, 1)
-        assert in_box(F2, FqPoly.zero(2), 1)
+        assert t**3 in F2.box(8) and F2.size(t**3) == 8
+        assert t**3 not in F2.box(7)
+        assert 0 in Q.box(1) and Q.size(0) == 0
+        assert FqPoly.zero(2) in F2.box(1) and F2.size(FqPoly.zero(2)) == 0
 
 
 class TestReduction:

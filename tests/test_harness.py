@@ -1,6 +1,5 @@
 """Bound formulas, exponent fits, the experiment runner."""
 
-import json
 import math
 
 import pytest
@@ -18,7 +17,6 @@ from ratgrowth.harness import (
     family_count,
     ols_loglog,
     parse_csv,
-    report_to_json,
     run_experiment,
 )
 
@@ -160,6 +158,7 @@ class TestExperiment:
         counts = [r.count for r in reports[0].rows]
         expected = [enum_proj_points(1, h, F2).count for h in (2, 4, 8, 16)]
         assert counts == expected
+        assert reports[0].fitted_exponent == ols_loglog([2, 4, 8, 16], expected).slope
 
     def test_user_family_is_enumerated(self):
         # a user template is enumerated even when it claims a
@@ -187,8 +186,8 @@ class TestExperiment:
         assert not row.regime_ok  # d = 200 is below (log H)^2
         assert parse_csv(csv_text)[0].count == 12176
 
-    def test_huge_height_report_json_is_strict(self):
-        # H^1 = 10^400 is beyond the float range: the CSV keeps inf, the JSON writes null
+    def test_huge_height_bound_reads_inf(self):
+        # H^1 = 10^400 is beyond the float range: the CSV keeps inf
         config = {
             "families": [{"name": "cuspidal_monomial"}],
             "degrees": [200],
@@ -196,18 +195,12 @@ class TestExperiment:
             "bounds": {"theorem": "DimGrowthProj"},
         }
         reports, csv_text = run_experiment(config)
-        assert reports[0].rows[0].bound == math.inf
+        row = reports[0].rows[0]
+        assert (row.count, row.bound, row.ratio) == (12176, math.inf, 0.0)
         assert parse_csv(csv_text)[0].bound == math.inf
 
-        def reject(token):
-            raise ValueError(f"not strict JSON: {token}")
-
-        payload = json.loads(report_to_json(reports), parse_constant=reject)
-        row = payload[0]["rows"][0]
-        assert (row["count"], row["bound"], row["ratio"]) == (12176, None, 0.0)
-
-    def test_small_height_report_json_is_strict(self):
-        # no bound is reported at H <= 2: the CSV keeps nan, the JSON writes null
+    def test_small_height_bound_reads_nan(self):
+        # no bound is reported at H <= 2: the CSV keeps nan
         config = {
             "families": [{"name": "cuspidal_monomial"}],
             "fields": ["Q"],
@@ -219,13 +212,7 @@ class TestExperiment:
         assert math.isnan(small.bound) and math.isfinite(large.bound)
         assert ",nan," in csv_text.splitlines()[1]
         assert math.isnan(parse_csv(csv_text)[0].bound)
-
-        def reject(token):
-            raise ValueError(f"not strict JSON: {token}")
-
-        rows = json.loads(report_to_json(reports), parse_constant=reject)[0]["rows"]
-        assert (rows[0]["H"], rows[0]["bound"], rows[0]["ratio"]) == (2, None, None)
-        assert rows[1]["bound"] == large.bound
+        assert (small.H, small.ratio) == (2, None)
 
     def test_empty_config(self):
         reports, csv_text = run_experiment({"families": [], "heights": []})
@@ -288,11 +275,10 @@ class TestExperiment:
         parsed = parse_csv(csv_text)
         assert parsed == rows
 
-    def test_report_json(self):
+    def test_report_summary(self):
         reports, _ = run_experiment(self.CONFIG)
-        payload = json.loads(report_to_json(reports))
-        assert payload[0]["family"] == "cuspidal_monomial"
-        assert payload[0]["fitted_exponent"] is not None
+        assert reports[0].family == "cuspidal_monomial"
+        assert reports[0].fitted_exponent is not None
 
     def test_deterministic(self):
         a = run_experiment(self.CONFIG)[1]

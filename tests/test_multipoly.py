@@ -188,11 +188,10 @@ class TestArithmetic:
         assert f.partial(0) == poly_parse("3*x0^2*x1", 2, ZZ)
         assert f.partial(1) == poly_parse("x0^3 + 2*x1", 2, ZZ)
 
-    def test_homogenize_dehomogenize(self):
-        f = poly_parse("x0^2 + x1 - 3", 2, ZZ)
-        h = f.homogenize(position=2)
-        assert h.is_homogeneous and h.nvars == 3
-        assert h.dehomogenize(2) == f
+    def test_dehomogenize(self):
+        h = poly_parse("x0^2 + x1*x2 - 3*x2^2", 3, ZZ)
+        assert h.dehomogenize(2) == poly_parse("x0^2 + x1 - 3", 2, ZZ)
+        assert h.dehomogenize(0) == poly_parse("1 + x0*x1 - 3*x1^2", 2, ZZ)
 
     def test_permute_variables(self):
         f = poly_parse("x0^2*x1", 2, ZZ)
@@ -204,9 +203,8 @@ class TestArithmetic:
         assert p == poly_parse("2*x0 - 3*x1", 2, ZZ)
         assert (-f).primitive_part() == p  # sign normalization
 
-    def test_homogeneous_parts(self):
+    def test_lowest_degree(self):
         f = poly_parse("x0^2 + x0 + 1", 2, ZZ)
-        assert f.homogeneous_part(2) == poly_parse("x0^2", 2, ZZ)
         assert f.lowest_degree() == 0
 
 

@@ -1,4 +1,4 @@
-"""Prime ideal enumeration and Chebyshev-style diagnostics."""
+"""Prime ideal enumeration, residue maps and the primality recheck."""
 
 import math
 
@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratgrowth.algebra.fqpoly import FqPoly, monic_polys_of_degree
+from ratgrowth.algebra.fqpoly import FqPoly, count_monic_irreducibles, monic_polys_of_degree
 from ratgrowth.algebra.primes import (
     PrimeIdealDesc,
-    chebyshev_theta,
     primes_in_range,
+    rational_primes_below,
     recheck_prime,
 )
 
@@ -78,26 +78,40 @@ class TestPrimesInRange:
 
 
 class TestChebyshevTheta:
+    """Chebyshev's theta(T), the sum of log(norm) over the primes of norm < T,
+    read off the primes that primes_in_range lists."""
+
+    @staticmethod
+    def theta(T, q=None):
+        return sum(math.log(d.norm) for d in primes_in_range(1, T, q))
+
     def test_single_prime(self):
-        assert math.isclose(chebyshev_theta(3), math.log(2))
+        assert math.isclose(self.theta(3), math.log(2))
 
     def test_four_primes(self):
-        assert math.isclose(chebyshev_theta(11), math.log(2 * 3 * 5 * 7))
+        assert math.isclose(self.theta(11), math.log(2 * 3 * 5 * 7))
 
     def test_function_field_linear(self):
-        assert math.isclose(chebyshev_theta(5, 3), 3 * math.log(3))
+        assert math.isclose(self.theta(5, 3), 3 * math.log(3))
 
     def test_matches_enumeration_small(self):
+        # oracle: the count of monic irreducibles of each degree k, each of
+        # norm q^k, and the rational sieve for Q
         for q in (2, 3):
             for T in (3, 5, 9, 20, 60):
-                direct = sum(
-                    math.log(d.norm) for d in primes_in_range(1, T, q)
+                counted = sum(
+                    count_monic_irreducibles(q, k) * k * math.log(q)
+                    for k in range(1, T) if q**k < T
                 )
-                assert math.isclose(chebyshev_theta(T, q), direct)
+                assert math.isclose(self.theta(T, q), counted)
+        for T in (3, 5, 9, 20, 60, 1000):
+            sieved = sum(math.log(p) for p in rational_primes_below(T))
+            assert math.isclose(self.theta(T), sieved)
 
     @pytest.mark.parametrize("T", [100, 1000, 10**4, 10**5, 10**6])
     def test_linear_window(self, T):
-        ratio = chebyshev_theta(T) / T
+        # Chebyshev's bounds on the sieve behind primes_in_range over Q
+        ratio = sum(math.log(p) for p in rational_primes_below(T)) / T
         assert 0.3 <= ratio <= 1.2
 
 

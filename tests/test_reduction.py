@@ -18,10 +18,10 @@ from ratgrowth.reduction import (
     DerivativeIdenticallyZero,
     FactoredCycle,
     NoInterpolantError,
+    _directional,
     _directions,
     cycle_A,
     cycle_mult,
-    derivative_cycle,
     fulton_intersection_number,
     gcd_bivariate,
     high_mult_locus,
@@ -212,29 +212,34 @@ class TestCycles:
 
 
 class TestDerivativeCycle:
+    """The derivative curves sum(a_i * df/dx_i) that cycle_A intersects with,
+    and its resampling of directions that annihilate a component."""
+
     def test_single_partial(self):
         f = poly_parse("x0*x2 - x1^2", 3, QQ)
-        assert derivative_cycle(f, a=(1, 0, 0)) == poly_parse("x2", 3, QQ)
+        (a,) = _directions(QQ, 3, (1, 0, 0), 0, 0)
+        assert _directional(f, a) == poly_parse("x2", 3, QQ)
 
     def test_char2_square_fails(self):
+        # every partial of x0^2 vanishes in characteristic 2
         f = poly_parse("x0^2", 3, CoeffDomain.prime_field(2))
         with pytest.raises(DerivativeIdenticallyZero):
-            derivative_cycle(f)
+            cycle_A(FactoredCycle(((f, 1),), 3, 1))
 
     def test_fermat_cubic(self):
         f = poly_parse("x0^3 + x1^3 + x2^3", 3, QQ)
-        assert derivative_cycle(f, a=(1, 1, 1)) == poly_parse(
-            "3*x0^2 + 3*x1^2 + 3*x2^2", 3, QQ
-        )
+        (a,) = _directions(QQ, 3, (1, 1, 1), 0, 0)
+        assert _directional(f, a) == poly_parse("3*x0^2 + 3*x1^2 + 3*x2^2", 3, QQ)
 
     def test_resamples_degenerate_direction(self):
         f = poly_parse("x1^2 - x0*x2", 3, GF5)
-        out = derivative_cycle(f, a=(0, 0, 0), rng_seed=3)
-        assert not out.is_zero
+        A = cycle_A(FactoredCycle(((f, 1),), 3, 1), a=(0, 0, 0), seed=3)
+        assert any(A.direction)
+        assert not _directional(f, A.direction).is_zero
 
     @pytest.mark.parametrize("dom", [QQ, GF5, F2T], ids=lambda d: d.describe())
     def test_directions_make_the_old_draws(self, dom):
-        # the loop derivative_cycle and cycle_A each carried before
+        # the loop that cycle_A and the former derivative_cycle each carried
         def old_loop(nvars, a, seed, max_retries):
             rng = random.Random(seed)
             for attempt in range(max_retries + 1):
