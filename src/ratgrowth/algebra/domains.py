@@ -215,12 +215,25 @@ class CoeffDomain:
 
     def exact_div(self, a, b):
         """Exact division in an integral domain; raises if b does not divide a."""
+        return self.divider(b)(a)
+
+    def divider(self, b):
+        """The map a -> a / b for a fixed nonzero b, exact.  Over a field
+        it multiplies by b's inverse, taken once here, and reduces; a may
+        be any raw value of the element type, such as an unreduced sum of
+        products.  Over Z and F_q[t] it is divmod, and a nonzero remainder
+        raises ArithmeticError."""
         if self.kind in _FIELD_KINDS:
-            return self.div(a, b)
-        quo, rem = divmod(a, b)
-        if rem:
-            raise ArithmeticError(f"{b} does not divide {a} in {self.describe()}")
-        return quo
+            inv, modulus = self.inv(b), self.modulus
+            return (lambda a: a * inv) if modulus is None else (lambda a: a * inv % modulus)
+
+        def divide(a):
+            quo, rem = divmod(a, b)
+            if rem:
+                raise ArithmeticError(f"{b} does not divide {a} in {self.describe()}")
+            return quo
+
+        return divide
 
     def primitive(self, values) -> tuple | None:
         """The canonical representative, up to units, of a sequence of

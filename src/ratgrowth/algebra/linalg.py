@@ -1,9 +1,10 @@
 """Exact dense linear algebra over the coefficient domains.
 
 One fraction-free Bareiss elimination, _eliminate, serves Z, F_q[t] and
-the finite fields: it takes one column at a time, keeps every
-intermediate value in the domain by exact division, and stops at the
-first column that depends on the ones before it.  det_exact reads the
+the finite fields: it reads one column at a time through the matrix's
+column(c), keeps every intermediate value in the domain by exact
+division, and stops at the first column that depends on the ones before
+it, so the columns past that one are never read.  det_exact reads the
 determinant off its last pivot and row-swap count; kernel_vector, the
 interpolation solver, back-substitutes its pivot rows.  rref,
 kernel_basis and rank do plain Gauss-Jordan over a field with a fixed
@@ -43,6 +44,10 @@ class ExactMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+    def column(self, c: int) -> list:
+        """Column c, top to bottom: the one read _eliminate makes."""
+        return [row[c] for row in self.entries]
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.domain != other.domain or self.cols != other.rows:
@@ -145,33 +150,37 @@ def kernel_vector(matrix: ExactMatrix) -> tuple | None:
     return _back_substitute(matrix.domain, done, pivots, dependent, matrix.cols)
 
 
-def _eliminate(matrix: ExactMatrix):
+def _eliminate(matrix):
     """Fraction-free Bareiss elimination over any integral domain (Z,
     F_q[t] or a field), one column at a time, stopping at the first column
     that depends on the columns before it.
 
-    Each column is brought up to date through the steps already taken,
-    every division exact.  Returns (done, pivots, dependent, swaps): done[i]
-    is column i as it stood at step i, by row position; pivots[i + 1] is
-    the pivot of step i (pivots[0] = 1), so pivots[k] is the k x k leading
-    minor of the row-swapped matrix; dependent is the first dependent
-    column after elimination, or None at full column rank; swaps counts
-    the row swaps.
+    The matrix is anything with domain, rows, cols and column(c), and
+    column c is read only when the elimination reaches it.  Each column is
+    brought up to date through the steps already taken: step i forms
+    piv * x - m * top with the plain operators of the raw elements and
+    divides it exactly by the step's previous pivot, through one divider
+    the domain builds per step.  Returns (done, pivots, dependent, swaps):
+    done[i] is column i as it stood at step i, by row position; pivots[i +
+    1] is the pivot of step i (pivots[0] = 1), so pivots[k] is the k x k
+    leading minor of the row-swapped matrix; dependent is the first
+    dependent column after elimination, or None at full column rank;
+    swaps counts the row swaps.
     """
     dom = matrix.domain
-    mul, sub, exact_div = dom.mul, dom.sub, dom.exact_div
     nrows = matrix.rows
     order = list(range(nrows))  # row position -> row of the matrix
     done: list[list] = []
     pivots = [dom.one]
+    dividers = [dom.divider(dom.one)]  # dividers[i] divides by pivots[i]
     swaps = 0
     for c in range(matrix.cols):
-        col = [matrix.entries[r][c] for r in order]
+        column = matrix.column(c)
+        col = [column[r] for r in order]
         for i, steps in enumerate(done):
-            piv, prev, top = pivots[i + 1], pivots[i], col[i]
+            piv, top, divide = pivots[i + 1], col[i], dividers[i]
             col[i + 1 :] = [
-                exact_div(sub(mul(piv, x), mul(m, top)), prev)
-                for x, m in zip(col[i + 1 :], steps[i + 1 :])
+                divide(piv * x - m * top) for x, m in zip(col[i + 1 :], steps[i + 1 :])
             ]
         k = len(done)
         pivot_row = next((j for j in range(k, nrows) if not dom.is_zero(col[j])), None)
@@ -183,6 +192,7 @@ def _eliminate(matrix: ExactMatrix):
             swaps += 1
         done.append(col)
         pivots.append(col[k])
+        dividers.append(dom.divider(col[k]))
     return done, pivots, None, swaps
 
 

@@ -567,49 +567,70 @@ def monomials_up_to_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-def monomial_row(dom: CoeffDomain, monomials, coords) -> list:
-    """The monomials x^e, for e in monomials, at the coordinates, in dom.
-
-    The powers of each coordinate are tabulated once, up to the largest
-    exponent in monomials; each entry then costs one multiplication per
-    variable that occurs in it."""
-    one = dom.one
-    top = max(map(max, monomials), default=0)
-    tables = []
-    for x in coords:
+def _power_tables(dom: CoeffDomain, top: int, values) -> list:
+    """Per value x, its powers x^0, ..., x^top in dom (at least up to x^1)."""
+    one, tables = dom.one, []
+    for x in values:
         table = [one, dom.coerce(x)]
         for _ in range(top - 1):
             table.append(dom.mul(table[-1], table[1]))
         tables.append(table)
-    row = []
-    for exps in monomials:
-        acc = one
-        for table, e in zip(tables, exps):
+    return tables
+
+
+class _MonomialColumns:
+    """The evaluation matrix of the monomials at the points, read one column
+    at a time, as the elimination reads it.  The powers of every coordinate
+    are tabulated once, up to the largest exponent in the monomial list; a
+    column is computed only when asked for, at one plain product per entry
+    and variable that occurs in its monomial and one reduction per entry
+    (a ring homomorphism, so the entry is the same)."""
+
+    __slots__ = ("domain", "monomials", "rows", "cols", "powers")
+
+    def __init__(self, dom: CoeffDomain, monomials, points):
+        top = max(map(max, monomials), default=0)
+        self.domain, self.monomials, self.rows = dom, monomials, len(points)
+        # no points, no columns, as an ExactMatrix without rows has none
+        self.cols = len(monomials) if points else 0
+        # powers[i][r] is the power table of coordinate i of point r
+        self.powers = [_power_tables(dom, top, values) for values in zip(*points)]
+
+    def column(self, c: int) -> list:
+        modulus, col = self.domain.modulus, [self.domain.one] * self.rows
+        for tables, e in zip(self.powers, self.monomials[c]):
             if e:
-                acc = dom.mul(acc, table[e])
-        row.append(acc)
-    return row
+                col = [a * table[e] for a, table in zip(col, tables)]
+        return col if modulus is None else [x % modulus for x in col]
 
 
 def evaluation_matrix(dom: CoeffDomain, monomials, points) -> ExactMatrix:
-    """The monomials at the points, one monomial_row per point; the entries
-    are elements of dom already, so they are not coerced again."""
-    return ExactMatrix(dom, tuple(tuple(monomial_row(dom, monomials, pt)) for pt in points))
+    """The monomials at the points as a dense matrix, one row per point: every
+    column of _MonomialColumns, read into rows.  The entries are elements
+    of dom already, so they are not coerced again."""
+    source = _MonomialColumns(dom, monomials, points)
+    columns = [source.column(c) for c in range(len(monomials))]
+    return ExactMatrix(dom, tuple(tuple(col[r] for col in columns) for r in range(len(points))))
 
 
 def interpolant(dom: CoeffDomain, monomials, points) -> MultiPoly | None:
     """A nonzero form on the monomial list vanishing at every point, or None
-    at full rank.
+    at full rank and with no points (the evaluation matrix of no points has
+    no columns).
 
     Its coefficients are the kernel vector at the first dependent column
-    (linalg.kernel_vector), made primitive with the last monomial of its
-    support leading: positive over Z, monic over F_q[t], 1 over a field.
-    The vanishing is checked exactly before the form is returned."""
-    vec = kernel_vector(evaluation_matrix(dom, monomials, points))
+    fc (linalg.kernel_vector), read off the evaluation matrix a column at a
+    time so that the columns past fc are never computed.  The form is
+    built from the vector's support, columns 0..fc, made primitive with the
+    last monomial of that support leading: positive over Z, monic over
+    F_q[t], 1 over a field.  The vanishing is checked exactly before the
+    form is returned."""
+    vec = kernel_vector(_MonomialColumns(dom, monomials, points))
     if vec is None:
         return None
-    coeffs = dom.primitive(vec[::-1])[::-1]
-    form = MultiPoly(dom, len(monomials[0]), dict(zip(monomials, coeffs)))
+    fc = max(i for i, c in enumerate(vec) if c)
+    coeffs = dom.primitive(vec[fc::-1])[::-1]
+    form = MultiPoly(dom, len(monomials[0]), zip(monomials, coeffs))
     for pt in points:
         if not dom.is_zero(form.evaluate(pt)):
             raise AssertionError("interpolant fails to vanish on its points")

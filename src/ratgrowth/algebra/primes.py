@@ -44,6 +44,16 @@ class PrimeIdealDesc:
         else:
             raise TypeError(f"bad prime generator {g!r}")
 
+    @classmethod
+    def _listed(cls, generator, norm: int) -> "PrimeIdealDesc":
+        """A prime that primes_in_range has just sieved or listed as a monic
+        irreducible, built without __post_init__'s primality test, which
+        outside input keeps."""
+        desc = object.__new__(cls)
+        object.__setattr__(desc, "generator", generator)
+        object.__setattr__(desc, "norm", norm)
+        return desc
+
     @property
     def is_rational(self) -> bool:
         return isinstance(self.generator, int)
@@ -113,14 +123,14 @@ def primes_in_range(lo: float, hi: float, q: int | None = None) -> list[PrimeIde
     if not (1 <= lo < hi):
         raise ValueError(f"need 1 <= lo < hi, got ({lo}, {hi})")
     if q is None:
-        return [PrimeIdealDesc(p, p) for p in rational_primes_below(hi) if p > lo]
+        return [PrimeIdealDesc._listed(p, p) for p in rational_primes_below(hi) if p > lo]
     out: list[PrimeIdealDesc] = []
     deg = 1
     while q**deg < hi:
         norm = q**deg
         if norm > lo:
             for g in monic_irreducibles_of_degree(q, deg):
-                out.append(PrimeIdealDesc(g, norm))
+                out.append(PrimeIdealDesc._listed(g, norm))
         deg += 1
     out.sort(key=PrimeIdealDesc.sort_key)
     return out

@@ -35,7 +35,7 @@ from .globalfield import (
     ord_at,
     reduce_point_mod_p,
 )
-from .reduction import mult_at_point, reduce_curve_mod_p
+from .reduction import mult_at_point, primitive_lift, reduce_curve_mod_p, reduce_lift_mod_p
 
 
 class PipelineError(RuntimeError):
@@ -360,10 +360,12 @@ _AFFINE = _Chart(
 
 
 def _good_reductions(f: MultiPoly, primes) -> list:
-    """(prime, reduced polynomial) for each prime of good reduction, in order."""
+    """(prime, reduced polynomial) for each prime of good reduction, in
+    order; f's primitive O_K lift is taken once and reduced at each prime."""
+    lift = primitive_lift(f)
     good = []
     for prime in primes:
-        reduced = reduce_curve_mod_p(f, prime)
+        reduced = reduce_lift_mod_p(lift, prime)
         if reduced.good:
             good.append((prime, reduced))
     return good
@@ -384,8 +386,11 @@ def _partition(chart: _Chart, points, good, threshold: float) -> tuple[dict, lis
     the threshold, and is reduced no further; the points high at every
     prime form xi_s.  Each multiplicity is read only up to ceil(threshold):
     the capped value is below the threshold exactly when mu is, and equals
-    mu there, so every class keeps its exact mu."""
+    mu there, so every class keeps its exact mu.  The multiplicities are
+    read at each prime on one set of Taylor plans of the primitive O_K
+    lift, built for this partition only."""
     stop = math.ceil(threshold)
+    plans: dict = {}  # chart -> Taylor plan of the lift, shared by the primes
     caches = [{} for _ in good]  # per prime: residue point -> capped mu
     classes: dict[tuple, tuple[int, list]] = {}
     xi_s = []
@@ -394,7 +399,7 @@ def _partition(chart: _Chart, points, good, threshold: float) -> tuple[dict, lis
             rp = chart.residue(p, prime)
             if rp not in cache:
                 cache[rp] = mult_at_point(
-                    reduced.f_p, chart.coords(rp), chart.projective, stop, reduced.plans
+                    reduced.lift, chart.coords(rp), chart.projective, stop, plans, prime
                 ).mu
             mu = cache[rp]
             if mu < threshold:

@@ -45,8 +45,8 @@ class ReducedHypersurface:
     reduced_degree: int
     good: bool
     prime: PrimeIdealDesc
-    # the Taylor plans of f_p's charts, filled by mult_at_point(plans=...)
-    plans: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
+    # the primitive O_K polynomial that f_p reduces (primitive_lift)
+    lift: MultiPoly = dataclasses.field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -56,30 +56,43 @@ class MultiplicityReport:
     context: str  # "hypersurface" | "cycle"
 
 
-def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurface:
-    """Reduce the primitive (content-one) representative of f modulo the
-    prime; reports the reduced degree and whether the reduction is still a
-    positive-dimensional hypersurface."""
+def primitive_lift(f: MultiPoly) -> MultiPoly:
+    """The primitive (content-one) representative of f over O_K (Z or
+    F_q[t]), led by the grevlex-leading coefficient as in
+    MultiPoly.primitive_part: the polynomial every reduction of f reduces."""
     if f.is_zero:
         raise ValueError("cannot reduce the zero polynomial")
-    field = field_for_poly(f)
+    dom = field_for_poly(f).integer_domain()
+    exps, coeffs = zip(*f.sorted_terms())
+    return MultiPoly(dom, f.nvars, zip(exps, dom.primitive(f.domain.clear_denominators(coeffs))))
+
+
+def reduce_lift_mod_p(lift: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurface:
+    """Reduce a primitive O_K polynomial (primitive_lift) modulo the prime,
+    coefficient by coefficient; reports the reduced degree and whether the
+    reduction is still a positive-dimensional hypersurface."""
+    field = field_for_poly(lift)
     if not field.owns_prime(prime):
         raise ValueError(f"prime {prime.generator} is not a prime of {field.describe()}")
-    # the coefficients of the primitive representative, led by the
-    # grevlex-leading one as in MultiPoly.primitive_part, reduced at once
-    exps, coeffs = zip(*f.sorted_terms())
-    coeffs = field.integer_domain().primitive(f.domain.clear_denominators(coeffs))
-    f_p = MultiPoly(prime.residue_field, f.nvars, zip(exps, map(prime.residue, coeffs)))
+    f_p = lift.map_coefficients(prime.residue_field, prime.residue)
     if f_p.is_zero:
         raise AssertionError("content-one polynomial reduced to zero")
     reduced_degree = f_p.degree
     return ReducedHypersurface(
         f_p=f_p,
-        original_degree=f.degree,
+        original_degree=lift.degree,
         reduced_degree=reduced_degree,
         good=reduced_degree > 0,
         prime=prime,
+        lift=lift,
     )
+
+
+def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurface:
+    """Reduce the primitive (content-one) representative of f modulo the
+    prime; reports the reduced degree and whether the reduction is still a
+    positive-dimensional hypersurface."""
+    return reduce_lift_mod_p(primitive_lift(f), prime)
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +102,13 @@ def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurfa
 
 class _TaylorPlan:
     """The Hasse-Taylor coefficients of the polynomial with these {beta: c}
-    terms, laid out for evaluation at many points.  Order k lists, per alpha
-    of total degree k, the pairs (c * binom(beta, alpha), beta - alpha) with
-    a binomial nonzero in the characteristic, the difference as its nonzero
-    (variable, exponent) entries; an alpha with no pair is left out.  An
-    order is built when a scan first reaches it."""
+    terms over dom, laid out for evaluation at many points.  Order k lists,
+    per alpha of total degree k, the pairs (c * binom(beta, alpha), beta -
+    alpha) with a binomial nonzero in dom's characteristic, the difference
+    as its nonzero (variable, exponent) entries; an alpha with no pair is
+    left out.  An order is built when a scan first reaches it.  A plan over
+    O_K (Z, whose binomials stay unreduced, or F_q[t]) serves every prime:
+    order reads it at one."""
 
     __slots__ = ("dom", "terms", "tops", "degree", "orders")
 
@@ -117,17 +132,26 @@ class _TaylorPlan:
                 out.append(pairs)
         return out
 
-    def order(self, coords, stop: int | None = None) -> int:
+    def order(self, coords, stop: int | None = None, prime: PrimeIdealDesc | None = None) -> int:
         """min(mu, stop) for mu the least total degree with a nonzero Taylor
-        coefficient at the coordinates; mu itself when stop is None.  Sums
-        run on the raw lifts (Z for F_p, F_q[t] for F_q[t]/(pi)) and are
-        reduced once by dom.coerce, a ring homomorphism: the test is exact."""
-        dom, zero = self.dom, self.dom.zero
+        coefficient at the coordinates; mu itself when stop is None.
+
+        The coordinates lie in dom, or, with a prime, in its residue field,
+        where their powers are taken; mu is then that of the polynomial
+        reduced mod the prime.  Sums run on the raw lifts (Z for F_p, F_q[t]
+        for F_q[t]/(pi), the plan's own coefficients at a prime) and are
+        reduced once, by dom.coerce or prime.residue, a ring homomorphism:
+        the test is exact."""
+        if prime is None:
+            field, reduce = self.dom, self.dom.coerce
+        else:
+            field, reduce = prime.residue_field, prime.residue
+        mul, zero = field.mul, self.dom.zero
         powers = []
         for a, top in zip(coords, self.tops):
-            row = [dom.one]
+            row = [field.one]
             for _ in range(top):
-                row.append(dom.mul(row[-1], a))
+                row.append(mul(row[-1], a))
             powers.append(row)
         last = self.degree if stop is None else min(stop - 1, self.degree)
         for k in range(last + 1):
@@ -139,7 +163,7 @@ class _TaylorPlan:
                     for i, e in delta:
                         term = term * powers[i][e]
                     acc = acc + term
-                if not dom.is_zero(dom.coerce(acc)):
+                if not field.is_zero(reduce(acc)):
                     return k
         if last < self.degree:
             return stop
@@ -153,16 +177,20 @@ def _to_chart(dom: CoeffDomain, coords) -> tuple[int, tuple]:
     return chart, tuple(dom.mul(c, inv) for i, c in enumerate(coords) if i != chart)
 
 
-def _affine_mult(f: MultiPoly, point, stop: int | None = None, plans: dict | None = None) -> int:
-    dom, plans = f.domain, {} if plans is None else plans
+def _affine_mult(
+    f: MultiPoly, point, stop: int | None = None, plans: dict | None = None,
+    prime: PrimeIdealDesc | None = None,
+) -> int:
+    dom = f.domain if prime is None else prime.residue_field
+    plans = {} if plans is None else plans
     if "affine" not in plans:
-        plans["affine"] = _TaylorPlan(dom, f.terms)
-    return plans["affine"].order([dom.coerce(x) for x in point], stop)
+        plans["affine"] = _TaylorPlan(f.domain, f.terms)
+    return plans["affine"].order([dom.coerce(x) for x in point], stop, prime)
 
 
 def mult_at_point(
     f: MultiPoly, point, projective: bool | None = None,
-    stop: int | None = None, plans: dict | None = None,
+    stop: int | None = None, plans: dict | None = None, prime: PrimeIdealDesc | None = None,
 ) -> MultiplicityReport:
     """Multiplicity of the point on the hypersurface f = 0.
 
@@ -170,8 +198,13 @@ def mult_at_point(
     coordinate; the multiplicity is the least total degree with a nonzero
     Taylor coefficient there (0 when f does not vanish at the point).
     With stop the scan ends there and reports min(mu, stop).  A plans dict
-    kept beside f (ReducedHypersurface.plans) keeps its charts' Taylor
-    plans from one call to the next.
+    kept beside f keeps its charts' Taylor plans from one call to the next.
+
+    With a prime, f is over O_K (a primitive_lift) and the point lies over
+    the prime's residue field: the multiplicity is that of f mod the prime,
+    read on the plans of f itself, so one plans dict serves every prime.
+    The covers (detmethod._partition) share plans only in this way; no
+    caller in the library passes plans without a prime.
     """
     if f.is_zero:
         raise ValueError("multiplicity of the zero polynomial is undefined")
@@ -187,19 +220,23 @@ def mult_at_point(
     if not projective:
         if len(point) != f.nvars:
             raise ValueError("affine point arity mismatch")
-        return MultiplicityReport(tuple(point), _affine_mult(f, point, stop, plans), "hypersurface")
+        mu = _affine_mult(f, point, stop, plans, prime)
+        return MultiplicityReport(tuple(point), mu, "hypersurface")
     if len(point) != f.nvars:
         raise ValueError("projective point arity mismatch")
-    # over Z or F_q[t] the chart coordinates live in the fraction field;
-    # the O_K coefficients multiply them as they are
-    dom, plans = f.domain.fraction_field(), {} if plans is None else plans
+    # over Z or F_q[t] the chart coordinates live in the fraction field, or
+    # at a prime in its residue field; the O_K coefficients multiply them
+    # as they are
+    dom = f.domain.fraction_field() if prime is None else prime.residue_field
+    plans = {} if plans is None else plans
     chart, affine_point = _to_chart(dom, [dom.coerce(x) for x in point])
     if chart not in plans:
         chart_f = f.dehomogenize(chart)
         if chart_f.is_zero:
             raise ValueError(f"{f} vanishes identically on the chart x{chart} = 1")
-        plans[chart] = _TaylorPlan(dom, chart_f.terms)
-    return MultiplicityReport(tuple(point), plans[chart].order(affine_point, stop), "hypersurface")
+        plans[chart] = _TaylorPlan(dom if prime is None else f.domain, chart_f.terms)
+    mu = plans[chart].order(affine_point, stop, prime)
+    return MultiplicityReport(tuple(point), mu, "hypersurface")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratgrowth.algebra.domains import CoeffDomain
+from ratgrowth.algebra.fqpoly import FqPoly
 from ratgrowth.algebra.linalg import (
     ExactMatrix,
     NonSquareMatrixError,
+    _eliminate,
     det_exact,
     kernel_basis,
     kernel_vector,
@@ -226,3 +228,117 @@ class TestKernelVector:
         for dom in (ZZ, CoeffDomain.poly_ring(3)):
             v = kernel_vector(ExactMatrix.from_rows(dom, rows))
             assert _as_oracle(dom, v) == _oracle_vector(dom, rows)
+
+
+def per_entry_eliminate(dom, rows):
+    """The elimination before its per-step dividers: every entry of a step
+    is dom.exact_div(dom.sub(dom.mul(piv, x), dom.mul(m, top)), prev), so a
+    field inverts prev once per entry."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    order = list(range(nrows))
+    done, pivots, swaps = [], [dom.one], 0
+    for c in range(ncols):
+        col = [rows[r][c] for r in order]
+        for i, steps in enumerate(done):
+            piv, prev, top = pivots[i + 1], pivots[i], col[i]
+            col[i + 1 :] = [
+                dom.exact_div(dom.sub(dom.mul(piv, x), dom.mul(m, top)), prev)
+                for x, m in zip(col[i + 1 :], steps[i + 1 :])
+            ]
+        k = len(done)
+        pivot_row = next((j for j in range(k, nrows) if not dom.is_zero(col[j])), None)
+        if pivot_row is None:
+            return done, pivots, col, swaps
+        if pivot_row != k:
+            for seq in (order, col, *done):
+                seq[k], seq[pivot_row] = seq[pivot_row], seq[k]
+            swaps += 1
+        done.append(col)
+        pivots.append(col[k])
+    return done, pivots, None, swaps
+
+
+ELIMINATION_DOMAINS = KERNEL_DOMAINS + [
+    QQ,
+    CoeffDomain.rational_functions(3),
+    CoeffDomain.residue_field(FqPoly(2, (1, 1, 1))),
+    CoeffDomain.residue_field(FqPoly(3, (1, 0, 1))),
+]
+
+
+class TestStepDividers:
+    """_eliminate divides each step by one divider that the domain builds
+    from the step's previous pivot."""
+
+    @pytest.mark.parametrize("dom", ELIMINATION_DOMAINS, ids=lambda d: d.describe())
+    def test_matches_per_entry_division(self, dom):
+        # low-rank products, so dependent columns fall anywhere; over a field
+        # nothing raises, and every value equals the per-entry elimination's
+        rng = random.Random(7)
+        for _ in range(40):
+            r, c = rng.randint(1, 6), rng.randint(1, 7)
+            k = rng.randint(0, min(r, c))
+            left = [[dom.sample(rng) for _ in range(k)] for _ in range(r)]
+            right = [[dom.sample(rng) for _ in range(c)] for _ in range(k)]
+            rows = [
+                [sum((dom.mul(left[i][t], right[t][j]) for t in range(k)), dom.zero) for j in range(c)]
+                for i in range(r)
+            ]
+            m = ExactMatrix.from_rows(dom, rows)
+            assert _eliminate(m) == per_entry_eliminate(dom, m.entries)
+
+    @pytest.mark.parametrize("dom", ELIMINATION_DOMAINS, ids=lambda d: d.describe())
+    def test_divider_is_exact_div(self, dom):
+        # raw, unreduced values too: a divider reduces what it returns
+        rng = random.Random(11)
+        for _ in range(50):
+            b = dom.zero
+            while dom.is_zero(b):
+                b = dom.sample(rng)
+            a, x, y = (dom.sample(rng) for _ in range(3))
+            raw = a * b if not dom.is_field else x * y - a
+            want = dom.exact_div(dom.coerce(raw) if dom.modulus is not None else raw, b)
+            assert dom.divider(b)(raw) == want
+
+    def test_inexact_division_raises_over_rings(self):
+        with pytest.raises(ArithmeticError):
+            ZZ.divider(4)(10)
+        f3t = CoeffDomain.poly_ring(3)
+        with pytest.raises(ArithmeticError):
+            f3t.divider(FqPoly.t(3))(FqPoly.one(3))
+
+    def test_doctored_divisor_raises_in_elimination(self):
+        # a domain whose dividers divide by twice the pivot makes the first
+        # step inexact: 1 * 5 - 3 * 2 = -1 is not divisible by 2
+        class DoubledDivisors:
+            one = ZZ.one
+            is_zero = staticmethod(ZZ.is_zero)
+
+            @staticmethod
+            def divider(b):
+                return ZZ.divider(2 * b)
+
+        class Doctored:
+            domain, rows, cols = DoubledDivisors(), 2, 2
+
+            @staticmethod
+            def column(c):
+                return [[1, 3], [2, 5]][c]
+
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            _eliminate(Doctored())
+
+    def test_columns_past_the_dependent_one_are_not_read(self):
+        m = ExactMatrix.from_rows(ZZ, [[1, 2, 0, 5], [2, 4, 1, 6]])
+        reads = []
+
+        class Spy:
+            domain, rows, cols = m.domain, m.rows, m.cols
+
+            @staticmethod
+            def column(c):
+                reads.append(c)
+                return m.column(c)
+
+        assert kernel_vector(Spy()) == kernel_vector(m) == (-2, 1, 0, 0)
+        assert reads == [0, 1]

@@ -16,7 +16,6 @@ from ratgrowth.algebra.multipoly import (
     ParseError,
     evaluation_matrix,
     interpolant,
-    monomial_row,
     monomials_of_degree,
     monomials_up_to_degree,
     poly_parse,
@@ -208,6 +207,11 @@ class TestArithmetic:
         assert f.lowest_degree() == 0
 
 
+def monomial_row(dom, monomials, coords):
+    """The one row of the evaluation matrix at a single point."""
+    return list(evaluation_matrix(dom, monomials, [coords]).entries[0])
+
+
 class TestMonomialRow:
     @pytest.mark.parametrize(
         "dom",
@@ -283,6 +287,54 @@ class TestInterpolant:
             assert got == locus_form_oracle(dom, nvars, monos, points)
             outcomes.add(got is None)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.describe())
+    def test_no_points_is_none(self, dom):
+        # the evaluation matrix of no points has no columns, so no kernel
+        monos = monomials_of_degree(3, 2)
+        assert evaluation_matrix(dom, monos, []) == ExactMatrix(dom, ())
+        assert kernel_vector(evaluation_matrix(dom, monos, [])) is None
+        assert interpolant(dom, monos, []) is None
+
+    @pytest.mark.parametrize("dom", DOMAINS + [CoeffDomain.poly_ring(3)], ids=lambda d: d.describe())
+    def test_column_reads_against_the_full_matrix(self, dom, monkeypatch):
+        # the interpolant reads the columns 0..fc that the elimination
+        # reaches, and equals the kernel vector of the whole evaluation
+        # matrix under the normalization it had before
+        rng = random.Random(99)
+        reads: list = []
+        read = multipoly._MonomialColumns.column
+
+        def reading(self, c):
+            reads.append(c)
+            return read(self, c)
+
+        monkeypatch.setattr(multipoly._MonomialColumns, "column", reading)
+        shapes = set()
+        for trial in range(60):
+            nvars = rng.randint(2, 3)
+            monos = monomials_of_degree(nvars, rng.randint(1, 3))
+            npoints = rng.randint(1, len(monos) + 3)
+            if trial % 3 == 0:
+                # every point has x0 = 0, so the first column x0^d is zero: fc = 0
+                points = [(dom.zero,) + tuple(dom.sample(rng) for _ in range(nvars - 1)) for _ in range(npoints)]
+            else:
+                points = [tuple(dom.sample(rng) for _ in range(nvars)) for _ in range(npoints)]
+            vec = kernel_vector(evaluation_matrix(dom, monos, points))
+            reads.clear()
+            got = interpolant(dom, monos, points)
+            if vec is None:
+                assert got is None and reads == list(range(len(monos)))
+                shapes.add("full rank")
+                continue
+            fc = max(i for i, c in enumerate(vec) if c)
+            assert reads == list(range(fc + 1))
+            want = MultiPoly(dom, nvars, dict(zip(monos, dom.primitive(vec[::-1])[::-1])))
+            assert got == want and list(got.terms.items()) == list(want.terms.items())
+            shapes.add("fc = 0" if fc == 0 else "fc > 0")
+            if len(points) > len(monos):
+                shapes.add("more rows than columns")
+        assert shapes == {"full rank", "fc = 0", "fc > 0", "more rows than columns"}
 
     def test_full_rank_is_none(self):
         monos = monomials_of_degree(3, 1)

@@ -70,6 +70,23 @@ class TestPrimesInRange:
         with pytest.raises(ValueError):
             PrimeIdealDesc(t**2 + 1, 4)
 
+    def test_listed_primes_equal_checked_ones(self):
+        # primes_in_range builds its descriptors without the primality test;
+        # each equals, and hashes as, the descriptor built with it
+        for q in (None, 2, 3):
+            for desc in primes_in_range(1, 90, q):
+                checked = PrimeIdealDesc(desc.generator, desc.norm)
+                assert desc == checked and hash(desc) == hash(checked)
+                assert desc.residue_field == checked.residue_field
+                assert recheck_prime(desc)
+
+    def test_outside_input_is_still_checked(self):
+        # a composite number and reducible quadratics over F_3
+        t = FqPoly.t(3)
+        for generator, norm in ((15, 15), (t**2 + 2, 9), (t**2 + t, 9)):
+            with pytest.raises(ValueError, match="not"):
+                PrimeIdealDesc(generator, norm)
+
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             primes_in_range(0.5, 10)

@@ -1,7 +1,9 @@
 """Multiplicities, intersection numbers, cycles, locus capture."""
 
+import math
 import random
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 from ratgrowth.algebra.domains import CoeffDomain
 from ratgrowth.algebra.fqpoly import FqPoly
 from ratgrowth.algebra.multipoly import MultiPoly, monomials_of_degree, poly_parse
-from ratgrowth.algebra.primes import PrimeIdealDesc
-from ratgrowth.enumeration import BudgetExceededError
+from ratgrowth.algebra.primes import PrimeIdealDesc, primes_in_range
+from ratgrowth.corpus import cover_fixture_poly
+from ratgrowth.enumeration import BudgetExceededError, enum_curve_points_proj
+from ratgrowth.globalfield import field_for_poly, reduce_point_mod_p
 from ratgrowth.reduction import (
     INFINITE,
     LOCUS_BUDGET,
@@ -26,8 +30,10 @@ from ratgrowth.reduction import (
     gcd_bivariate,
     high_mult_locus,
     mult_at_point,
+    primitive_lift,
     proj_points_over,
     reduce_curve_mod_p,
+    reduce_lift_mod_p,
     silly_arithmetic_check,
 )
 
@@ -174,6 +180,63 @@ class TestMultiplicity:
             mu = mult_at_point(f, pt).mu
             if mu:
                 assert 1 <= mu <= f.degree
+
+
+SHARED_PLAN_CURVES = [
+    *(pytest.param(*cover_fixture_poly(name), id=name)
+      for name in ("curve_d26_H20_Q", "curve_d30_H20_Q", "fermat_d26_H20_Q")),
+    pytest.param(poly_parse("x1*x0^21 - x2^22", 3, F2T), 8, id="cuspidal_d22_H8_F2t"),
+    pytest.param(
+        poly_parse("x1*x0^4 - t*x2^5 + x0*x1^2*x2^2", 3, CoeffDomain.poly_ring(3)), 9, id="quintic_H9_F3t"
+    ),
+]
+
+
+class TestSharedTaylorPlans:
+    """One plans dict of the primitive O_K lift, read at every prime as the
+    covering core reads it, against a fresh reading of the reduced curve
+    with no plans."""
+
+    @staticmethod
+    def check(f, prime_points, caps, projective):
+        lift, plans = primitive_lift(f), {}
+        for prime, points in prime_points:
+            reduced = reduce_curve_mod_p(f, prime)
+            assert reduce_lift_mod_p(lift, prime) == reduced
+            for coords in points:
+                mu = mult_at_point(reduced.f_p, coords, projective).mu
+                for stop in caps:
+                    got = mult_at_point(lift, coords, projective, stop, plans, prime).mu
+                    assert got == (mu if stop is None else min(mu, stop)), (prime, coords, stop)
+
+    @pytest.mark.parametrize("f, H", SHARED_PLAN_CURVES)
+    def test_cover_window(self, f, H):
+        # the cover's good primes and cap; the curve's points at every prime,
+        # and every point of P^2 over the residue fields with at most 16
+        # elements
+        log_h = math.log(H)
+        window = primes_in_range(max(log_h, 1), 4 * log_h**4, field_for_poly(f).q)
+        good = [prime for prime in window if reduce_curve_mod_p(f, prime).good]
+        # binomials that vanish mod p, and over F_q(t) a residue field F_q[t]/(pi)
+        assert any(prime.residue_field.characteristic <= f.degree for prime in good)
+        if not good[0].is_rational:
+            assert any(prime.generator.degree >= 2 for prime in good if prime.norm <= 16)
+        points = enum_curve_points_proj(f, H).points
+        prime_points = []
+        for prime in good:
+            coords = [reduce_point_mod_p(p, prime).coords for p in points]
+            if prime.norm <= 16:
+                coords += proj_points_over(prime.residue_field, 3)
+            prime_points.append((prime, coords))
+        self.check(f, prime_points, [None, *range(1, math.ceil(f.degree / log_h) + 1)], True)
+
+    def test_affine_curve_whose_degree_drops(self):
+        f = poly_parse("5*x0^3*x1 + x0^2 - x1^2 + 3*x0 - 1", 2, ZZ)
+        assert reduce_curve_mod_p(f, PrimeIdealDesc(5, 5)).reduced_degree == 2 < f.degree
+        prime_points = [
+            (prime, list(product(range(prime.norm), repeat=2))) for prime in primes_in_range(1, 12)
+        ]
+        self.check(f, prime_points, [None, *range(1, f.degree + 2)], False)
 
 
 class TestCycles:

@@ -160,7 +160,7 @@ RESIDUE_FIELDS = [
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_residue_field_every_plane_point(dom, seed):
     # one plans dict for the curve, read at every point of P^2 and every
-    # cap, as ReducedHypersurface.plans is read by the covering core
+    # cap, as a plans dict kept beside f is read from one call to the next
     rng = random.Random(seed)
     f = singular_poly(dom, random_point(dom, 3, rng), rng, homogeneous=True)
     plans: dict = {}
