@@ -214,13 +214,3 @@ def _back_substitute(dom, done, pivots, col, ncols: int) -> tuple:
 def rank(matrix: ExactMatrix) -> int:
     return len(rref(matrix)[1])
 
-
-def mat_vec(matrix: ExactMatrix, vec) -> tuple:
-    dom = matrix.domain
-    out = []
-    for row in matrix.entries:
-        acc = dom.zero
-        for a, x in zip(row, vec):
-            acc = dom.add(acc, dom.mul(a, x))
-        out.append(acc)
-    return tuple(out)

@@ -548,8 +548,9 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _monomials_cached(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     def gen(rest: int, total: int):
-        if rest == 1:
-            yield (total,)
+        if rest == 0:
+            if total == 0:
+                yield ()
             return
         for first in range(total + 1):
             for tail in gen(rest - 1, total - first):

@@ -35,7 +35,7 @@ from .globalfield import (
     ord_at,
     reduce_point_mod_p,
 )
-from .reduction import mult_at_point, primitive_lift, reduce_curve_mod_p, reduce_lift_mod_p
+from .reduction import good_primes, mult_at_point, primitive_lift, reduce_curve_mod_p
 
 
 class PipelineError(RuntimeError):
@@ -359,35 +359,32 @@ _AFFINE = _Chart(
 )
 
 
-def _good_reductions(f: MultiPoly, primes) -> list:
-    """(prime, reduced polynomial) for each prime of good reduction, in
-    order; f's primitive O_K lift is taken once and reduced at each prime."""
+def _good_reductions(f: MultiPoly, primes) -> tuple[MultiPoly, list]:
+    """(lift, good): f's primitive O_K lift, taken once, and the primes of
+    good reduction in order.  No prime reduces the lift; the covers read
+    its multiplicities on the lift itself."""
     lift = primitive_lift(f)
-    good = []
-    for prime in primes:
-        reduced = reduce_lift_mod_p(lift, prime)
-        if reduced.good:
-            good.append((prime, reduced))
-    return good
+    return lift, good_primes(lift, primes)
 
 
 def _prime_window(f: MultiPoly, field: GlobalField, log_h: float, M: float, exponent: float):
-    """The good primes with norm in (log H, M (log H)^exponent).  No prime
-    has norm 1 or less, so a floor below 1 (H < e) is read as 1."""
+    """f's lift and the good primes with norm in (log H, M (log H)^exponent),
+    as _good_reductions gives them.  No prime has norm 1 or less, so a
+    floor below 1 (H < e) is read as 1."""
     hi = M * log_h**exponent
     if hi <= log_h + 1:
         hi = log_h + 2
     return _good_reductions(f, primes_in_range(max(log_h, 1), hi, field.q))
 
 
-def _partition(chart: _Chart, points, good, threshold: float) -> tuple[dict, list]:
+def _partition(chart: _Chart, points, lift, good, threshold: float) -> tuple[dict, list]:
     """({(prime, residue point): (mu, points)}, xi_s): each point joins the
     class of the first good prime where its reduction has multiplicity below
     the threshold, and is reduced no further; the points high at every
     prime form xi_s.  Each multiplicity is read only up to ceil(threshold):
     the capped value is below the threshold exactly when mu is, and equals
     mu there, so every class keeps its exact mu.  The multiplicities are
-    read at each prime on one set of Taylor plans of the primitive O_K
+    read at each prime on one set of Taylor plans of f's primitive O_K
     lift, built for this partition only."""
     stop = math.ceil(threshold)
     plans: dict = {}  # chart -> Taylor plan of the lift, shared by the primes
@@ -395,11 +392,11 @@ def _partition(chart: _Chart, points, good, threshold: float) -> tuple[dict, lis
     classes: dict[tuple, tuple[int, list]] = {}
     xi_s = []
     for p in points:
-        for (prime, reduced), cache in zip(good, caches):
+        for prime, cache in zip(good, caches):
             rp = chart.residue(p, prime)
             if rp not in cache:
                 cache[rp] = mult_at_point(
-                    reduced.lift, chart.coords(rp), chart.projective, stop, plans, prime
+                    lift, chart.coords(rp), chart.projective, stop, plans, prime
                 ).mu
             mu = cache[rp]
             if mu < threshold:
@@ -445,7 +442,7 @@ def _interpolate(field, monomials, low_monomials, coords_list, regime_ok, what):
     return list(_chunked_interpolants(field, low_monomials, coords_list)), "chunked"
 
 
-def _cover(f, H, field, chart, points, good, regime, threshold, audit) -> CoverResult:
+def _cover(f, H, field, chart, points, lift, good, regime, threshold, audit) -> CoverResult:
     """The covering argument on one chart.
 
     Points of low multiplicity at some prime are grouped into residue
@@ -455,7 +452,7 @@ def _cover(f, H, field, chart, points, good, regime, threshold, audit) -> CoverR
     [1, d-1].  The cover is verified pointwise.
     """
     n, d = f.nvars, f.degree
-    classes, xi_s = _partition(chart, points, good, threshold)
+    classes, xi_s = _partition(chart, points, lift, good, threshold)
 
     low = chart.monomials(n, d - 1)
     aux_polys = []
@@ -572,12 +569,12 @@ def cover_high_mult(
         points = enum_curve_points_proj(f, H).points
     threshold = d / log_h
     if not primes:
-        good = _prime_window(f, field, log_h, CoverParams.M, 4)
-        primes = [prime for prime, _ in good]
+        lift, good = _prime_window(f, field, log_h, CoverParams.M, 4)
+        primes = good
     else:
-        good = _good_reductions(f, primes)
+        lift, good = _good_reductions(f, primes)
     # a point with no good prime to read it at is not high anywhere
-    xi_s = _partition(_PROJECTIVE, points, good, threshold)[1] if good else []
+    xi_s = _partition(_PROJECTIVE, points, lift, good, threshold)[1] if good else []
     audit = _high_mult_audit(field, primes, d_prime, log_h)
     audit["xi_s_size"] = len(xi_s)
     if not xi_s:
@@ -609,10 +606,10 @@ def cover_pipeline(f: MultiPoly, H: int, params: CoverParams | None = None) -> C
     regime = regime_check(d, H)
     points = enum_curve_points_proj(f, H, EnumOptions(collect=True, budget=params.budget)).points
     log_h = math.log(H)
-    good = _prime_window(f, field, log_h, params.M, 4)
+    lift, good = _prime_window(f, field, log_h, params.M, 4)
     d_prime = max(min(int(params.N * log_h), d - 1), 1)
-    audit = _high_mult_audit(field, [prime for prime, _ in good], d_prime, log_h)
-    return _cover(f, H, field, _PROJECTIVE, points, good, regime, d / log_h, audit)
+    audit = _high_mult_audit(field, good, d_prime, log_h)
+    return _cover(f, H, field, _PROJECTIVE, points, lift, good, regime, d / log_h, audit)
 
 
 # ---------------------------------------------------------------------------
@@ -657,18 +654,17 @@ def cover_pipeline_affine(
     points = enum_affine_hypersurface(f, B, EnumOptions(collect=True, budget=params.budget)).points
 
     if params.primes is not None:
-        good = _good_reductions(f, params.primes)
-        kept = {prime for prime, _ in good}
+        lift, good = _good_reductions(f, params.primes)
         for prime in params.primes:
-            if prime not in kept:
+            if prime not in good:
                 raise PipelineError(f"supplied prime {prime.generator} has bad reduction")
     else:
-        good = _prime_window(f, field, log_b, params.M, 4)
+        lift, good = _prime_window(f, field, log_b, params.M, 4)
     if not good:
         raise PipelineError("no usable primes in the requested window")
 
     result = _cover(
-        f, B, field, _AFFINE, points, good, regime, d / log_b, {"d_prime": int(log_b**2)}
+        f, B, field, _AFFINE, points, lift, good, regime, d / log_b, {"d_prime": int(log_b**2)}
     )
     s = len(monomials_up_to_degree(n, d - 1))
     result.counts["monitors"] = [

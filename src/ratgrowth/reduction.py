@@ -21,8 +21,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import count, product
 from math import comb
+from operator import getitem, lt, mul, sub
 
 from .algebra.domains import CoeffDomain
 from .algebra.multipoly import MultiPoly, interpolant, monomials_of_degree
@@ -71,9 +72,7 @@ def reduce_lift_mod_p(lift: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersur
     """Reduce a primitive O_K polynomial (primitive_lift) modulo the prime,
     coefficient by coefficient; reports the reduced degree and whether the
     reduction is still a positive-dimensional hypersurface."""
-    field = field_for_poly(lift)
-    if not field.owns_prime(prime):
-        raise ValueError(f"prime {prime.generator} is not a prime of {field.describe()}")
+    _check_owned(field_for_poly(lift), prime)
     f_p = lift.map_coefficients(prime.residue_field, prime.residue)
     if f_p.is_zero:
         raise AssertionError("content-one polynomial reduced to zero")
@@ -86,6 +85,26 @@ def reduce_lift_mod_p(lift: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersur
         prime=prime,
         lift=lift,
     )
+
+
+def _check_owned(field, prime: PrimeIdealDesc) -> None:
+    if not field.owns_prime(prime):
+        raise ValueError(f"prime {prime.generator} is not a prime of {field.describe()}")
+
+
+def good_primes(lift: MultiPoly, primes) -> list:
+    """The primes, in order, at which reduce_lift_mod_p(lift, prime).good
+    holds, decided without reducing the polynomial: some term of positive
+    total degree has a coefficient with a nonzero residue.  Each prime's
+    scan stops at the first such term."""
+    field = field_for_poly(lift)
+    positive = [c for e, c in lift.terms.items() if any(e)]
+    good = []
+    for prime in primes:
+        _check_owned(field, prime)
+        if any(map(prime.residue, positive)):
+            good.append(prime)
+    return good
 
 
 def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurface:
@@ -108,7 +127,8 @@ class _TaylorPlan:
     as its nonzero (variable, exponent) entries; an alpha with no pair is
     left out.  An order is built when a scan first reaches it.  A plan over
     O_K (Z, whose binomials stay unreduced, or F_q[t]) serves every prime:
-    order reads it at one."""
+    order reads it at one.  It reads one point at a time; high_mult_locus
+    reads a whole line of F_q at once through _LinePlan."""
 
     __slots__ = ("dom", "terms", "tops", "degree", "orders")
 
@@ -168,6 +188,140 @@ class _TaylorPlan:
         if last < self.degree:
             return stop
         raise AssertionError("nonzero polynomial with no Taylor coefficients")
+
+
+class _LinePlan:
+    """The Hasse-Taylor coefficients of a chart polynomial over a finite
+    field, laid out for the lines of its last coordinate z: the other
+    coordinates are fixed along a line.  Split alpha = (alpha', j) and beta
+    = (beta', b) at z.  Order s lists, per alpha' of total degree s, the
+    triples (b, coefficients, monomials): per term beta with beta' >=
+    alpha' and binom(beta', alpha') nonzero in the field, the coefficient
+    c * binom(beta', alpha') and the index in `deltas` of beta' - alpha',
+    grouped by b.  binom[b][a] is binom(b, a) mod the characteristic, a
+    prime, so a product of nonzero entries is nonzero.  An alpha' with no
+    term is left out, and an order is built when a line first reaches
+    it."""
+
+    __slots__ = ("split", "prefix", "binom", "deltas", "index", "orders")
+
+    def __init__(self, terms: dict, binom: list):
+        self.prefix = len(next(iter(terms))) - 1
+        self.split = [(beta[:-1], beta[-1], c) for beta, c in terms.items()]
+        self.binom, self.deltas, self.index, self.orders = binom, [], {}, []
+
+    def order(self, s: int) -> list:
+        while s >= len(self.orders):
+            self.orders.append(self._build(len(self.orders)))
+        return self.orders[s]
+
+    def _build(self, s: int) -> list:
+        binom, deltas, index = self.binom, self.deltas, self.index
+        out = []
+        for alpha in monomials_of_degree(self.prefix, s):
+            groups: dict = {}
+            for mid, b, c in self.split:
+                if any(map(lt, mid, alpha)):
+                    continue
+                bin_ = math.prod(map(getitem, map(binom.__getitem__, mid), alpha))
+                if bin_:
+                    delta = tuple(map(sub, mid, alpha))
+                    if delta not in index:
+                        index[delta] = len(deltas)
+                        deltas.append(delta)
+                    cs, ids = groups.setdefault(b, ([], []))
+                    cs.append(c * bin_)
+                    ids.append(index[delta])
+            if groups:
+                out.append([(b, tuple(cs), tuple(ids)) for b, (cs, ids) in groups.items()])
+        return out
+
+    def line(self, pre: list, modulus):
+        """Yields, order k by order k, the line's Hasse-Taylor coefficients
+        of order k as polynomials in z: per alpha' of degree s <= k with
+        j = k - s, the pairs (coefficients, exponents) of
+        sum_b binom(b, j) g_(alpha', b) z^(b - j), where g_(alpha', b) is
+        the z^b coefficient of the alpha'-th Hasse derivative in the fixed
+        coordinates, whose power rows pre lists.  Each g is a raw sum
+        reduced once by modulus; the zero polynomials are left out."""
+        binom, deltas, monos, shifted = self.binom, self.deltas, [], []
+        value = monos.__getitem__
+        for k in count():
+            order = self.order(k)
+            # the line's value of each monomial beta' - alpha' seen so far
+            monos.extend(math.prod(map(getitem, pre, d)) for d in deltas[len(monos) :])
+            layer = []
+            for groups in order:
+                g = [
+                    (b, v)
+                    for b, cs, ids in groups
+                    if (v := sum(map(mul, cs, map(value, ids))) % modulus)
+                ]
+                if g:
+                    layer.append(g)
+            shifted.append(layer)
+            polys = []
+            for s, layer in enumerate(shifted):
+                j = k - s
+                for g in layer:
+                    terms = [(v * binom[b][j], b - j) for b, v in g if b >= j and binom[b][j]]
+                    if terms:
+                        polys.append(tuple(zip(*terms)))
+            yield polys
+
+
+def _line_scan(dom: CoeffDomain, charts: list, stop: int) -> list:
+    """The points of P^(n-1)(dom), in proj_points_over order, at which
+    every Hasse-Taylor coefficient of order below stop vanishes: those of
+    multiplicity >= stop.
+
+    A point is read on the chart of its leading 1 (charts[i] holds the
+    terms of the form dehomogenized at x_i), whose coordinates before it
+    are 0.  The chart's points are read a line at a time: the coordinates
+    but the last are fixed, and their Taylor shift (_LinePlan.line) is
+    taken once per line, an order only when some point of the line
+    reaches it.  Each point then evaluates the univariate coefficients of
+    each order on its powers, a raw sum reduced once, and leaves at its
+    first nonzero one.  The powers of every field element come from one
+    table, built once when lines share it (n >= 3); element 0 of the
+    field is zero."""
+    n, elems, modulus = len(charts), list(dom.elements()), dom.modulus
+    top, char = max(sum(beta) for terms in charts for beta in terms), dom.characteristic
+    binom = [[comb(b, a) % char for a in range(b + 1)] for b in range(top + 1)]
+
+    def powers(a) -> list:
+        row = [dom.one]
+        for _ in range(top):
+            row.append(dom.mul(row[-1], a))
+        return row
+
+    table = [powers(a) for a in elems] if n >= 3 else None
+    locus = []
+    for lead, terms in enumerate(charts):
+        plan = _LinePlan(terms, binom)
+        free = n - 1 - lead
+        head = (dom.zero,) * lead + (dom.one,)
+        # the last chart holds one point, its last coordinate 0 as well
+        xs = range(len(elems)) if free else (0,)
+        zeros = min(lead, n - 2)  # fixed coordinates before the leading 1
+        for prefix in product(range(len(elems)), repeat=max(free - 1, 0)):
+            line = plan.line([table[i] for i in (0,) * zeros + prefix], modulus)
+            hasse = []  # the line's orders, as far as some point has reached
+            for x in xs:
+                get = (table[x] if table else powers(elems[x])).__getitem__
+                for k in range(stop):
+                    if k == len(hasse):
+                        hasse.append(next(line))
+                    for cs, es in hasse[k]:
+                        if sum(map(mul, cs, map(get, es))) % modulus:
+                            break
+                    else:
+                        continue
+                    break
+                else:
+                    tail = tuple(elems[i] for i in prefix) + ((elems[x],) if free else ())
+                    locus.append(head + tail)
+    return locus
 
 
 def _to_chart(dom: CoeffDomain, coords) -> tuple[int, tuple]:
@@ -483,16 +637,12 @@ def high_mult_locus(f_p: MultiPoly, k, cap_degree: int, strict: bool = True) -> 
     npoints = sum(dom.size**i for i in range(n))
     if npoints > LOCUS_BUDGET:
         raise BudgetExceededError(LOCUS_BUDGET, npoints, "high-multiplicity locus")
-    # each canonical point is read on the chart of its leading 1, and only
-    # as far as the comparison with the threshold needs
-    plans = [_TaylorPlan(dom, f_p.dehomogenize(i).terms) for i in range(n)]
+    charts = [f_p.dehomogenize(i).terms for i in range(n)]
+    if not all(charts):
+        raise ValueError(f"{f_p} vanishes identically on a chart")
+    # mu > threshold (strict) or mu >= threshold exactly when mu >= stop
     stop = math.floor(threshold) + 1 if strict else math.ceil(threshold)
-    locus = []
-    for pt in proj_points_over(dom, n):
-        lead = next(i for i, c in enumerate(pt) if not dom.is_zero(c))
-        mu = plans[lead].order(pt[:lead] + pt[lead + 1 :], stop)
-        if (mu > threshold) if strict else (mu >= threshold):
-            locus.append(pt)
+    locus = _line_scan(dom, charts, stop)
     if not locus:
         return HighMultLocus("empty", None, 0, (), threshold)
     for degree in range(1, cap_degree + 1):

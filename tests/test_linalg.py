@@ -16,13 +16,24 @@ from ratgrowth.algebra.linalg import (
     det_exact,
     kernel_basis,
     kernel_vector,
-    mat_vec,
     rank,
 )
 
 ZZ = CoeffDomain.integers()
 QQ = CoeffDomain.rationals()
 GF5 = CoeffDomain.prime_field(5)
+
+
+def mat_vec(matrix: ExactMatrix, vec) -> tuple:
+    """The product of the matrix and a column vector, entry by entry."""
+    dom = matrix.domain
+    out = []
+    for row in matrix.entries:
+        acc = dom.zero
+        for a, x in zip(row, vec):
+            acc = dom.add(acc, dom.mul(a, x))
+        out.append(acc)
+    return tuple(out)
 
 
 DET_DOMAINS = [ZZ, QQ, GF5, CoeffDomain.poly_ring(2), CoeffDomain.poly_ring(3)]

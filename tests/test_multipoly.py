@@ -383,6 +383,9 @@ class TestCanonicalText:
     def test_monomial_counts(self):
         assert len(monomials_of_degree(3, 3)) == 10
         assert len(monomials_up_to_degree(3, 2)) == 10
+        # no variables: only the empty exponent vector, of degree 0
+        assert monomials_of_degree(0, 0) == ((),)
+        assert monomials_of_degree(0, 2) == ()
 
 
 class TestInvariants:

@@ -28,6 +28,7 @@ from ratgrowth.reduction import (
     cycle_mult,
     fulton_intersection_number,
     gcd_bivariate,
+    good_primes,
     high_mult_locus,
     mult_at_point,
     primitive_lift,
@@ -87,6 +88,27 @@ class TestReduceCurve:
         f = poly_parse("x0*x2 - x1^2", 3, domain)
         with pytest.raises(ValueError, match=f"is not a prime of {re.escape(field_name)}"):
             reduce_curve_mod_p(f, prime)
+        with pytest.raises(ValueError, match=f"is not a prime of {re.escape(field_name)}"):
+            good_primes(primitive_lift(f), [prime])
+
+    @pytest.mark.parametrize(
+        "text, nvars, domain, bad",
+        [
+            ("5*x0 + 2", 2, ZZ, ["5"]),
+            ("6*x0*x1 + 35", 2, ZZ, ["2", "3"]),
+            ("x0*x2 - x1^2", 3, ZZ, []),
+            ("t*x0 + t + 1", 2, F2T, ["t"]),
+            ("(t^2+t+1)*x0*x1 + 1", 2, F2T, ["t^2+t+1"]),
+        ],
+    )
+    def test_good_primes_match_the_reduction(self, text, nvars, domain, bad):
+        # the primes where the positive-degree terms keep a nonzero residue
+        # are those where the reduced polynomial keeps positive degree
+        lift = primitive_lift(poly_parse(text, nvars, domain))
+        window = primes_in_range(1, 40, field_for_poly(lift).q)
+        good = good_primes(lift, window)
+        assert good == [prime for prime in window if reduce_lift_mod_p(lift, prime).good]
+        assert [str(prime) for prime in window if prime not in good] == bad
 
 
 class TestMultiplicity:

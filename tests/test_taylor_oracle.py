@@ -5,7 +5,9 @@ plans: for every alpha in degree order it walks all the terms beta,
 skips those with some b < a and weights the rest by math.comb.  The
 planned kernel must give min(oracle, stop) for every cap, and the exact
 oracle without one, with each plan reused across points and caps the way
-the covering core and the locus scan reuse it.
+the covering core reuses it.  The locus scan, which reads a line of F_q
+at a time, must keep exactly the points whose oracle mu reaches its cap,
+in proj_points_over order.
 """
 
 import math
@@ -21,7 +23,14 @@ from ratgrowth.algebra.domains import CoeffDomain
 from ratgrowth.algebra.fqpoly import FqPoly
 from ratgrowth.algebra.multipoly import MultiPoly, monomials_of_degree
 from ratgrowth.corpus import capture_plane_corpus
-from ratgrowth.reduction import _affine_mult, _TaylorPlan, mult_at_point, proj_points_over
+from ratgrowth.reduction import (
+    _affine_mult,
+    _line_scan,
+    _TaylorPlan,
+    high_mult_locus,
+    mult_at_point,
+    proj_points_over,
+)
 
 
 def taylor_order_oracle(dom, terms, coords) -> int:
@@ -92,7 +101,8 @@ def test_corpus_every_plane_point(index):
     f = cyc.expanded()
     dom = f.domain
     threshold = Fraction(f.degree) / Fraction(k)
-    # the caps high_mult_locus passes, strict and not
+    # the caps of the locus thresholds D/k, strict and not, read here on
+    # the point plans of mult_at_point and the covers
     locus_stops = (math.floor(threshold) + 1, math.ceil(threshold))
     charts = [f.dehomogenize(i).terms for i in range(3)]
     plans = [_TaylorPlan(dom, terms) for terms in charts]
@@ -205,3 +215,74 @@ def test_affine_charts(dom, seed):
     for stop in stops_around(mu, rng.randint(0, 6)):
         assert _affine_mult(f, pt, stop, plans) == capped(mu, stop), stop
         assert mult_at_point(f, pt, projective=False, stop=stop).mu == capped(mu, stop), stop
+
+
+# ---------------------------------------------------------------------------
+# the high-multiplicity locus: the line scan against the oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_mus(f: MultiPoly) -> list:
+    """(point, oracle mu) for every point of P^(n-1) in proj_points_over
+    order, each read on the chart of its leading 1."""
+    dom, n = f.domain, f.nvars
+    charts = [f.dehomogenize(i).terms for i in range(n)]
+    out = []
+    for pt in proj_points_over(dom, n):
+        lead = next(i for i, c in enumerate(pt) if c)
+        out.append((pt, taylor_order_oracle(dom, charts[lead], pt[:lead] + pt[lead + 1 :])))
+    return out
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_corpus_locus_matches_oracle(index):
+    # the locus and the caps of the pipeline callers, strict and not
+    cyc, k = CORPUS[index]
+    f = cyc.expanded()
+    mus = oracle_mus(f)
+    threshold = Fraction(f.degree) / Fraction(k)
+    for strict, stop in ((True, math.floor(threshold) + 1), (False, math.ceil(threshold))):
+        got = high_mult_locus(f, k, max(int(4 * k) + 4, 8), strict)
+        assert got.locus == tuple(pt for pt, mu in mus if mu >= stop), strict
+        assert got.kind == ("ok" if got.locus else "empty")
+
+
+def _power_of_forms(dom, nvars, rng, powers) -> MultiPoly:
+    """The product of random linear forms raised to these powers."""
+    f = MultiPoly.constant(dom, nvars, 1)
+    for e in powers:
+        form = MultiPoly.zero(dom, nvars)
+        while not form:
+            form = _random_form(dom, nvars, 1, rng, homogeneous=True)
+        f = f * form**e
+    return f
+
+
+SCAN_FORMS = [
+    (CoeffDomain.prime_field(5), 2, 11, (3, 2, 1)),
+    (CoeffDomain.prime_field(7), 2, 12, (2, 2, 1, 1)),
+    (CoeffDomain.prime_field(5), 4, 13, (2, 1)),
+    (CoeffDomain.prime_field(7), 4, 14, (1, 1, 1)),
+    # characteristic 2: Lucas's theorem zeroes many binomials
+    (RESIDUE_FIELDS[1], 3, 15, (4, 2, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "dom, nvars, seed, powers", SCAN_FORMS, ids=["P1-F5", "P1-F7", "P3-F5", "P3-F7", "P2-F8"]
+)
+def test_line_scan_every_cap(dom, nvars, seed, powers):
+    # P^1 and P^3 over F_5 and F_7, and P^2 over F_8: every cap the scan
+    # can be asked for, a singular product and a random form
+    rng = random.Random(seed)
+    forms = [_power_of_forms(dom, nvars, rng, powers)]
+    forms.append(singular_poly(dom, random_point(dom, nvars, rng), rng, homogeneous=True))
+    forms.append(_random_form(dom, nvars, 3, rng, homogeneous=True))
+    for f in forms:
+        if f.is_constant:
+            continue
+        mus = oracle_mus(f)
+        charts = [f.dehomogenize(i).terms for i in range(nvars)]
+        for stop in range(1, f.degree + 2):
+            expected = [pt for pt, mu in mus if mu >= stop]
+            assert _line_scan(dom, charts, stop) == expected, (str(f), stop)
