@@ -215,20 +215,37 @@ def _grouped_terms(f: MultiPoly, solve: int) -> dict[int, list]:
     return grouped
 
 
-def _univariate(grouped: dict, tables: list, idx, zero) -> dict:
-    """The coefficients, by solve exponent, of f with the other coordinates
-    fixed at the power-table indices idx; {} if it vanishes identically."""
-    coeffs = {}
+def _collapse(grouped: dict, tables: list, head, solve_table: list, zero) -> list:
+    """f on the row of prefixes head + (last,), with the head substituted:
+    per solve exponent, (its power column, the constant coefficient, pairs
+    (power column of the last coordinate, coefficient)), the terms of one
+    last exponent merged and zero sums dropped."""
+    last_table = tables[len(head)]
+    staged = []
     for k, terms in grouped.items():
-        acc = zero
+        merged = {}
         for exps, c in terms:
-            for table, e, i in zip(tables, exps, idx):
+            for table, e, i in zip(tables, exps, head):
                 if e:
                     c = c * table[e][i]
-            acc = acc + c
+            merged[exps[-1]] = merged.get(exps[-1], zero) + c
+        const = merged.pop(0, zero)
+        pairs = [(last_table[e], c) for e, c in merged.items() if c]
+        if const or pairs:
+            staged.append((solve_table[k], const, pairs))
+    return staged
+
+
+def _prefix_columns(staged: list, last: int) -> list:
+    """The univariate of a collapsed row at index last, as pairs (solve
+    power column, coefficient); [] where it vanishes identically."""
+    columns = []
+    for col, acc, pairs in staged:
+        for column, c in pairs:
+            acc = acc + c * column[last]
         if acc:
-            coeffs[k] = acc
-    return coeffs
+            columns.append((col, acc))
+    return columns
 
 
 def _solve_sieve_primes(field: GlobalField, nvals: int) -> list[PrimeIdealDesc]:
@@ -272,10 +289,12 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
     Classes are numbered by their canonical representatives: 0..p-1 over
     Q, the polynomials of degree below deg(pi) by index over F_q(t).  The
     zeros come from exact evaluation of the primitive part of f at those
-    representatives with the grouped power-table evaluation of the scan,
-    then one reduction of the value, so no residue-field arithmetic is
-    needed.  The primitive part vanishes where f does, and a prime that
-    divides the content of f still sieves."""
+    representatives with the row collapse of the scan, then one reduction
+    of the value, so no residue-field arithmetic is needed.  The primitive
+    part vanishes where f does, and a prime that divides the content of f
+    still sieves.  Where it is homogeneous, f(l x, z) = l^d f(x, z / l):
+    roots are found at the zero key and the keys led by the class 1 only,
+    and times l they are the roots at the keys l x."""
     if not primes:
         return []
     coeffs = f.domain.clear_denominators(f.terms.values())
@@ -287,25 +306,30 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
     for prime in primes:
         gen = prime.generator
         reps = list(range(gen)) if field.is_rational else list(all_polys(field.q, gen.degree - 1))
+        classes = range(len(reps))
         powers = [_power_table(field, reps, [e[i] for e in f.terms]) for i in range(n)]
         fixed = powers[:solve] + powers[solve + 1 :]
         residues = [field.key(v % gen) for v in values]
         buckets: list[list[int]] = [[] for _ in reps]
         for iv, r in enumerate(residues):
             buckets[r].append(iv)
+        heads = list(product(classes, repeat=n - 2))
+        # row l of the product table maps each class x to l x
+        scales = [[field.key(a * b % gen) for b in reps] for a in reps[1:]] if f.is_homogeneous else [classes]
+        rows = _lead_rows(n - 1, len(reps), 0, [1]) if f.is_homogeneous else [(h, classes) for h in heads]
         by_roots: dict[tuple, frozenset] = {}
-        table = {}
-        for key in product(range(len(reps)), repeat=n - 1):
-            coeffs = _univariate(grouped, fixed, key, zero)
-            columns = [(powers[solve][k], c) for k, c in coeffs.items()]
-            roots = tuple(
-                r
-                for r in range(len(reps))
-                if not sum((c * col[r] for col, c in columns), zero) % gen
-            )
-            if roots not in by_roots:
-                by_roots[roots] = frozenset(iv for r in roots for iv in buckets[r])
-            table.setdefault(key[:-1], []).append(by_roots[roots])
+        sets = {}
+        for head, axis in rows:
+            staged = _collapse(grouped, fixed, head, powers[solve], zero)
+            for last in axis:
+                columns = _prefix_columns(staged, last)
+                roots = [r for r in classes if not sum((c * col[r] for col, c in columns), zero) % gen]
+                for scale in scales:
+                    scaled = tuple(sorted(scale[r] for r in roots))
+                    if scaled not in by_roots:
+                        by_roots[scaled] = frozenset(iv for r in scaled for iv in buckets[r])
+                    sets[tuple(scale[i] for i in head + (last,))] = by_roots[scaled]
+        table = {head: [sets[head + (last,)] for last in classes] for head in heads}
         out.append((residues, table))
     return out
 
@@ -320,11 +344,12 @@ def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, siev
 
     For each prefix, the candidates are the solve indices that every sieve
     table admits, and each is decided by exact evaluation of the univariate
-    that f collapses to there.  Where that univariate is zero its sum has
-    no term, so every candidate is a zero and none is evaluated.  Each row
-    looks up the sieve table of its head once, so a prefix costs one list
-    index per prime.  Every candidate adds one to the work `spent` before
-    the scan, and work past `budget` raises BudgetExceededError."""
+    that f collapses to there, staged once per row by `_collapse`.  Where
+    that univariate is zero its sum has no term, so every candidate is a
+    zero and none is evaluated.  Each row looks up the sieve table of its
+    head once, so a prefix costs one list index per prime.  Every candidate
+    adds one to the work `spent` before the scan, and work past `budget`
+    raises BudgetExceededError."""
     tables = [_power_table(field, values, [e[i] for e in f.terms]) for i in range(f.nvars)]
     fixed, solve_table = tables[:solve] + tables[solve + 1 :], tables[solve]
     grouped = _grouped_terms(f, solve)
@@ -335,6 +360,7 @@ def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, siev
         lookups = [(residues, table[tuple(residues[i] for i in head)]) for residues, table in sieve]
         first, rest = lookups[:counted], lookups[counted:]
         emit = emit_row(head)
+        staged = _collapse(grouped, fixed, head, solve_table, zero)
         for last in axis:
             candidates = every
             if counted:
@@ -350,11 +376,10 @@ def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, siev
             work += len(candidates)
             if work > budget:
                 raise BudgetExceededError(budget, budget + 1)
-            coeffs = _univariate(grouped, fixed, head + (last,), zero)
-            if not coeffs:
+            columns = _prefix_columns(staged, last)
+            if not columns:
                 emit(last, candidates)
                 continue
-            columns = [(solve_table[k], c) for k, c in coeffs.items()]
             hits = []
             for iv in candidates:
                 acc = zero

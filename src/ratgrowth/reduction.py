@@ -68,32 +68,13 @@ def primitive_lift(f: MultiPoly) -> MultiPoly:
     return MultiPoly(dom, f.nvars, zip(exps, dom.primitive(f.domain.clear_denominators(coeffs))))
 
 
-def reduce_lift_mod_p(lift: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurface:
-    """Reduce a primitive O_K polynomial (primitive_lift) modulo the prime,
-    coefficient by coefficient; reports the reduced degree and whether the
-    reduction is still a positive-dimensional hypersurface."""
-    _check_owned(field_for_poly(lift), prime)
-    f_p = lift.map_coefficients(prime.residue_field, prime.residue)
-    if f_p.is_zero:
-        raise AssertionError("content-one polynomial reduced to zero")
-    reduced_degree = f_p.degree
-    return ReducedHypersurface(
-        f_p=f_p,
-        original_degree=lift.degree,
-        reduced_degree=reduced_degree,
-        good=reduced_degree > 0,
-        prime=prime,
-        lift=lift,
-    )
-
-
 def _check_owned(field, prime: PrimeIdealDesc) -> None:
     if not field.owns_prime(prime):
         raise ValueError(f"prime {prime.generator} is not a prime of {field.describe()}")
 
 
 def good_primes(lift: MultiPoly, primes) -> list:
-    """The primes, in order, at which reduce_lift_mod_p(lift, prime).good
+    """The primes, in order, at which reduce_curve_mod_p(lift, prime).good
     holds, decided without reducing the polynomial: some term of positive
     total degree has a coefficient with a nonzero residue.  Each prime's
     scan stops at the first such term."""
@@ -108,10 +89,23 @@ def good_primes(lift: MultiPoly, primes) -> list:
 
 
 def reduce_curve_mod_p(f: MultiPoly, prime: PrimeIdealDesc) -> ReducedHypersurface:
-    """Reduce the primitive (content-one) representative of f modulo the
-    prime; reports the reduced degree and whether the reduction is still a
+    """Reduce the primitive (content-one) representative of f
+    (primitive_lift) modulo the prime, coefficient by coefficient; reports
+    the reduced degree and whether the reduction is still a
     positive-dimensional hypersurface."""
-    return reduce_lift_mod_p(primitive_lift(f), prime)
+    lift = primitive_lift(f)
+    _check_owned(field_for_poly(lift), prime)
+    f_p = lift.map_coefficients(prime.residue_field, prime.residue)
+    if f_p.is_zero:
+        raise AssertionError("content-one polynomial reduced to zero")
+    return ReducedHypersurface(
+        f_p=f_p,
+        original_degree=lift.degree,
+        reduced_degree=f_p.degree,
+        good=f_p.degree > 0,
+        prime=prime,
+        lift=lift,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +617,8 @@ def high_mult_locus(f_p: MultiPoly, k, cap_degree: int, strict: bool = True) -> 
     """
     if f_p.is_constant:
         raise ValueError("need a nonconstant hypersurface")
+    if f_p.nvars < 2:
+        raise ValueError("the locus needs a positive-dimensional projective space: 2 or more variables")
     dom = f_p.domain
     if dom.size is None:
         raise TypeError("high-multiplicity scan needs a finite residue field")

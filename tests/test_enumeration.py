@@ -763,3 +763,150 @@ def test_curve_count_mode_keeps_no_points():
         tracemalloc.stop()
     assert count == 18565
     assert peak <= 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# the scan's row collapse and the sieve's root tables, against evaluation
+# ---------------------------------------------------------------------------
+
+
+def per_key_sieve_tables(f, field, primes, solve, values):
+    """The per-key build of `_sieve_tables`: at every key of residue classes,
+    the classes of the solve coordinate at which the primitive part of f,
+    evaluated exactly at the class representatives, is divisible by the
+    prime."""
+    from itertools import product
+
+    from ratgrowth.algebra.fqpoly import all_polys
+
+    if not primes:
+        return []
+    coeffs = f.domain.clear_denominators(f.terms.values())
+    f = MultiPoly(field.integer_domain(), f.nvars, zip(f.terms, coeffs)).primitive_part()
+    out = []
+    for prime in primes:
+        gen = prime.generator
+        reps = list(range(gen)) if field.is_rational else list(all_polys(field.q, gen.degree - 1))
+        residues = [field.key(v % gen) for v in values]
+        table = {}
+        for key in product(range(len(reps)), repeat=f.nvars - 1):
+            coords = [reps[i] for i in key]
+            roots = {r for r, z in enumerate(reps) if not f.evaluate((*coords[:solve], z, *coords[solve:])) % gen}
+            hits = frozenset(iv for iv, r in enumerate(residues) if r in roots)
+            table.setdefault(key[:-1], []).append(hits)
+        out.append((residues, table))
+    return out
+
+
+# per field: the box, a form with a content that a prime of the box divides,
+# a non-homogeneous affine form, and the box of the P^3 surfaces
+STAGING_FIELDS = {
+    "Q": (ZZ, 30, "6*x0^2+12*x1*x2", "x0^2*x1 - x0*x1 + x2^3 - 2", 10),
+    "F_2(t)": (F2T, 16, "(t^3+t+1)*(x0^2 + t*x1*x2)", "x0^2*x1 + x0*x1 + x2^3 + t", 8),
+    "F_3(t)": (F3T, 27, "(t^2+1)*(x0^2 + t*x1*x2)", "x0^2*x1 - x0*x1 + x2^3 - t", 9),
+}
+STAGING_CURVES = ["x0*x2 - x1^2", "x0^3+x1^3-2*x2^3+x0*x1*x2", "x0*x1*x2*(x0-x1)*(x1-x2)*(x0-x2)", "x1 - x2"]
+STAGING_SURFACES = ["x0^2*x3 - x1^2*x3 + x2^3", "x0*x3 - x1*x2"]
+
+
+def staging_cases(field_name):
+    dom, H, content, affine, H_surface = STAGING_FIELDS[field_name]
+    cases = [(poly_parse(text, 3, dom), H) for text in [*STAGING_CURVES, content, affine]]
+    return cases + [(poly_parse(text, 4, dom), H_surface) for text in STAGING_SURFACES]
+
+
+class TestRootTablesByClass:
+    """`_sieve_tables` finds roots at one key per projective class of keys
+    when the primitive part of f is homogeneous, and per key otherwise; both
+    must equal the per-key build at every key, for every solve variable."""
+
+    @pytest.mark.parametrize("field_name", list(STAGING_FIELDS))
+    def test_tables_match_the_per_key_build(self, field_name):
+        from ratgrowth.enumeration import _sieve_tables
+        from ratgrowth.globalfield import field_for_poly
+
+        homogeneous = 0
+        for f, H in staging_cases(field_name):
+            field = field_for_poly(f)
+            values = field.box(H)
+            primes = _solve_sieve_primes(field, len(values))
+            assert primes
+            homogeneous += f.primitive_part().is_homogeneous
+            for solve in range(f.nvars):
+                got = _sieve_tables(f, field, primes, solve, values)
+                assert got == per_key_sieve_tables(f, field, primes, solve, values), (str(f), solve)
+        # all but the affine form take the projective-class build
+        assert homogeneous == len(STAGING_CURVES) + len(STAGING_SURFACES) + 1
+
+    def test_a_prime_above_the_box(self):
+        # a prime of norm 13 over a box of 7 values: residues 7..12 of the
+        # classes hold no box value, and the scaling still maps every class
+        from ratgrowth.enumeration import _sieve_tables
+
+        f = poly_parse("x0^3+x1^3-2*x2^3+x0*x1*x2", 3, ZZ)
+        values = Q.box(3)
+        for solve in range(3):
+            primes = [PrimeIdealDesc(13, 13), PrimeIdealDesc(2, 2)]
+            got = _sieve_tables(f, Q, primes, solve, values)
+            assert got == per_key_sieve_tables(f, Q, primes, solve, values)
+
+
+class TestRowCollapse:
+    """Each row of the scan substitutes its head into f once; the staged
+    coefficients, and the univariate that each prefix reads from them, must
+    equal the coefficient forms of f evaluated by `MultiPoly.evaluate`."""
+
+    @staticmethod
+    def coefficient_forms(f, solve, last):
+        # (solve exponent, last exponent) -> that coefficient of f as a form
+        # in the other variables
+        forms = {}
+        for e, c in f.terms.items():
+            rest = tuple(0 if i in (solve, last) else x for i, x in enumerate(e))
+            forms.setdefault((e[solve], e[last]), {})[rest] = c
+        return {ke: MultiPoly(f.domain, f.nvars, terms) for ke, terms in forms.items()}
+
+    @pytest.mark.parametrize("field_name", list(STAGING_FIELDS))
+    def test_staged_rows_match_evaluation(self, field_name):
+        from itertools import product
+
+        from ratgrowth.enumeration import _collapse, _grouped_terms, _power_table, _prefix_columns
+        from ratgrowth.globalfield import field_for_poly
+
+        dropped = 0
+        for f, _ in staging_cases(field_name):
+            field = field_for_poly(f)
+            values = field.box(2 if field.is_rational else field.q)
+            for solve in range(f.nvars):
+                others = [i for i in range(f.nvars) if i != solve]
+                tables = [_power_table(field, values, [e[i] for e in f.terms]) for i in range(f.nvars)]
+                fixed, solve_table = [tables[i] for i in others], tables[solve]
+                k_of = {id(col): k for k, col in solve_table.items()}
+                e_of = {id(col): e for e, col in fixed[-1].items()}
+                forms = self.coefficient_forms(f, solve, others[-1])
+                grouped = _grouped_terms(f, solve)
+                for head in product(range(len(values)), repeat=f.nvars - 2):
+                    point = [field.one] * f.nvars
+                    for i, ih in zip(others, head):
+                        point[i] = values[ih]
+                    at_head = {ke: g.evaluate(tuple(point)) for ke, g in forms.items()}
+                    dropped += sum(not v for v in at_head.values())
+                    staged = _collapse(grouped, fixed, head, solve_table, field.zero)
+                    # every kept sum is nonzero, and every nonzero sum is kept
+                    got = {}
+                    for col, const, pairs in staged:
+                        k = k_of[id(col)]
+                        assert const or pairs, (str(f), solve, head, k)
+                        got.update({(k, e_of[id(column)]): c for column, c in pairs})
+                        if const:
+                            got[k, 0] = const
+                    assert got == {ke: v for ke, v in at_head.items() if v}, (str(f), solve, head)
+                    for last, value in enumerate(values):
+                        point[others[-1]] = value
+                        want = {}
+                        for (k, e), g in forms.items():
+                            want[k] = want.get(k, field.zero) + g.evaluate(tuple(point)) * value**e
+                        got = {k_of[id(col)]: c for col, c in _prefix_columns(staged, last)}
+                        assert got == {k: c for k, c in want.items() if c}, (str(f), solve, head, last)
+        # the boxes reach heads at which some coefficient sums to zero
+        assert dropped

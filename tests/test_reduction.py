@@ -34,7 +34,6 @@ from ratgrowth.reduction import (
     primitive_lift,
     proj_points_over,
     reduce_curve_mod_p,
-    reduce_lift_mod_p,
     silly_arithmetic_check,
 )
 
@@ -107,7 +106,7 @@ class TestReduceCurve:
         lift = primitive_lift(poly_parse(text, nvars, domain))
         window = primes_in_range(1, 40, field_for_poly(lift).q)
         good = good_primes(lift, window)
-        assert good == [prime for prime in window if reduce_lift_mod_p(lift, prime).good]
+        assert good == [prime for prime in window if reduce_curve_mod_p(lift, prime).good]
         assert [str(prime) for prime in window if prime not in good] == bad
 
 
@@ -224,7 +223,7 @@ class TestSharedTaylorPlans:
         lift, plans = primitive_lift(f), {}
         for prime, points in prime_points:
             reduced = reduce_curve_mod_p(f, prime)
-            assert reduce_lift_mod_p(lift, prime) == reduced
+            assert reduce_curve_mod_p(lift, prime) == reduced
             for coords in points:
                 mu = mult_at_point(reduced.f_p, coords, projective).mu
                 for stop in caps:
@@ -565,6 +564,14 @@ class TestHighMultLocus:
         # the refusal names the locus scan, not an enumeration
         assert exc.value.stage == "high-multiplicity locus"
         assert str(exc.value) == "high-multiplicity locus budget exceeded: 2284633 > 2000000"
+
+    @pytest.mark.parametrize("text, k", [("x0^3", 2), ("x0", 2), ("x0^4", 1)])
+    def test_form_in_one_variable_refused(self, text, k):
+        # a form in one variable cuts P^0, which has no locus to scan; the
+        # refusal names that, whatever the threshold
+        f = poly_parse(text, 1, GF5)
+        with pytest.raises(ValueError, match="positive-dimensional projective space"):
+            high_mult_locus(f, k, 3)
 
     def test_no_form_below_the_cap(self):
         # the three vertices of the triangle x0*x1*x2 lie on no line
