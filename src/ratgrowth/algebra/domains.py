@@ -17,16 +17,25 @@ residue_field       FqPoly reduced mod an irreducible pi
 The residue-field kind covers F_q[t]/(pi) for function-field primes of
 any degree; for prime degree 1 callers usually prefer prime_field(q)
 via evaluation at the root of pi.  No floating point is used anywhere.
+
+``CoeffDomain.ring`` is the raw ring that the exact elimination and the
+evaluation columns run on.  For every kind but F_q[t] it is the domain
+itself: the raw form of an element is the element, with its plain
+operators.  For F_q[t] it is a ``_PackedRing``: FqPoly's packed ints,
+multiplied, subtracted and divided by fqpoly's packed kernels and wrapped
+back into FqPoly only where they leave the elimination.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, partial, reduce
 
 from .fqpoly import FqPoly, FqRational, fq_gcd, fq_lcm, fq_xgcd, is_irreducible, poly_from_index
+from .fqpoly import _clmul, _divmod2, _divmod_odd, _kronecker, _layout, _make, _sub_odd
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -37,6 +46,10 @@ RESIDUE_FIELD = "residue_field"
 
 _FIELD_KINDS = frozenset({RATIONALS, PRIME_FIELD, RATIONAL_FUNCTIONS, RESIDUE_FIELD})
 _FF_KINDS = frozenset({POLY_RING, RATIONAL_FUNCTIONS, RESIDUE_FIELD})
+
+
+def _unchanged(x):
+    return x
 
 
 def _is_prime_int(n: int) -> bool:
@@ -133,6 +146,19 @@ class CoeffDomain:
             return self.q**self.pi.degree
         return None
 
+    # -- the raw ring of the elimination -------------------------------------
+
+    @property
+    def ring(self):
+        """The raw ring: a _PackedRing for F_q[t], else this domain."""
+        return _packed_ring(self.q) if self.kind == POLY_RING else self
+
+    # over the domain itself the raw form of a sequence of elements is the
+    # elements (raw: a list, cook: a tuple), columns are products by the
+    # plain operators, reduced once by the modulus, and the elimination
+    # steps with the plain operators too (it has no step of its own)
+    raw, cook, times = staticmethod(list), staticmethod(tuple), staticmethod(operator.mul)
+
     # -- element handling ----------------------------------------------------
 
     def coerce(self, x):
@@ -221,11 +247,14 @@ class CoeffDomain:
         """The map a -> a / b for a fixed nonzero b, exact.  Over a field
         it multiplies by b's inverse, taken once here, and reduces; a may
         be any raw value of the element type, such as an unreduced sum of
-        products.  Over Z and F_q[t] it is divmod, and a nonzero remainder
-        raises ArithmeticError."""
+        products.  Over Z it is divmod, over F_q[t] the packed divider of
+        its raw ring, and a nonzero remainder raises ArithmeticError."""
         if self.kind in _FIELD_KINDS:
             inv, modulus = self.inv(b), self.modulus
             return (lambda a: a * inv) if modulus is None else (lambda a: a * inv % modulus)
+        if self.kind == POLY_RING:
+            divide, q = self.ring.divider(self.coerce(b).packed), self.q
+            return lambda a: _make(q, divide(a.packed))
 
         def divide(a):
             quo, rem = divmod(a, b)
@@ -380,3 +409,63 @@ class CoeffDomain:
         if k == RESIDUE_FIELD:
             return f"F_{self.q}[t]/({self.pi})"
         raise AssertionError(k)
+
+
+class _PackedRing:
+    """F_q[t] as the raw ring of the elimination: FqPoly's packed ints,
+    with fqpoly's packed kernels for the products, the step and the exact
+    division (see the fqpoly module docstring)."""
+
+    one, zero, modulus = 1, 0, None
+    is_zero = staticmethod(operator.not_)
+
+    def __init__(self, q: int) -> None:
+        self.q, self.ring = q, self
+        if q == 2:
+            self.mul, self.sub, self._divmod = _clmul, operator.xor, _divmod2
+        else:
+            lay = _layout(q)
+            self.mul, self.sub = partial(_kronecker, lay), partial(_sub_odd, lay)
+            self._divmod = partial(_divmod_odd, lay)
+        self.times, self.neg = self.mul, partial(self.sub, 0)
+
+    @staticmethod
+    def raw(values) -> list:
+        """The packed ints of a sequence of FqPoly."""
+        return [x.packed for x in values]
+
+    def cook(self, values) -> tuple:
+        """A sequence of packed ints wrapped back into FqPoly."""
+        q = self.q
+        return tuple(_make(q, v) for v in values)
+
+    def step(self, piv, top, divide, xs, ms):
+        """One Bareiss step on a column: divide(piv * x - m * top) per entry."""
+        mul, sub = self.mul, self.sub
+        return [divide(sub(mul(piv, x), mul(m, top))) for x, m in zip(xs, ms)]
+
+    def divider(self, b: int):
+        """The exact map a -> a / b on packed ints; a nonzero remainder
+        raises ArithmeticError.  Dividing by 1, as the first step does,
+        leaves a as it is."""
+        if not b:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if b == 1:
+            return _unchanged
+        divmod_, q = self._divmod, self.q
+
+        def divide(a):
+            quo, rem = divmod_(a, b)
+            if rem:
+                raise ArithmeticError(f"{_make(q, b)} does not divide {_make(q, a)} in F_{q}[t]")
+            return quo
+
+        return divide
+
+    def exact_div(self, a: int, b: int) -> int:
+        return self.divider(b)(a)
+
+
+@lru_cache(maxsize=None)
+def _packed_ring(q: int) -> _PackedRing:
+    return _PackedRing(q)

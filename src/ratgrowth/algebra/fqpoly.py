@@ -17,7 +17,13 @@ coefficients by construction.
   wide enough for the convolution sums, multiplied as integers once, and
   every slot of the product is reduced mod q.  Long division adds
   multiples of the divisor to the packed remainder and reduces its slots
-  once, at the end.
+  once, at the end.  Subtraction adds q - b_i to every slot of b first, so
+  no slot goes negative.
+
+The kernels on packed ints (``_clmul`` and ``_divmod2`` for q = 2,
+``_kronecker``, ``_divmod_odd`` and ``_sub_odd`` for odd q) are module
+functions: FqPoly's operators wrap their results, and the raw ring of
+F_q[t] in ``domains`` runs the exact elimination on them unwrapped.
 
 ``FqRational`` is a normalized numerator/denominator pair, i.e. an element
 of F_q(t).  q is restricted to primes so residue arithmetic stays on plain
@@ -42,13 +48,14 @@ def _check_same_q(a: "FqPoly", b: "FqPoly") -> None:
 class _Layout:
     """The slot layout of packed F_q[t] elements for one odd q."""
 
-    __slots__ = ("q", "size", "bits", "mod")
+    __slots__ = ("q", "size", "bits", "mod", "q_slot")
 
     def __init__(self, q: int) -> None:
         size = 1
         while 2 * q - 2 >> 8 * size:
             size *= 2
         self.q, self.size, self.bits = q, size, 8 * size
+        self.q_slot = q.to_bytes(size, "little")
         # byte -> byte table reducing every one-byte slot at once
         self.mod = bytes(x % q for x in range(256)) if size == 1 else None
 
@@ -91,8 +98,8 @@ def _spread(v: int, n: int, size: int, wide: int) -> int:
 
 
 def _kronecker(lay: _Layout, a: int, b: int) -> int:
-    """The product of two nonzero packed elements over odd q: one integer
-    product of the operands in slots that hold every convolution sum."""
+    """The product of two packed elements over odd q: one integer product
+    of the operands in slots that hold every convolution sum."""
     size = lay.size
     na, nb = -(-a.bit_length() // lay.bits), -(-b.bit_length() // lay.bits)
     bound = min(na, nb) * (lay.q - 1) ** 2  # largest possible slot of the product
@@ -130,6 +137,42 @@ def _divmod_odd(lay: _Layout, a: int, b: int) -> tuple[int, int]:
         digits.append(-c % q)
         a += c * b << w * s
     return _pack(lay, digits[::-1]), _fold(lay, a & (1 << w * (nb - 1)) - 1, wide)
+
+
+def _sub_odd(lay: _Layout, a: int, b: int) -> int:
+    """a - b for packed elements over odd q: q - b_i in every slot of b
+    keeps the sum of slots nonnegative and below 2q, so one fold reduces it."""
+    nb = -(-b.bit_length() // lay.bits)
+    return _fold(lay, a + int.from_bytes(lay.q_slot * nb, "little") - b, lay.size)
+
+
+def _clmul(a: int, b: int) -> int:
+    """The product of packed elements over q = 2: one shifted copy of the
+    denser operand XORed in per set bit of the sparser one.  Most operands
+    in the pipelines are 0 or a power of t, whose product is the integer
+    product."""
+    if not a & (a - 1) or not b & (b - 1):
+        return a * b
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
+    r = 0
+    while b:
+        low = b & -b
+        r ^= a * low
+        b ^= low
+    return r
+
+
+def _divmod2(a: int, b: int) -> tuple[int, int]:
+    """Long division of packed elements over q = 2; b is nonzero.  Each
+    step XORs the divisor, shifted under the top bit, off the remainder."""
+    n, quo = b.bit_length(), 0
+    shift = a.bit_length() - n
+    while shift >= 0:
+        a ^= b << shift
+        quo |= 1 << shift
+        shift = a.bit_length() - n
+    return quo, a
 
 
 def _width(q: int) -> int:
@@ -261,37 +304,34 @@ class FqPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self if self.q == 2 else self.scale(-1)
+        q = self.q
+        return self if q == 2 else _make(q, _sub_odd(_layout(q), 0, self.packed))
 
     def __sub__(self, other):
-        if not isinstance(other, (FqPoly, int)):
+        q = self.q
+        b = other.packed if type(other) is FqPoly and other.q == q else self._operand(other)
+        if b is None:
             return NotImplemented
-        return self + (-other)
+        if q == 2:
+            return _make(2, self.packed ^ b)
+        return _make(q, _sub_odd(_layout(q), self.packed, b))
 
     def __rsub__(self, other):
         if not isinstance(other, int):
             return NotImplemented
-        return -self + other
+        q = self.q
+        if q == 2:
+            return _make(2, self.packed ^ other % 2)
+        return _make(q, _sub_odd(_layout(q), other % q, self.packed))
 
     def __mul__(self, other):
         q = self.q
         b = other.packed if type(other) is FqPoly and other.q == q else self._operand(other)
         if b is None:
             return NotImplemented
-        a = self.packed
         if q == 2:
-            # XOR one shifted copy of a per set bit of b, b the sparser one
-            if a.bit_count() < b.bit_count():
-                a, b = b, a
-            r = 0
-            while b:
-                low = b & -b
-                r ^= a * low
-                b ^= low
-            return _make(2, r)
-        if not a or not b:
-            return _make(q, 0)
-        return _make(q, _kronecker(_layout(q), a, b))
+            return _make(2, _clmul(self.packed, b))
+        return _make(q, _kronecker(_layout(q), self.packed, b))
 
     __rmul__ = __mul__
 
@@ -302,16 +342,7 @@ class FqPoly:
             return NotImplemented
         if not b:
             raise ZeroDivisionError("division by the zero polynomial")
-        a = self.packed
-        if q == 2:
-            n, quo = b.bit_length(), 0
-            shift = a.bit_length() - n
-            while shift >= 0:
-                a ^= b << shift
-                quo |= 1 << shift
-                shift = a.bit_length() - n
-            return _make(2, quo), _make(2, a)
-        quo, rem = _divmod_odd(_layout(q), a, b)
+        quo, rem = _divmod2(self.packed, b) if q == 2 else _divmod_odd(_layout(q), self.packed, b)
         return _make(q, quo), _make(q, rem)
 
     def __floordiv__(self, other):

@@ -6,10 +6,14 @@ column(c), keeps every intermediate value in the domain by exact
 division, and stops at the first column that depends on the ones before
 it, so the columns past that one are never read.  det_exact reads the
 determinant off its last pivot and row-swap count; kernel_vector, the
-interpolation solver, back-substitutes its pivot rows.  rref,
-kernel_basis and rank do plain Gauss-Jordan over a field with a fixed
-pivot rule, so results are deterministic; they are the independent
-oracle the elimination is tested against.
+interpolation solver, back-substitutes its pivot rows.  Both run in the
+domain's raw ring (CoeffDomain.ring): over F_q[t] on FqPoly's packed
+ints, with the carry-less resp. Kronecker products and the packed exact
+division of fqpoly, and they wrap the determinant resp. the kernel
+vector back into FqPoly as it leaves.  rref, kernel_basis and rank do
+plain Gauss-Jordan over a field with a fixed pivot rule, so results are
+deterministic; they are the independent oracle the elimination is
+tested against.
 """
 
 from __future__ import annotations
@@ -75,11 +79,12 @@ def det_exact(matrix: ExactMatrix):
     the row-swapped matrix), negated after an odd number of row swaps."""
     if not matrix.is_square:
         raise NonSquareMatrixError(f"{matrix.rows}x{matrix.cols} matrix has no determinant")
-    dom = matrix.domain
-    _, pivots, dependent, swaps = _eliminate(matrix)
+    raw = _raw(matrix)
+    ring = raw.domain
+    _, pivots, dependent, swaps = _eliminate(raw)
     if dependent is not None:
-        return dom.zero
-    return dom.neg(pivots[-1]) if swaps % 2 else pivots[-1]
+        return matrix.domain.zero
+    return ring.cook([ring.neg(pivots[-1]) if swaps % 2 else pivots[-1]])[0]
 
 
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
@@ -144,10 +149,32 @@ def kernel_vector(matrix: ExactMatrix) -> tuple | None:
     j < fc, so v lies in the domain and is kernel_basis(M)[0] scaled by
     v[fc].  The work is about rows * fc^2 ring operations.
     """
-    done, pivots, dependent, _ = _eliminate(matrix)
+    raw = _raw(matrix)
+    ring = raw.domain
+    done, pivots, dependent, _ = _eliminate(raw)
     if dependent is None:
         return None
-    return _back_substitute(matrix.domain, done, pivots, dependent, matrix.cols)
+    return ring.cook(_back_substitute(ring, done, pivots, dependent, matrix.cols))
+
+
+class _RawColumns:
+    """A matrix read in its domain's raw ring, a column at a time."""
+
+    __slots__ = ("domain", "rows", "cols", "matrix")
+
+    def __init__(self, ring, matrix) -> None:
+        self.domain, self.rows, self.cols, self.matrix = ring, matrix.rows, matrix.cols, matrix
+
+    def column(self, c: int) -> list:
+        return self.domain.raw(self.matrix.column(c))
+
+
+def _raw(matrix):
+    """The matrix in the raw ring of its domain: itself when its domain is
+    that ring already (every kind but F_q[t], and the evaluation columns of
+    multipoly, which are computed raw)."""
+    ring = matrix.domain.ring
+    return matrix if ring is matrix.domain else _RawColumns(ring, matrix)
 
 
 def _eliminate(matrix):
@@ -158,14 +185,19 @@ def _eliminate(matrix):
     The matrix is anything with domain, rows, cols and column(c), and
     column c is read only when the elimination reaches it.  Each column is
     brought up to date through the steps already taken: step i forms
-    piv * x - m * top with the plain operators of the raw elements and
-    divides it exactly by the step's previous pivot, through one divider
-    the domain builds per step.  Returns (done, pivots, dependent, swaps):
-    done[i] is column i as it stood at step i, by row position; pivots[i +
-    1] is the pivot of step i (pivots[0] = 1), so pivots[k] is the k x k
-    leading minor of the row-swapped matrix; dependent is the first
-    dependent column after elimination, or None at full column rank;
-    swaps counts the row swaps.
+    piv * x - m * top and divides it exactly by the step's previous pivot,
+    through one divider the domain builds per step.  The products are the
+    plain operators of the raw elements, as over Z, Q and the finite
+    fields, unless the domain has a step of its own: F_q[t]'s raw ring,
+    whose packed ints have no polynomial operators.  Over the plain
+    domains the step stays inline: on small matrices, such as the
+    certificate determinants over Z, a call per step is a measurable
+    share of the step.  Returns (done, pivots, dependent, swaps): done[i]
+    is column i as it stood at step i, by row position; pivots[i + 1] is
+    the pivot of step i (pivots[0] = 1), so pivots[k] is the k x k leading
+    minor of the row-swapped matrix; dependent is the first dependent
+    column after elimination, or None at full column rank; swaps counts
+    the row swaps.
     """
     dom = matrix.domain
     nrows = matrix.rows
@@ -173,15 +205,19 @@ def _eliminate(matrix):
     done: list[list] = []
     pivots = [dom.one]
     dividers = [dom.divider(dom.one)]  # dividers[i] divides by pivots[i]
+    step = getattr(dom, "step", None)
     swaps = 0
     for c in range(matrix.cols):
         column = matrix.column(c)
         col = [column[r] for r in order]
         for i, steps in enumerate(done):
             piv, top, divide = pivots[i + 1], col[i], dividers[i]
-            col[i + 1 :] = [
-                divide(piv * x - m * top) for x, m in zip(col[i + 1 :], steps[i + 1 :])
-            ]
+            if step is None:
+                col[i + 1 :] = [
+                    divide(piv * x - m * top) for x, m in zip(col[i + 1 :], steps[i + 1 :])
+                ]
+            else:
+                col[i + 1 :] = step(piv, top, divide, col[i + 1 :], steps[i + 1 :])
         k = len(done)
         pivot_row = next((j for j in range(k, nrows) if not dom.is_zero(col[j])), None)
         if pivot_row is None:
@@ -196,19 +232,19 @@ def _eliminate(matrix):
     return done, pivots, None, swaps
 
 
-def _back_substitute(dom, done, pivots, col, ncols: int) -> tuple:
+def _back_substitute(dom, done, pivots, col, ncols: int) -> list:
     """Solve the triangular system of the pivot rows fraction-free for the
     kernel vector whose coordinate at the dependent column `col` is the
-    last pivot."""
+    last pivot, as a list of raw values."""
     k = len(done)
     v = [dom.zero] * ncols
     v[k] = pivots[k]
     for i in range(k - 1, -1, -1):
-        acc = dom.mul(pivots[k], col[i])
+        acc = dom.neg(dom.mul(pivots[k], col[i]))
         for j in range(i + 1, k):
-            acc = dom.add(acc, dom.mul(done[j][i], v[j]))
-        v[i] = dom.exact_div(dom.neg(acc), pivots[i + 1])
-    return tuple(v)
+            acc = dom.sub(acc, dom.mul(done[j][i], v[j]))
+        v[i] = dom.exact_div(acc, pivots[i + 1])
+    return v
 
 
 def rank(matrix: ExactMatrix) -> int:

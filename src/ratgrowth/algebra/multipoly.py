@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 
 from .domains import CoeffDomain
 from .linalg import ExactMatrix, kernel_vector
@@ -150,11 +151,11 @@ class MultiPoly:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = dom.add(out[exps], c) if exps in out else c
-        return MultiPoly(dom, self.nvars, out)
+        return _from_terms(dom, self.nvars, out)
 
     def __neg__(self) -> "MultiPoly":
         dom = self.domain
-        return MultiPoly(dom, self.nvars, {e: dom.neg(c) for e, c in self.terms.items()})
+        return _from_terms(dom, self.nvars, {e: dom.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -168,7 +169,7 @@ class MultiPoly:
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 prod = dom.mul(c1, c2)
                 out[exps] = dom.add(out[exps], prod) if exps in out else prod
-        return MultiPoly(dom, self.nvars, out)
+        return _from_terms(dom, self.nvars, out)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -185,7 +186,7 @@ class MultiPoly:
     def scale(self, c) -> "MultiPoly":
         dom = self.domain
         c = dom.coerce(c)
-        return MultiPoly(dom, self.nvars, {e: dom.mul(v, c) for e, v in self.terms.items()})
+        return _from_terms(dom, self.nvars, {e: dom.mul(v, c) for e, v in self.terms.items()})
 
     def exact_div_scalar(self, c) -> "MultiPoly":
         dom = self.domain
@@ -231,7 +232,7 @@ class MultiPoly:
                     run.pop(ne, None)
                 else:
                     run[ne] = v
-        return MultiPoly(dom, self.nvars, quo), MultiPoly(dom, self.nvars, rem)
+        return _from_terms(dom, self.nvars, quo), _from_terms(dom, self.nvars, rem)
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact division by a known factor; raises ArithmeticError when
@@ -374,6 +375,24 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.domain.describe()}, nvars={self.nvars}, {self})"
+
+
+_new = object.__new__
+_set_domain = MultiPoly.domain.__set__
+_set_nvars = MultiPoly.nvars.__set__
+_set_terms = MultiPoly.terms.__set__
+
+
+def _from_terms(domain: CoeffDomain, nvars: int, terms: dict) -> MultiPoly:
+    """A MultiPoly from a dict that MultiPoly's own arithmetic built: its
+    keys are exponent tuples of length nvars and its values elements of
+    domain, so nothing is validated or coerced; zero coefficients are
+    dropped (every element is false exactly when it is zero)."""
+    p = _new(MultiPoly)
+    _set_domain(p, domain)
+    _set_nvars(p, nvars)
+    _set_terms(p, {e: c for e, c in terms.items() if c})
+    return p
 
 
 # -- parsing -------------------------------------------------------------------
@@ -568,49 +587,61 @@ def monomials_up_to_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-def _power_tables(dom: CoeffDomain, top: int, values) -> list:
-    """Per value x, its powers x^0, ..., x^top in dom (at least up to x^1)."""
-    one, tables = dom.one, []
+def _power_tables(ring, top: int, values) -> list:
+    """Per raw value x, its powers x^0, ..., x^top in the ring (at least up
+    to x^1)."""
+    one, mul, tables = ring.one, ring.mul, []
     for x in values:
-        table = [one, dom.coerce(x)]
+        table = [one, x]
         for _ in range(top - 1):
-            table.append(dom.mul(table[-1], table[1]))
+            table.append(mul(table[-1], x))
         tables.append(table)
     return tables
 
 
 class _MonomialColumns:
     """The evaluation matrix of the monomials at the points, read one column
-    at a time, as the elimination reads it.  The powers of every coordinate
-    are tabulated once, up to the largest exponent in the monomial list; a
-    column is computed only when asked for, at one plain product per entry
-    and variable that occurs in its monomial and one reduction per entry
-    (a ring homomorphism, so the entry is the same)."""
+    at a time, as the elimination reads it, in the raw ring of the domain
+    (CoeffDomain.ring: F_q[t]'s packed ints, else the elements).  The
+    powers of every coordinate are tabulated once, up to the largest
+    exponent in the monomial list; a column is computed only when asked
+    for, at one product per entry and variable past the first that occurs
+    in its monomial and one reduction per entry (a ring homomorphism, so
+    the entry is the same)."""
 
     __slots__ = ("domain", "monomials", "rows", "cols", "powers")
 
     def __init__(self, dom: CoeffDomain, monomials, points):
+        ring = dom.ring
         top = max(map(max, monomials), default=0)
-        self.domain, self.monomials, self.rows = dom, monomials, len(points)
+        self.domain, self.monomials, self.rows = ring, monomials, len(points)
         # no points, no columns, as an ExactMatrix without rows has none
         self.cols = len(monomials) if points else 0
         # powers[i][r] is the power table of coordinate i of point r
-        self.powers = [_power_tables(dom, top, values) for values in zip(*points)]
+        self.powers = [
+            _power_tables(ring, top, ring.raw(map(dom.coerce, values)))
+            for values in zip(*points)
+        ]
 
     def column(self, c: int) -> list:
-        modulus, col = self.domain.modulus, [self.domain.one] * self.rows
+        ring, col = self.domain, None
         for tables, e in zip(self.powers, self.monomials[c]):
             if e:
-                col = [a * table[e] for a, table in zip(col, tables)]
-        return col if modulus is None else [x % modulus for x in col]
+                factors = map(itemgetter(e), tables)
+                col = list(factors) if col is None else list(map(ring.times, col, factors))
+        if col is None:  # the constant monomial
+            return [ring.one] * self.rows
+        return col if ring.modulus is None else [x % ring.modulus for x in col]
 
 
 def evaluation_matrix(dom: CoeffDomain, monomials, points) -> ExactMatrix:
     """The monomials at the points as a dense matrix, one row per point: every
-    column of _MonomialColumns, read into rows.  The entries are elements
-    of dom already, so they are not coerced again."""
+    column of _MonomialColumns, read into rows and wrapped back from the raw
+    ring.  The entries are elements of dom already, so they are not coerced
+    again."""
     source = _MonomialColumns(dom, monomials, points)
-    columns = [source.column(c) for c in range(len(monomials))]
+    cook = source.domain.cook
+    columns = [cook(source.column(c)) for c in range(len(monomials))]
     return ExactMatrix(dom, tuple(tuple(col[r] for col in columns) for r in range(len(points))))
 
 
@@ -631,7 +662,7 @@ def interpolant(dom: CoeffDomain, monomials, points) -> MultiPoly | None:
         return None
     fc = max(i for i, c in enumerate(vec) if c)
     coeffs = dom.primitive(vec[fc::-1])[::-1]
-    form = MultiPoly(dom, len(monomials[0]), zip(monomials, coeffs))
+    form = _from_terms(dom, len(monomials[0]), dict(zip(monomials, coeffs)))
     for pt in points:
         if not dom.is_zero(form.evaluate(pt)):
             raise AssertionError("interpolant fails to vanish on its points")

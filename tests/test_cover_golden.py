@@ -71,6 +71,16 @@ CASES = {
         _projective("x0*x1*x2*(x0+x1)*(x1+x2)", 4, CoeffDomain.poly_ring(2)),
         "d15698784ae832c7d09ddc428e5a9ce64e7908e9c1a57eb4ca464ffecf50ce57",
     ),
+    # the packed odd-q elimination: classes of 13 to 19 of the 132 points
+    "arrangement_H3_F3t": (
+        _projective("x0*x1*x2*(x0-x1)*(x1-x2)", 3, CoeffDomain.poly_ring(3)),
+        "28d8da8b2308dd63dd458fb694b94522a1f7c6bcbe4e625a1fb3e04bf82439ea",
+    ),
+    # and at q = 5, on 622 points
+    "arrangement_H5_F5t": (
+        _projective("x0*x1*x2*(x0-x1)*(x1-x2)", 5, CoeffDomain.poly_ring(5)),
+        "844c1b299d3e10496c4e23c56ba4805b88cd1b707405829f3d92c80bf28e5485",
+    ),
     "signed_sextic_H6_Q": (
         _projective("x0*x1*x2*(x0-x1)*(x1+x2)*(x0+x2)", 6),
         "c78b4c828577ffa7d91c8e13c657f0469f3f8b17d0a73aa26328fc60c9b9fdbe",

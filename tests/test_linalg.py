@@ -13,11 +13,13 @@ from ratgrowth.algebra.linalg import (
     ExactMatrix,
     NonSquareMatrixError,
     _eliminate,
+    _raw,
     det_exact,
     kernel_basis,
     kernel_vector,
     rank,
 )
+from ratgrowth.algebra.multipoly import _MonomialColumns, evaluation_matrix, monomials_of_degree
 
 ZZ = CoeffDomain.integers()
 QQ = CoeffDomain.rationals()
@@ -353,3 +355,151 @@ class TestStepDividers:
 
         assert kernel_vector(Spy()) == kernel_vector(m) == (-2, 1, 0, 0)
         assert reads == [0, 1]
+
+
+def operator_eliminate(one, rows):
+    """The elimination on the entries' own operators: every entry of step i
+    is divmod(piv * x - m * top, pivots[i]) with a zero remainder.  Over
+    F_q[t] these are FqPoly's operators, one wrapped value per product,
+    difference and quotient, as the elimination ran before F_q[t] had a
+    packed raw ring."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    order = list(range(nrows))
+    done, pivots, swaps = [], [one], 0
+    for c in range(ncols):
+        col = [rows[r][c] for r in order]
+        for i, steps in enumerate(done):
+            piv, prev, top = pivots[i + 1], pivots[i], col[i]
+            for j in range(i + 1, nrows):
+                quo, rem = divmod(piv * col[j] - steps[j] * top, prev)
+                assert not rem
+                col[j] = quo
+        k = len(done)
+        pivot_row = next((j for j in range(k, nrows) if col[j]), None)
+        if pivot_row is None:
+            return done, pivots, col, swaps
+        if pivot_row != k:
+            for seq in (order, col, *done):
+                seq[k], seq[pivot_row] = seq[pivot_row], seq[k]
+            swaps += 1
+        done.append(col)
+        pivots.append(col[k])
+    return done, pivots, None, swaps
+
+
+def operator_kernel_vector(zero, ncols, done, pivots, col):
+    """Back-substitution on the entries' own operators (see kernel_vector)."""
+    k = len(done)
+    v = [zero] * ncols
+    v[k] = pivots[k]
+    for i in range(k - 1, -1, -1):
+        acc = pivots[k] * col[i]
+        for j in range(i + 1, k):
+            acc = acc + done[j][i] * v[j]
+        quo, rem = divmod(-acc, pivots[i + 1])
+        assert not rem
+        v[i] = quo
+    return tuple(v)
+
+
+def long_poly(q, rng, degree):
+    """A random element of F_q[t] of exactly the given degree."""
+    return FqPoly(q, [rng.randrange(q) for _ in range(degree)] + [rng.randrange(1, q)])
+
+
+# q = 131 has two-byte slots; the long entries of each q reach the
+# widened Kronecker slots, which hold min(len a, len b) * (q - 1)^2
+PACKED_QS = [2, 3, 5, 7, 131]
+LONG_DEGREE = {2: 90, 3: 70, 5: 20, 7: 10, 131: 6}
+
+
+class TestPackedElimination:
+    """Over F_q[t] the elimination runs on FqPoly's packed ints; every value
+    it hands back equals the elimination on FqPoly's operators."""
+
+    @staticmethod
+    def matrices(q, seed):
+        dom = CoeffDomain.poly_ring(q)
+        rng = random.Random(seed)
+        for n in range(40):
+            r, c = rng.randint(1, 6), rng.randint(1, 7)
+            k = rng.randint(0, min(r, c))
+            if n % 4 == 3:  # long entries: widened slots in products and divisions
+                def draw():
+                    return long_poly(q, rng, rng.randint(LONG_DEGREE[q] // 2, LONG_DEGREE[q]))
+            else:
+                def draw():
+                    return dom.sample(rng)
+            if n % 2:  # rank <= k, so dependent columns fall anywhere
+                left = [[draw() for _ in range(k)] for _ in range(r)]
+                right = [[draw() for _ in range(c)] for _ in range(k)]
+                rows = [
+                    [sum((left[i][t] * right[t][j] for t in range(k)), dom.zero) for j in range(c)]
+                    for i in range(r)
+                ]
+            else:
+                rows = [[draw() for _ in range(c)] for _ in range(r)]
+            yield dom, ExactMatrix.from_rows(dom, rows)
+
+    @pytest.mark.parametrize("q", PACKED_QS)
+    def test_eliminate_matches_the_operator_elimination(self, q):
+        for dom, m in self.matrices(q, q):
+            raw = _raw(m)
+            assert raw.domain is dom.ring and raw.domain is not dom
+            done, pivots, dependent, swaps = _eliminate(raw)
+            want = operator_eliminate(dom.one, [list(row) for row in m.entries])
+            cook = dom.ring.cook
+            assert [list(cook(col)) for col in done] == want[0]
+            assert list(cook(pivots)) == want[1]
+            assert (None if dependent is None else list(cook(dependent))) == want[2]
+            assert swaps == want[3]
+
+    @pytest.mark.parametrize("q", PACKED_QS)
+    def test_kernel_vector_and_det_match(self, q):
+        for dom, m in self.matrices(q, 100 + q):
+            done, pivots, dependent, swaps = operator_eliminate(dom.one, [list(row) for row in m.entries])
+            v = kernel_vector(m)
+            if dependent is None:
+                assert v is None
+            else:
+                assert v == operator_kernel_vector(dom.zero, m.cols, done, pivots, dependent)
+                assert all(type(x) is FqPoly for x in v)
+                assert all(not x for x in mat_vec(m, v))
+            if m.is_square:
+                det = det_exact(m)
+                want = dom.zero if dependent is not None else pivots[-1] if swaps % 2 == 0 else -pivots[-1]
+                assert type(det) is FqPoly and det == want
+                if m.rows <= 4:
+                    assert det == cofactor_det(dom, [list(row) for row in m.entries])
+
+    @pytest.mark.parametrize("q", PACKED_QS)
+    def test_evaluation_columns_are_raw(self, q):
+        # the interpolation source computes packed columns; its kernel vector
+        # is the one of the wrapped evaluation matrix
+        dom, rng = CoeffDomain.poly_ring(q), random.Random(q)
+        for degree in (1, 2, 3):
+            monomials = monomials_of_degree(3, degree)
+            for npoints in (len(monomials) - 1, len(monomials) + 1):
+                points = [tuple(dom.sample(rng) for _ in range(3)) for _ in range(npoints)]
+                source = _MonomialColumns(dom, monomials, points)
+                m = evaluation_matrix(dom, monomials, points)
+                assert source.domain is dom.ring
+                assert [dom.ring.cook(source.column(c)) for c in range(m.cols)] == [
+                    tuple(m.column(c)) for c in range(m.cols)
+                ]
+                assert kernel_vector(source) == kernel_vector(m)
+
+    @pytest.mark.parametrize("q", PACKED_QS)
+    def test_packed_divider_is_exact(self, q):
+        ring, rng = CoeffDomain.poly_ring(q).ring, random.Random(q)
+        t = FqPoly.t(q)
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            ring.divider(t.packed)(FqPoly.one(q).packed)
+        with pytest.raises(ZeroDivisionError):
+            ring.divider(0)
+        for _ in range(30):
+            a, b = long_poly(q, rng, rng.randint(0, 12)), long_poly(q, rng, rng.randint(0, 12))
+            assert ring.cook([ring.divider(b.packed)((a * b).packed)]) == (a,)
+            if b.degree > 0:
+                with pytest.raises(ArithmeticError):
+                    ring.divider(b.packed)((a * b + 1).packed)
