@@ -136,14 +136,18 @@ def cmd_highmult(args) -> dict:
 
 def cmd_cover(args) -> dict:
     field = _parse_field(args.field)
+    # each variant takes its own flag; an unset one keeps its params' default
+    tuned = {name: value for name, value in (("N", args.N), ("a", args.a)) if value is not None}
     if args.affine:
+        if "N" in tuned:
+            raise UsageError("--N applies to projective covers only")
         f = poly_parse(args.poly, args.nvars, field.integer_domain())
-        params = AffineCoverParams(M=args.M, a=args.a)
-        result = cover_pipeline_affine(f, args.height, params)
+        result = cover_pipeline_affine(f, args.height, AffineCoverParams(M=args.M, **tuned))
     else:
+        if "a" in tuned:
+            raise UsageError("--a applies to affine covers only")
         f = poly_parse(args.poly, 3, field.integer_domain())
-        params = CoverParams(M=args.M, N=args.N)
-        result = cover_pipeline(f, args.height, params)
+        result = cover_pipeline(f, args.height, CoverParams(M=args.M, **tuned))
     payload = result.to_json_dict()
     if args.out:
         with open(args.out, "w") as fh:
@@ -248,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--affine", action="store_true")
     p.add_argument("--nvars", type=int, default=3)
     p.add_argument("--M", type=float, default=4.0)
-    p.add_argument("--N", type=float, default=4.0)
-    p.add_argument("--a", type=float, default=EMU_A_BASELINE)
+    p.add_argument("--N", type=float, default=None, help=f"projective covers only (default {CoverParams.N})")
+    p.add_argument("--a", type=float, default=None, help=f"affine covers only (default {EMU_A_BASELINE})")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cover)
+    p.set_defaults(func=cmd_cover, usage_error=p.error)
 
     p = sub.add_parser("detcert", help="interpolation determinant certificate")
     p.add_argument("--field", default="Q")

@@ -359,25 +359,58 @@ _AFFINE = _Chart(
 )
 
 
-def _good_reductions(f: MultiPoly, primes) -> tuple[MultiPoly, list]:
-    """(lift, good): f's primitive O_K lift, taken once, and the primes of
-    good reduction in order.  No prime reduces the lift; the covers read
-    its multiplicities on the lift itself."""
+@dataclass(frozen=True)
+class _CoverPlan:
+    """What a cover decides before it reads a point: `good`, the primes of
+    good reduction of f's primitive O_K `lift`, in order; the low
+    multiplicity `threshold`; the `degree` of the form through the points
+    high at every good prime; and the leading fields of the high_mult block.
+    """
+
+    f: MultiPoly
+    H: int
+    field: GlobalField
+    chart: _Chart
+    regime: RegimeReport | None
+    points: list
+    lift: MultiPoly
+    good: list
+    threshold: float
+    degree: int
+    high_mult: dict
+
+
+def _plan(f, H, chart, regime, points, M, primes, d_prime) -> _CoverPlan:
+    """The plan of a cover of `points` on f at height H.  The primes are
+    those supplied, or with `primes` None the window (log H, M (log H)^4):
+    no prime has norm 1 or less, so its floor is 1 when H < e, and its
+    ceiling is at least log H + 2.  Low multiplicity means below d / log H,
+    and the high form's degree is the wrapper's rule `d_prime`, clamped to
+    [1, d-1].  A projective plan reports the clamped degree and the prime
+    product against the coarse determinant norm cap, an affine one d_prime.
+    """
+    field = field_for_poly(f)
+    log_h = math.log(H)
+    if primes is None:
+        hi = M * log_h**4
+        primes = primes_in_range(max(log_h, 1), hi if hi > log_h + 1 else log_h + 2, field.q)
     lift = primitive_lift(f)
-    return lift, good_primes(lift, primes)
+    good = good_primes(lift, primes)
+    degree = max(min(d_prime, f.degree - 1), 1)
+    high_mult = {"d_prime": d_prime}
+    if chart.projective:
+        high_mult = {
+            "d_prime": degree,
+            "num_primes": len(good),
+            "log_prime_product": sum(math.log(p.norm) for p in good),
+            "log_norm_cap": 2.0 * field.d_K * degree**3 * log_h,
+        }
+    return _CoverPlan(
+        f, H, field, chart, regime, points, lift, good, f.degree / log_h, degree, high_mult
+    )
 
 
-def _prime_window(f: MultiPoly, field: GlobalField, log_h: float, M: float, exponent: float):
-    """f's lift and the good primes with norm in (log H, M (log H)^exponent),
-    as _good_reductions gives them.  No prime has norm 1 or less, so a
-    floor below 1 (H < e) is read as 1."""
-    hi = M * log_h**exponent
-    if hi <= log_h + 1:
-        hi = log_h + 2
-    return _good_reductions(f, primes_in_range(max(log_h, 1), hi, field.q))
-
-
-def _partition(chart: _Chart, points, lift, good, threshold: float) -> tuple[dict, list]:
+def _partition(plan: _CoverPlan) -> tuple[dict, list]:
     """({(prime, residue point): (mu, points)}, xi_s): each point joins the
     class of the first good prime where its reduction has multiplicity below
     the threshold, and is reduced no further; the points high at every
@@ -386,17 +419,18 @@ def _partition(chart: _Chart, points, lift, good, threshold: float) -> tuple[dic
     mu there, so every class keeps its exact mu.  The multiplicities are
     read at each prime on one set of Taylor plans of f's primitive O_K
     lift, built for this partition only."""
+    chart, threshold = plan.chart, plan.threshold
     stop = math.ceil(threshold)
-    plans: dict = {}  # chart -> Taylor plan of the lift, shared by the primes
-    caches = [{} for _ in good]  # per prime: residue point -> capped mu
+    taylor: dict = {}  # chart -> Taylor plan of the lift, shared by the primes
+    caches = [{} for _ in plan.good]  # per prime: residue point -> capped mu
     classes: dict[tuple, tuple[int, list]] = {}
     xi_s = []
-    for p in points:
-        for prime, cache in zip(good, caches):
+    for p in plan.points:
+        for prime, cache in zip(plan.good, caches):
             rp = chart.residue(p, prime)
             if rp not in cache:
                 cache[rp] = mult_at_point(
-                    lift, chart.coords(rp), chart.projective, stop, plans, prime
+                    plan.lift, chart.coords(rp), chart.projective, stop, taylor, prime
                 ).mu
             mu = cache[rp]
             if mu < threshold:
@@ -407,52 +441,38 @@ def _partition(chart: _Chart, points, lift, good, threshold: float) -> tuple[dic
     return classes, xi_s
 
 
-def _high_mult_audit(field: GlobalField, primes, d_prime: int, log_h: float) -> dict:
-    """The prime product against the coarse determinant norm cap."""
-    return {
-        "d_prime": d_prime,
-        "num_primes": len(primes),
-        "log_prime_product": sum(math.log(p.norm) for p in primes),
-        "log_norm_cap": 2.0 * field.d_K * d_prime**3 * log_h,
-    }
-
-
-def _chunked_interpolants(field: GlobalField, monomials, coords_list):
-    """Cover a point list by interpolants on chunks of size s-1 (each chunk
-    is rank-deficient by pigeonhole, so a nonzero form always exists)."""
-    chunk_size = max(len(monomials) - 1, 1)
-    for i in range(0, len(coords_list), chunk_size):
-        poly = _kernel_poly(field, monomials, coords_list[i : i + chunk_size])
-        assert poly is not None, "rank-deficient chunk must have a kernel"
-        yield poly
-
-
-def _interpolate(field, monomials, low_monomials, coords_list, regime_ok, what):
+def _interpolate(plan: _CoverPlan, monomials, low_monomials, coords_list, what):
     """(forms, status): one form on `monomials` through all the points, or,
-    at full rank, chunked forms on the degree d-1 `low_monomials`.
+    at full rank, forms on the degree d-1 `low_monomials` through chunks of
+    s-1 points, each rank-deficient by pigeonhole.
 
     The fallback is only taken out of regime; in regime a full-rank set
     contradicts the determinant bound and is an error.
     """
-    poly = _kernel_poly(field, monomials, coords_list)
+    poly = _kernel_poly(plan.field, monomials, coords_list)
     if poly is not None:
         return [poly], "ok"
-    if regime_ok:
+    if plan.regime.ok:
         raise PipelineError(f"irrecoverable {what}: no interpolant exists at full rank")
-    return list(_chunked_interpolants(field, low_monomials, coords_list)), "chunked"
+    step = max(len(low_monomials) - 1, 1)
+    chunks = (coords_list[i : i + step] for i in range(0, len(coords_list), step))
+    polys = [_kernel_poly(plan.field, low_monomials, chunk) for chunk in chunks]
+    assert all(poly is not None for poly in polys), "rank-deficient chunk must have a kernel"
+    return polys, "chunked"
 
 
-def _cover(f, H, field, chart, points, lift, good, regime, threshold, audit) -> CoverResult:
+def _cover(plan: _CoverPlan) -> CoverResult:
     """The covering argument on one chart.
 
     Points of low multiplicity at some prime are grouped into residue
     classes (first qualifying prime in canonical order) and each class is
     interpolated at degree d-1; the points that stay high-multiplicity
-    everywhere get one extra form of degree audit["d_prime"], clamped to
-    [1, d-1].  The cover is verified pointwise.
+    everywhere get one extra form of the plan's degree.  The cover is
+    verified pointwise.
     """
+    f, chart = plan.f, plan.chart
     n, d = f.nvars, f.degree
-    classes, xi_s = _partition(chart, points, lift, good, threshold)
+    classes, xi_s = _partition(plan)
 
     low = chart.monomials(n, d - 1)
     aux_polys = []
@@ -460,7 +480,7 @@ def _cover(f, H, field, chart, points, lift, good, regime, threshold, audit) -> 
     for prime, rp in sorted(classes, key=lambda key: (key[0].sort_key(), chart.sort_key(key[1]))):
         mu, klass = classes[(prime, rp)]
         polys, status = _interpolate(
-            field, low, low, [chart.coords(p) for p in klass], regime.ok,
+            plan, low, low, [chart.coords(p) for p in klass],
             f"class at prime {prime.generator}, point {rp}",
         )
         if status == "ok":
@@ -480,17 +500,15 @@ def _cover(f, H, field, chart, points, lift, good, regime, threshold, audit) -> 
             )
         )
 
-    audit["xi_s_size"] = len(xi_s)
     high_poly = None
     if not xi_s:
-        audit["status"] = "empty_class"
+        high_status = "empty_class"
     else:
-        degree = min(max(audit["d_prime"], 1), d - 1)
-        polys, audit["status"] = _interpolate(
-            field, chart.monomials(n, degree), low, [chart.coords(p) for p in xi_s],
-            regime.ok, "high-multiplicity set",
+        polys, high_status = _interpolate(
+            plan, chart.monomials(n, plan.degree), low, [chart.coords(p) for p in xi_s],
+            "high-multiplicity set",
         )
-        if audit["status"] == "ok":
+        if high_status == "ok":
             high_poly = polys[0]
             aux_polys.append((high_poly, "high_mult_global"))
         else:
@@ -499,28 +517,30 @@ def _cover(f, H, field, chart, points, lift, good, regime, threshold, audit) -> 
     # pointwise cover verification, exact
     uncovered = [
         p
-        for p in points
+        for p in plan.points
         if not any(poly.domain.is_zero(poly.evaluate(chart.coords(p))) for poly, _ in aux_polys)
     ]
 
     counts = {
-        "points": len(points),
+        "points": len(plan.points),
         "aux": len(aux_polys),
-        "bound_rhs": math.log(H) ** 12,  # the regime's cap on the number of forms
+        "bound_rhs": math.log(plan.H) ** 12,  # the regime's cap on the number of forms
         "xi_s": len(xi_s),
-        "num_primes": len(good),
+        "num_primes": len(plan.good),
         "max_aux_degree": max((poly.degree for poly, _ in aux_polys), default=0),
     }
     return CoverResult(
         curve=f,
-        H=H,
-        regime=regime,
+        H=plan.H,
+        regime=plan.regime,
         aux_polys=aux_polys,
         classes=class_records,
         high_mult={
             "poly": str(high_poly) if high_poly is not None else None,
             "degree": high_poly.degree if high_poly is not None else None,
-            **audit,
+            **plan.high_mult,
+            "xi_s_size": len(xi_s),
+            "status": high_status,
         },
         uncovered=uncovered,
         counts=counts,
@@ -540,48 +560,33 @@ class CoverParams:
 
 
 def cover_high_mult(
-    f: MultiPoly,
-    H: int,
-    primes,
-    N_const: float = 4.0,
-    points=None,
+    f: MultiPoly, H: int, primes, N_const: float = CoverParams.N
 ) -> tuple[MultiPoly | None, dict]:
-    """Interpolate the points that stay high-multiplicity at every prime by
-    a single form of degree floor(N log H).
+    """Interpolate the points of height <= H that stay high-multiplicity at
+    every prime by a single form of degree floor(N log H), as the
+    pipeline's partition finds them.
 
-    With no primes given, the good primes of the pipeline's window
-    (log H, M (log H)^4) are used.  Returns (poly_or_None, audit); the
-    audit compares the prime-product against the coarse determinant norm
-    cap.  Refuses when the degree would reach the curve degree.
+    With no primes given, the good primes of the pipeline's window are
+    used.  Returns (poly_or_None, audit); the audit is the pipeline's
+    high_mult block without its form.  Refuses when the degree would reach
+    the curve degree.
     """
     if H < 2:
         raise ValueError(f"cover_high_mult needs height H >= 2, got {H}")
     d = f.degree
-    log_h = math.log(H)
-    d_prime = int(N_const * log_h)
+    d_prime = int(N_const * math.log(H))
     if d_prime >= d:
-        raise RegimeViolation(
-            f"interpolation degree {d_prime} reaches the curve degree {d}"
-        )
-    d_prime = max(d_prime, 1)
-    field = field_for_poly(f)
-    if points is None:
-        points = enum_curve_points_proj(f, H).points
-    threshold = d / log_h
-    if not primes:
-        lift, good = _prime_window(f, field, log_h, CoverParams.M, 4)
-        primes = good
-    else:
-        lift, good = _good_reductions(f, primes)
+        raise RegimeViolation(f"interpolation degree {d_prime} reaches the curve degree {d}")
+    points = enum_curve_points_proj(f, H).points
+    plan = _plan(f, H, _PROJECTIVE, None, points, CoverParams.M, primes or None, d_prime)
     # a point with no good prime to read it at is not high anywhere
-    xi_s = _partition(_PROJECTIVE, points, lift, good, threshold)[1] if good else []
-    audit = _high_mult_audit(field, primes, d_prime, log_h)
-    audit["xi_s_size"] = len(xi_s)
+    xi_s = _partition(plan)[1] if plan.good else []
+    audit = {**plan.high_mult, "xi_s_size": len(xi_s)}
     if not xi_s:
         audit["status"] = "empty_class"
         return None, audit
-    basis = monomial_basis(f.nvars, d_prime)
-    poly = _kernel_poly(field, basis.monomials, [p.coords for p in xi_s])
+    monomials = _PROJECTIVE.monomials(f.nvars, plan.degree)
+    poly = _kernel_poly(plan.field, monomials, [p.coords for p in xi_s])
     audit["status"] = "ok" if poly is not None else "full_rank"
     return poly, audit
 
@@ -599,17 +604,12 @@ def cover_pipeline(f: MultiPoly, H: int, params: CoverParams | None = None) -> C
     params = params or CoverParams()
     if f.is_zero or f.nvars != 3 or not f.is_homogeneous:
         raise ValueError("pipeline expects a nonzero homogeneous 3-variable polynomial")
-    d = f.degree
-    if d < 2:
+    if f.degree < 2:
         raise NotApplicable("degree must be >= 2 so that degree d-1 forms exist")
-    field = field_for_poly(f)
-    regime = regime_check(d, H)
+    regime = regime_check(f.degree, H)
     points = enum_curve_points_proj(f, H, EnumOptions(collect=True, budget=params.budget)).points
-    log_h = math.log(H)
-    lift, good = _prime_window(f, field, log_h, params.M, 4)
-    d_prime = max(min(int(params.N * log_h), d - 1), 1)
-    audit = _high_mult_audit(field, good, d_prime, log_h)
-    return _cover(f, H, field, _PROJECTIVE, points, lift, good, regime, d / log_h, audit)
+    d_prime = int(params.N * math.log(H))
+    return _cover(_plan(f, H, _PROJECTIVE, regime, points, params.M, None, d_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +632,10 @@ def cover_pipeline_affine(
 
     Multiplicities are taken at the reduced affine points; low
     multiplicity means below d/log B at a prime of norm in
-    (log B, M (log B)^4), or at the supplied primes.  Interpolation uses
-    all monomials of degree < d (equivalently, homogeneous degree d-1
-    forms after prepending a homogenizing coordinate), and the residual
+    (log B, M (log B)^4), or at the supplied primes, which must all have
+    good reduction.  Interpolation uses all monomials of degree < d
+    (equivalently, homogeneous degree d-1 forms after prepending a
+    homogenizing coordinate), and the residual
     everywhere-high-multiplicity set gets a single form of degree
     floor((log B)^2), clamped to [1, d-1].  The valuation monitor exponent
     for the homogenized certificates is recorded per class, never asserted.
@@ -642,30 +643,21 @@ def cover_pipeline_affine(
     params = params or AffineCoverParams()
     if f.is_zero or f.nvars < 2:
         raise ValueError("pipeline expects a nonzero polynomial in >= 2 variables")
-    d = f.degree
+    n, d = f.nvars, f.degree
     if d < 2:
         raise NotApplicable(
             "degree must be >= 2: degree d-1 = 0 leaves only constant forms"
         )
-    field = field_for_poly(f)
-    n = f.nvars
     regime = regime_check(d, B, "AffinePila")
-    log_b = math.log(B)
     points = enum_affine_hypersurface(f, B, EnumOptions(collect=True, budget=params.budget)).points
-
-    if params.primes is not None:
-        lift, good = _good_reductions(f, params.primes)
-        for prime in params.primes:
-            if prime not in good:
-                raise PipelineError(f"supplied prime {prime.generator} has bad reduction")
-    else:
-        lift, good = _prime_window(f, field, log_b, params.M, 4)
-    if not good:
+    plan = _plan(f, B, _AFFINE, regime, points, params.M, params.primes, int(math.log(B) ** 2))
+    for prime in params.primes or ():
+        if prime not in plan.good:
+            raise PipelineError(f"supplied prime {prime.generator} has bad reduction")
+    if not plan.good:
         raise PipelineError("no usable primes in the requested window")
 
-    result = _cover(
-        f, B, field, _AFFINE, points, lift, good, regime, d / log_b, {"d_prime": int(log_b**2)}
-    )
+    result = _cover(plan)
     s = len(monomials_up_to_degree(n, d - 1))
     result.counts["monitors"] = [
         {

@@ -225,6 +225,37 @@ class TestCover:
             assert cls["aux_poly"] is not None
 
 
+class TestCoverFlags:
+    # --N sets the projective high form's degree and --a the affine
+    # monitors' slack; the other variant used to ignore each silently
+    AFFINE = ("cover", "--affine", "--poly", "x0*x1*x2 - 1", "--nvars", "3", "--height", "4")
+    PROJECTIVE = ("cover", "--poly", "x1*x0^25 - x2^26", "--height", "20")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (AFFINE + ("--N", "1"), "--N applies to projective covers only"),
+            (PROJECTIVE + ("--a", "7"), "--a applies to affine covers only"),
+        ],
+        ids=["affine-N", "projective-a"],
+    )
+    def test_other_variants_flag_refused(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_own_flag_is_read(self, capsys):
+        _, plain = run_cli(capsys, *self.AFFINE)
+        _, slack = run_cli(capsys, *self.AFFINE, "--a", "7")
+        assert plain["classes"] == slack["classes"]
+        assert plain["counts"]["monitors"] != slack["counts"]["monitors"]
+        _, plain = run_cli(capsys, *self.PROJECTIVE)
+        _, line = run_cli(capsys, *self.PROJECTIVE, "--N", "0.4")
+        assert (plain["high_mult"]["d_prime"], line["high_mult"]["d_prime"]) == (11, 1)
+
+
 class TestDetcert:
     def test_certificate(self, capsys):
         code, payload = run_cli(

@@ -16,6 +16,7 @@ from ratgrowth.detmethod import (
     CoverParams,
     CoverResult,
     NotApplicable,
+    PipelineError,
     PointsNotCongruent,
     RegimeViolation,
     cover_high_mult,
@@ -179,6 +180,28 @@ class TestCoverHighMult:
             assert poly is None
             assert (audit["num_primes"], audit["status"]) == (1, "empty_class")
 
+    def test_non_homogeneous_curve_refused(self):
+        # the cusp plus x0 is no plane curve; the pipeline refuses it as well
+        f = poly_parse("x1*x0^25 - x2^26 + x0", 3, ZZ)
+        with pytest.raises(ValueError, match="homogeneous"):
+            cover_high_mult(f, 20, [PrimeIdealDesc(5, 5)], N_const=0.4)
+        with pytest.raises(ValueError, match="homogeneous"):
+            cover_pipeline(f, 20)
+
+    def test_default_degree_constant_is_the_pipelines(self):
+        f = poly_parse("x1*x0^29 - x2^30", 3, ZZ)
+        assert cover_high_mult(f, 20, None) == cover_high_mult(f, 20, None, CoverParams.N)
+
+    def test_agrees_with_the_pipeline(self):
+        # the standalone step reads the pipeline's partition, window and audit
+        f = poly_parse("x1*x0^29 - x2^30", 3, ZZ)
+        poly, audit = cover_high_mult(f, 20, None)
+        high = dict(cover_pipeline(f, 20).high_mult)
+        assert (high.pop("poly"), high.pop("degree")) == (str(poly), poly.degree)
+        assert audit == high
+        assert (audit["d_prime"], audit["num_primes"], audit["xi_s_size"]) == (11, 65, 1)
+        assert audit["status"] == "ok" and poly == poly_parse("x0^11", 3, ZZ)
+
     def test_degree30_fixture_against_rank_oracle(self):
         # degree-30 curve at H = 20 with the everywhere-high set computed by
         # full multiplicity scans over the primes with norms in (3, 81)
@@ -206,7 +229,7 @@ class TestCoverHighMult:
                 xi_s.append(p)
         assert xi_s  # the singular point survives every scan
 
-        poly, audit = cover_high_mult(f, H, primes, N_const=4.0, points=points)
+        poly, audit = cover_high_mult(f, H, primes, N_const=4.0)
         assert audit["status"] == "ok"
         assert audit["xi_s_size"] == len(xi_s)
         for p in xi_s:
@@ -389,6 +412,20 @@ class TestAffinePipeline:
         t_plus_1 = PrimeIdealDesc(FqPoly(2, [1, 1]), 2)
         with pytest.raises(ValueError, match="is not a prime of Q"):
             cover_pipeline_affine(f, 4, AffineCoverParams(primes=(t_plus_1,)))
+
+    def test_empty_prime_tuple_refused(self):
+        # primes=() supplies no prime; it does not fall back to the window
+        f = poly_parse("x0*x1*x2 - 1", 3, ZZ)
+        with pytest.raises(PipelineError, match="^no usable primes in the requested window$"):
+            cover_pipeline_affine(f, 4, AffineCoverParams(primes=()))
+
+    def test_supplied_prime_of_bad_reduction_refused(self):
+        # 5 x0 x1 - 1 reduces to the constant -1 mod 5
+        f = poly_parse("5*x0*x1 - 1", 2, ZZ)
+        primes = (PrimeIdealDesc(3, 3), PrimeIdealDesc(5, 5))
+        with pytest.raises(PipelineError, match="^supplied prime 5 has bad reduction$"):
+            cover_pipeline_affine(f, 4, AffineCoverParams(primes=primes))
+        assert cover_pipeline_affine(f, 4, AffineCoverParams(primes=primes[:1])).uncovered == []
 
     def test_monitors_recorded(self):
         f = poly_parse("x0*x1*x2 - 1", 3, ZZ)
