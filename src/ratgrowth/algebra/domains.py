@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
+from ..records import record
 from .fqpoly import FqPoly, FqRational, fq_gcd, fq_lcm, fq_xgcd, is_irreducible, poly_from_index
 from .fqpoly import _clmul, _divmod2, _divmod_odd, _kronecker, _layout, _make, _sub_odd
 
@@ -67,7 +67,7 @@ def _is_prime_int(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoeffDomain:
     """One of the supported exact coefficient domains."""
 
@@ -94,28 +94,37 @@ class CoeffDomain:
         set_attr(self, "one", self.coerce(1))
 
     # -- constructors ------------------------------------------------------
+    # Each returns one shared instance per domain: a CoeffDomain is
+    # immutable, building one tests its modulus for primality, and equal
+    # domains then compare by identity.
 
     @classmethod
+    @lru_cache(maxsize=None)
     def integers(cls) -> "CoeffDomain":
         return cls(INTEGERS)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def rationals(cls) -> "CoeffDomain":
         return cls(RATIONALS)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def prime_field(cls, p: int) -> "CoeffDomain":
         return cls(PRIME_FIELD, p=p)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def poly_ring(cls, q: int) -> "CoeffDomain":
         return cls(POLY_RING, q=q)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def rational_functions(cls, q: int) -> "CoeffDomain":
         return cls(RATIONAL_FUNCTIONS, q=q)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def residue_field(cls, pi: FqPoly) -> "CoeffDomain":
         return cls(RESIDUE_FIELD, q=pi.q, pi=pi)
 

@@ -18,12 +18,11 @@ tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..records import record
 from .domains import CoeffDomain
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExactMatrix:
     """Dense matrix with entries in a single CoeffDomain."""
 

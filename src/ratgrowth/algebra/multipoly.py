@@ -8,6 +8,7 @@ of monomial bases.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
@@ -78,14 +79,16 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, domain: CoeffDomain, nvars: int, c) -> "MultiPoly":
-        return cls(domain, nvars, {(0,) * nvars: c})
+        if nvars < 1:
+            raise ValueError("nvars must be positive")
+        return _from_terms(domain, nvars, {(0,) * nvars: domain.coerce(c)})
 
     @classmethod
     def variable(cls, domain: CoeffDomain, nvars: int, i: int) -> "MultiPoly":
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for nvars={nvars}")
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(domain, nvars, {exps: 1})
+        return _from_terms(domain, nvars, {exps: domain.one})
 
     @classmethod
     def monomial(cls, domain: CoeffDomain, exps: tuple[int, ...], coeff=1) -> "MultiPoly":
@@ -398,6 +401,8 @@ def _from_terms(domain: CoeffDomain, nvars: int, terms: dict) -> MultiPoly:
 # -- parsing -------------------------------------------------------------------
 
 _ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
+# a run of the characters that str.isspace accepts
+_SPACES = re.compile(r"\s*")
 
 
 class _Parser:
@@ -417,16 +422,19 @@ class _Parser:
     def error(self, message: str):
         raise ParseError(message, self.pos)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character that is not whitespace, which pos then
+        points at; "" at the end."""
+        ch = self.text[self.pos : self.pos + 1]
+        if ch.isspace():
+            self.pos = _SPACES.match(self.text, self.pos).end()
+            ch = self.text[self.pos : self.pos + 1]
+        return ch
 
     def take(self) -> str:
-        ch = self.peek()
+        """The character that the last peek returned; every take follows
+        one, so pos points at it."""
+        ch = self.text[self.pos : self.pos + 1]
         self.pos += 1
         return ch
 
@@ -543,13 +551,13 @@ class _Parser:
             return MultiPoly.variable(self.domain, self.nvars, idx)
         self.error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
 
+    # the lookaheads follow a peek, so pos is already past any whitespace
+
     def _lookahead_digit(self, offset: int) -> bool:
-        self._skip_ws()
         j = self.pos + offset
         return j < len(self.text) and self.text[j].isdigit()
 
     def _lookahead_is_name_char(self, offset: int) -> bool:
-        self._skip_ws()
         j = self.pos + offset
         return j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_")
 

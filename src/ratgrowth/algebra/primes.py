@@ -9,9 +9,9 @@ for polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from ..records import record
 from .domains import CoeffDomain, _is_prime_int
 from .fqpoly import (
     FqPoly,
@@ -21,7 +21,7 @@ from .fqpoly import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrimeIdealDesc:
     """A finite prime of Q (generator: int) or F_q(t) (generator: monic
     irreducible FqPoly); norm is p resp. q^deg."""

@@ -13,7 +13,6 @@ import math
 import sys
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra.linalg import det_exact
@@ -35,6 +34,7 @@ from .globalfield import (
     ord_at,
     reduce_point_mod_p,
 )
+from .records import record
 from .reduction import good_primes, mult_at_point, primitive_lift, reduce_curve_mod_p
 
 
@@ -54,7 +54,7 @@ class PointsNotCongruent(ValueError):
     """Certificate points must share a single residue point."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MonomialBasis:
     """All monomials of one total degree in nvars variables, in the global
     grevlex order."""
@@ -80,7 +80,7 @@ def _valuation_of(field: GlobalField, value, prime: PrimeIdealDesc) -> int | flo
     return ord_at(field, value, prime) if value else math.inf
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValuationCertificate:
     """One interpolation determinant together with its divisibility audit."""
 
@@ -216,7 +216,7 @@ def _kernel_poly(field: GlobalField, monomials, points_coords) -> MultiPoly | No
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegimeReport:
     variant: str
     ok: bool
@@ -272,7 +272,7 @@ def regime_check(d: int, H: float, variant: str = "Curve") -> RegimeReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClassRecord:
     prime: PrimeIdealDesc
     residue_point: ResiduePoint | tuple
@@ -282,7 +282,7 @@ class ClassRecord:
     aux_poly: str | None = None
 
 
-@dataclass
+@record
 class CoverResult:
     curve: MultiPoly
     H: int
@@ -324,7 +324,7 @@ class CoverResult:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Chart:
     """What the covering core needs to know about the ambient space.
 
@@ -359,7 +359,7 @@ _AFFINE = _Chart(
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _CoverPlan:
     """What a cover decides before it reads a point: `good`, the primes of
     good reduction of f's primitive O_K `lift`, in order; the low
@@ -386,8 +386,8 @@ def _plan(f, H, chart, regime, points, M, primes, d_prime) -> _CoverPlan:
     no prime has norm 1 or less, so its floor is 1 when H < e, and its
     ceiling is at least log H + 2.  Low multiplicity means below d / log H,
     and the high form's degree is the wrapper's rule `d_prime`, clamped to
-    [1, d-1].  A projective plan reports the clamped degree and the prime
-    product against the coarse determinant norm cap, an affine one d_prime.
+    [1, d-1].  A plan reports the clamped degree; a projective one also
+    reports the prime product against the coarse determinant norm cap.
     """
     field = field_for_poly(f)
     log_h = math.log(H)
@@ -397,10 +397,9 @@ def _plan(f, H, chart, regime, points, M, primes, d_prime) -> _CoverPlan:
     lift = primitive_lift(f)
     good = good_primes(lift, primes)
     degree = max(min(d_prime, f.degree - 1), 1)
-    high_mult = {"d_prime": d_prime}
+    high_mult = {"d_prime": degree}
     if chart.projective:
-        high_mult = {
-            "d_prime": degree,
+        high_mult |= {
             "num_primes": len(good),
             "log_prime_product": sum(math.log(p.norm) for p in good),
             "log_norm_cap": 2.0 * field.d_K * degree**3 * log_h,
@@ -552,7 +551,7 @@ def _cover(plan: _CoverPlan) -> CoverResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoverParams:
     M: float = 4.0
     N: float = 4.0
@@ -617,7 +616,7 @@ def cover_pipeline(f: MultiPoly, H: int, params: CoverParams | None = None) -> C
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineCoverParams:
     M: float = 4.0
     a: float = EMU_A_BASELINE

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, product
 from math import isqrt
@@ -23,9 +22,11 @@ from .algebra.primes import PrimeIdealDesc, primes_in_range
 from .globalfield import (
     GlobalField,
     ProjPoint,
+    _proj_point,
     field_for_poly,
     is_canonical_lead,
 )
+from .records import record
 
 DEFAULT_BUDGET = 50_000_000
 # the most points that collect mode keeps from P^n; a walk of P^2 over Q
@@ -54,14 +55,14 @@ class CollectCapExceededError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EnumOptions:
     collect: bool = True
     sieve: tuple[PrimeIdealDesc, ...] | None = None
     budget: int = DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PointQuery:
     """A reproducible description of one counting request."""
 
@@ -90,7 +91,7 @@ class PointQuery:
                 raise ValueError("projective constraints must be homogeneous")
 
 
-@dataclass
+@record
 class PointSetResult:
     count: int
     points: tuple | None
@@ -511,7 +512,7 @@ def _enum_proj_zeros(f: MultiPoly, H: int, options: EnumOptions | None) -> Point
     points = None
     if collect:
         kept.sort()
-        points = tuple(ProjPoint(field, coords, height) for height, coords in kept)
+        points = tuple(_proj_point(field, coords, height) for height, coords in kept)
         total = len(kept)
     return PointSetResult(count=total, points=points, elapsed=time.perf_counter() - start)
 

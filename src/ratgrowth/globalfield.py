@@ -8,21 +8,22 @@ logs only appear at reporting boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .algebra.domains import CoeffDomain, _is_prime_int
 from .algebra.fqpoly import FqPoly, fq_factor, fq_gcd, poly_from_index, poly_to_index
 from .algebra.multipoly import MultiPoly
 from .algebra.primes import PrimeIdealDesc
+from .records import record
 
 
 class AllCoordinatesVanish(RuntimeError):
     """Internal error: a primitive point reduced to the zero tuple."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GlobalField:
     """Q or F_q(t) (q prime); d_K = 1 for both supported kinds.  It owns
     O_K (Z resp. F_q[t]): its elements' sizes, canonical order and gcds,
@@ -44,11 +45,15 @@ class GlobalField:
                 "Fq(t) with prime q are implemented (d_K = 1)"
             )
 
+    # one shared instance per field, as for CoeffDomain's constructors
+
     @classmethod
+    @lru_cache(maxsize=None)
     def rationals(cls) -> "GlobalField":
         return cls("Q")
 
     @classmethod
+    @lru_cache(maxsize=None)
     def function_field(cls, q: int) -> "GlobalField":
         return cls("Fq(t)", q=q)
 
@@ -125,10 +130,12 @@ class GlobalField:
         sum(c_i q^i) over F_q(t)."""
         return x if self.is_rational else poly_to_index(x)
 
-    def gcd(self, g, x):
-        """The gcd of two O_K elements, nonnegative over Q and monic over
-        F_q(t), so a unit gcd equals `one`."""
-        return gcd(g, x) if self.is_rational else fq_gcd(g, x)
+    @property
+    def gcd(self):
+        """The gcd function of O_K, math.gcd resp. fq_gcd, for a loop to
+        bind once: the gcd of two elements is nonnegative over Q and monic
+        over F_q(t), so a unit gcd equals `one`."""
+        return gcd if self.is_rational else fq_gcd
 
     def box(self, bound) -> list:
         """All O_K elements of size at most bound in canonical order: by
@@ -168,7 +175,7 @@ def is_canonical_lead(field: GlobalField, x) -> bool:
     return x > 0 if field.is_rational else bool(x) and x.is_monic
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Place:
     """A place of K: archimedean (Q), the degree place v_inf (F_q(t)), or a
     finite prime ideal."""
@@ -293,7 +300,7 @@ def product_formula_check(field: GlobalField, x) -> Fraction:
     return product
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProjPoint:
     """A projective point in primitive normal form with its exact height.
 
@@ -302,9 +309,15 @@ class ProjPoint:
     is unique, so equality and hashing are literal.
     """
 
+    __slots__ = ("field", "coords", "height")
+
     field: GlobalField
     coords: tuple
     height: int
+
+    def __reduce__(self):
+        # the default slot restore would go through the refusing __setattr__
+        return ProjPoint, (self.field, self.coords, self.height)
 
     def __str__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -315,6 +328,22 @@ class ProjPoint:
     def sort_key(self):
         # coordinates compare in the canonical order of GlobalField.box
         return (self.height, self.coords)
+
+
+_new = object.__new__
+_set_field = ProjPoint.field.__set__
+_set_coords = ProjPoint.coords.__set__
+_set_height = ProjPoint.height.__set__
+
+
+def _proj_point(field: GlobalField, coords: tuple, height: int) -> ProjPoint:
+    """A ProjPoint from coordinates that the caller has already put in
+    primitive normal form, with their height; built without __init__."""
+    p = _new(ProjPoint)
+    _set_field(p, field)
+    _set_coords(p, coords)
+    _set_height(p, height)
+    return p
 
 
 def primitive_normalize(field: GlobalField, raw) -> ProjPoint:
@@ -340,7 +369,7 @@ def height_proj(field: GlobalField, point) -> int:
     return primitive_normalize(field, point).height
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResiduePoint:
     """A projective point over a finite residue field, normalized so the
     first nonzero coordinate is 1."""

@@ -12,7 +12,6 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
 
 from .algebra.multipoly import MultiPoly, poly_parse
 from .detmethod import float_power, regime_check
@@ -24,6 +23,7 @@ from .enumeration import (
     enum_proj_points,
 )
 from .globalfield import GlobalField
+from .records import record
 
 THEOREMS = (
     "Curve",
@@ -35,7 +35,7 @@ THEOREMS = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoundSpec:
     """Which counting bound to evaluate, with its constants."""
 
@@ -93,7 +93,7 @@ def bound_value(spec: BoundSpec, d: int, H: float, n: int = 2) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FamilySpec:
     """A family of plane curves indexed by the degree d.
 
@@ -155,7 +155,7 @@ def family_count(
     return enum_curve_points_proj(poly, H, EnumOptions(collect=False, budget=budget)).count
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FitResult:
     slope: float
     intercept: float
@@ -216,7 +216,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
+@record
 class ExperimentRow:
     family: str
     field: str
@@ -230,7 +230,7 @@ class ExperimentRow:
     status: str = "ok"
 
 
-@dataclass
+@record
 class ExperimentReport:
     family: str
     field: str

@@ -15,10 +15,8 @@ interpolants.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import count, product
@@ -30,6 +28,7 @@ from .algebra.multipoly import MultiPoly, interpolant, monomials_of_degree
 from .algebra.primes import PrimeIdealDesc
 from .enumeration import BudgetExceededError
 from .globalfield import field_for_poly
+from .records import record
 
 
 class DerivativeIdenticallyZero(ArithmeticError):
@@ -37,7 +36,7 @@ class DerivativeIdenticallyZero(ArithmeticError):
     (the polynomial is a p-th power or a sum of such)."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True, hidden=("lift",))
 class ReducedHypersurface:
     """Coefficient-wise reduction of a primitive polynomial modulo a prime."""
 
@@ -47,10 +46,10 @@ class ReducedHypersurface:
     good: bool
     prime: PrimeIdealDesc
     # the primitive O_K polynomial that f_p reduces (primitive_lift)
-    lift: MultiPoly = dataclasses.field(compare=False, repr=False)
+    lift: MultiPoly
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultiplicityReport:
     point: tuple
     mu: int
@@ -387,7 +386,7 @@ def mult_at_point(
     return MultiplicityReport(tuple(point), mu, "hypersurface")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FactoredCycle:
     """An effective cycle sum(n_j * C_j) given in factored form.
 
@@ -586,7 +585,7 @@ def proj_points_over(domain: CoeffDomain, nvars: int):
             yield (zero,) * lead + (one,) + tail
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HighMultLocus:
     kind: str  # "ok" | "empty" | "all_points"
     poly: MultiPoly | None
@@ -653,7 +652,7 @@ def high_mult_locus(f_p: MultiPoly, k, cap_degree: int, strict: bool = True) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CycleIntersection:
     """The 0-cycle obtained by intersecting each component with its own
     derivative curve and with the other components."""

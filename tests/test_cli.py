@@ -1,6 +1,10 @@
 """CLI subcommands emit well-formed JSON."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -301,3 +305,15 @@ class TestErrors:
         )
         assert code == 1
         assert payload["error"] == "NotApplicable"
+
+
+class TestStartUp:
+    def test_import_leaves_dataclasses_and_inspect_out(self):
+        # the record classes are built without dataclasses, and so without
+        # the inspect module it imports; a fresh process shows what the
+        # package itself imports
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, ratgrowth, ratgrowth.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

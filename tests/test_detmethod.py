@@ -406,6 +406,8 @@ class TestAffinePipeline:
         assert proj.high_mult["status"] == "chunked"
         assert proj.counts["aux"] == 6
         assert proj.uncovered == []
+        # both report the clamped degree that their high form was built at
+        assert res.high_mult["d_prime"] == proj.high_mult["d_prime"] == 1
 
     def test_supplied_prime_of_another_field_refused(self):
         f = poly_parse("x0*x1*x2 - 1", 3, ZZ)

@@ -1,9 +1,9 @@
 """Domain arithmetic: F_q[t], F_q(t), prime/residue fields, exactness."""
 
 import copy
-import dataclasses
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -137,9 +137,106 @@ class TestFqRational:
         assert x.den.is_monic
 
 
+def _records() -> dict:
+    """One instance of every record class, by class name."""
+    from ratgrowth import detmethod
+    from ratgrowth.algebra.linalg import ExactMatrix
+    from ratgrowth.algebra.primes import PrimeIdealDesc
+    from ratgrowth.enumeration import EnumOptions, PointQuery, PointSetResult
+    from ratgrowth.globalfield import GlobalField, Place, primitive_normalize, reduce_point_mod_p
+    from ratgrowth.harness import CUSPIDAL_FAMILY, BoundSpec, ExperimentReport, ExperimentRow, FitResult
+    from ratgrowth.reduction import (
+        CycleIntersection,
+        FactoredCycle,
+        HighMultLocus,
+        MultiplicityReport,
+        reduce_curve_mod_p,
+    )
+
+    Q, ZZ, F5 = GlobalField.rationals(), CoeffDomain.integers(), CoeffDomain.prime_field(5)
+    p5 = PrimeIdealDesc(5, 5)
+    conic = poly_parse("x0*x2 - x1^2", 3, ZZ)
+    point = primitive_normalize(Q, (1, 2, 4))
+    residue = reduce_point_mod_p(point, p5)
+    regime = detmethod.RegimeReport("Curve", False, 8.97, 3, 89.4)
+    row = ExperimentRow("cuspidal_monomial", "Q", 3, 8, 8, 2.5, 3.2, True, 1.5)
+    chart = detmethod._Chart(False, len, sorted, tuple, str)
+    t = FqPoly.t(2)
+    return {
+        "CoeffDomain": CoeffDomain.residue_field(t**2 + t + 1),
+        "ExactMatrix": ExactMatrix.from_rows(F5, [[1, 2], [3, 4]]),
+        "PrimeIdealDesc": p5,
+        "GlobalField": GlobalField.function_field(2),
+        "Place": Place.finite(p5),
+        "ProjPoint": point,
+        "ResiduePoint": residue,
+        "EnumOptions": EnumOptions(collect=False),
+        "PointQuery": PointQuery(Q, "projective", 3, conic, 10, mode="count"),
+        "PointSetResult": PointSetResult(1, (point,), 0.5),
+        "ReducedHypersurface": reduce_curve_mod_p(conic, p5),
+        "MultiplicityReport": MultiplicityReport((0, 0, 1), 2, "hypersurface"),
+        "FactoredCycle": FactoredCycle(((conic, 1),), 3, 1),
+        "HighMultLocus": HighMultLocus("ok", poly_parse("x0", 3, F5), 1, (residue,), Fraction(1, 2)),
+        "CycleIntersection": CycleIntersection((((0, 0, 1), 2),), 2, 4, (1, 2)),
+        "BoundSpec": BoundSpec("Curve"),
+        "FamilySpec": CUSPIDAL_FAMILY,
+        "FitResult": FitResult(0.5, 1.25, (0.0, -0.5), False),
+        "ExperimentRow": row,
+        "ExperimentReport": ExperimentReport("cuspidal_monomial", "Q", 3, [row], None),
+        "MonomialBasis": detmethod.monomial_basis(3, 1),
+        "ValuationCertificate": detmethod.ValuationCertificate(
+            p5, residue, 1, 1, 3, (point,), 25, 2, 0.5, 1.5, "MeetsBound", True, 3.25, 10.0
+        ),
+        "RegimeReport": regime,
+        "ClassRecord": detmethod.ClassRecord(p5, residue, 1, 3, "ok", "x0 - x1"),
+        "CoverResult": detmethod.CoverResult(conic, 3, regime, [], [], {}, [], {"points": 0}),
+        "_Chart": chart,
+        "_CoverPlan": detmethod._CoverPlan(conic, 3, Q, chart, None, [], conic, [p5], 1.5, 1, {"d_prime": 1}),
+        "CoverParams": detmethod.CoverParams(),
+        "AffineCoverParams": detmethod.AffineCoverParams(primes=(p5,)),
+    }
+
+
+# the dataclass reprs of the _records() values, which the record helper keeps
+RECORD_REPRS = {
+    'CoeffDomain': "CoeffDomain(kind='residue_field', p=None, q=2, pi=FqPoly(q=2, t^2+t+1))",
+    'ExactMatrix': "ExactMatrix(domain=CoeffDomain(kind='prime_field', p=5, q=None, pi=None), entries=((1, 2), (3, 4)))",
+    'PrimeIdealDesc': 'PrimeIdealDesc(generator=5, norm=5)',
+    'GlobalField': "GlobalField(kind='Fq(t)', q=2)",
+    'Place': "Place(kind='finite', prime=PrimeIdealDesc(generator=5, norm=5))",
+    'ProjPoint': "ProjPoint(field=GlobalField(kind='Q', q=None), coords=(1, 2, 4), height=4)",
+    'ResiduePoint': "ResiduePoint(domain=CoeffDomain(kind='prime_field', p=5, q=None, pi=None), coords=(1, 2, 4))",
+    'EnumOptions': 'EnumOptions(collect=False, sieve=None, budget=50000000)',
+    'PointQuery': "PointQuery(field=GlobalField(kind='Q', q=None), ambient='projective', nvars=3, f=MultiPoly(Z, nvars=3, -x1^2 + x0*x2), bound=10, mode='count', sieve=None, budget=50000000)",
+    'PointSetResult': "PointSetResult(count=1, points=(ProjPoint(field=GlobalField(kind='Q', q=None), coords=(1, 2, 4), height=4),), elapsed=0.5, sieve_rejections=0)",
+    'ReducedHypersurface': 'ReducedHypersurface(f_p=MultiPoly(F_5, nvars=3, x1^2 + 4*x0*x2), original_degree=2, reduced_degree=2, good=True, prime=PrimeIdealDesc(generator=5, norm=5))',
+    'MultiplicityReport': "MultiplicityReport(point=(0, 0, 1), mu=2, context='hypersurface')",
+    'FactoredCycle': 'FactoredCycle(components=((MultiPoly(Z, nvars=3, -x1^2 + x0*x2), 1),), nvars=3, dim=1)',
+    'HighMultLocus': "HighMultLocus(kind='ok', poly=MultiPoly(F_5, nvars=3, x0), degree=1, locus=(ResiduePoint(domain=CoeffDomain(kind='prime_field', p=5, q=None, pi=None), coords=(1, 2, 4)),), threshold=Fraction(1, 2))",
+    'CycleIntersection': 'CycleIntersection(point_mults=(((0, 0, 1), 2),), total_degree=2, degree_bound=4, direction=(1, 2))',
+    'BoundSpec': "BoundSpec(theorem='Curve', c=1.0, kappa=12, d_K=1)",
+    'FamilySpec': "FamilySpec(name='cuspidal_monomial', template='x1*x0^{d1} - x2^{d}')",
+    'FitResult': 'FitResult(slope=0.5, intercept=1.25, residuals=(0.0, -0.5), degenerate=False)',
+    'ExperimentRow': "ExperimentRow(family='cuspidal_monomial', field='Q', d=3, H=8, count=8, bound=2.5, ratio=3.2, regime_ok=True, elapsed_ms=1.5, status='ok')",
+    'ExperimentReport': "ExperimentReport(family='cuspidal_monomial', field='Q', d=3, rows=[ExperimentRow(family='cuspidal_monomial', field='Q', d=3, H=8, count=8, bound=2.5, ratio=3.2, regime_ok=True, elapsed_ms=1.5, status='ok')], fitted_exponent=None)",
+    'MonomialBasis': 'MonomialBasis(nvars=3, degree=1, monomials=((1, 0, 0), (0, 1, 0), (0, 0, 1)))',
+    'ValuationCertificate': "ValuationCertificate(prime=PrimeIdealDesc(generator=5, norm=5), residue_point=ResiduePoint(domain=CoeffDomain(kind='prime_field', p=5, q=None, pi=None), coords=(1, 2, 4)), mu=1, degree=1, s=3, points=(ProjPoint(field=GlobalField(kind='Q', q=None), coords=(1, 2, 4), height=4),), det_norm=25, valuation=2, a=0.5, bound_rhs=1.5, verdict='MeetsBound', norm_cap_ok=True, log_norm=3.25, log_norm_cap=10.0)",
+    'RegimeReport': "RegimeReport(variant='Curve', ok=False, lhs=8.97, d=3, rhs=89.4)",
+    'ClassRecord': "ClassRecord(prime=PrimeIdealDesc(generator=5, norm=5), residue_point=ResiduePoint(domain=CoeffDomain(kind='prime_field', p=5, q=None, pi=None), coords=(1, 2, 4)), mu=1, class_size=3, aux_status='ok', aux_poly='x0 - x1')",
+    'CoverResult': "CoverResult(curve=MultiPoly(Z, nvars=3, -x1^2 + x0*x2), H=3, regime=RegimeReport(variant='Curve', ok=False, lhs=8.97, d=3, rhs=89.4), aux_polys=[], classes=[], high_mult={}, uncovered=[], counts={'points': 0})",
+    '_Chart': "_Chart(projective=False, residue=<built-in function len>, monomials=<built-in function sorted>, coords=<class 'tuple'>, sort_key=<class 'str'>)",
+    '_CoverPlan': "_CoverPlan(f=MultiPoly(Z, nvars=3, -x1^2 + x0*x2), H=3, field=GlobalField(kind='Q', q=None), chart=_Chart(projective=False, residue=<built-in function len>, monomials=<built-in function sorted>, coords=<class 'tuple'>, sort_key=<class 'str'>), regime=None, points=[], lift=MultiPoly(Z, nvars=3, -x1^2 + x0*x2), good=[PrimeIdealDesc(generator=5, norm=5)], threshold=1.5, degree=1, high_mult={'d_prime': 1})",
+    'CoverParams': 'CoverParams(M=4.0, N=4.0, budget=50000000)',
+    'AffineCoverParams': 'AffineCoverParams(M=4.0, a=0.6, budget=50000000, primes=(PrimeIdealDesc(generator=5, norm=5),))',
+}
+MUTABLE_RECORDS = {"CoverResult", "PointSetResult", "ExperimentRow", "ExperimentReport"}
+ROUNDTRIPS = [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy]
+
+
 class TestPickleAndDeepcopy:
     """Immutable values round-trip through pickle and copy.deepcopy; the
-    default slot restore would go through the refusing __setattr__."""
+    default slot restore would go through the refusing __setattr__.  The
+    record classes keep the semantics of the dataclasses they replaced."""
 
     VALUES = [
         FqPoly.t(2),
@@ -150,15 +247,13 @@ class TestPickleAndDeepcopy:
     ]
 
     @pytest.mark.parametrize("value", VALUES, ids=repr)
-    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
-                             ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("roundtrip", ROUNDTRIPS, ids=["pickle", "deepcopy"])
     def test_roundtrip(self, value, roundtrip):
         back = roundtrip(value)
         assert type(back) is type(value) and back == value and hash(back) == hash(value)
         assert str(back) == str(value)
 
-    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
-                             ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("roundtrip", ROUNDTRIPS, ids=["pickle", "deepcopy"])
     def test_curve_and_point_over_function_field(self, roundtrip):
         from ratgrowth.globalfield import GlobalField, primitive_normalize
 
@@ -167,6 +262,136 @@ class TestPickleAndDeepcopy:
         pt = primitive_normalize(field, (FqPoly.t(2), FqPoly.one(2), FqPoly.zero(2)))
         assert roundtrip(f) == f and str(roundtrip(f)) == str(f)
         assert roundtrip(pt) == pt
+
+    @pytest.mark.parametrize("field", ["Q", "Fq(t):q=2"])
+    @pytest.mark.parametrize("roundtrip", ROUNDTRIPS, ids=["pickle", "deepcopy"])
+    def test_slotted_proj_point(self, field, roundtrip):
+        from ratgrowth.enumeration import enum_curve_points_proj
+        from ratgrowth.globalfield import GlobalField, ProjPoint
+
+        field = GlobalField.parse(field)
+        conic = poly_parse("x0*x2 - x1^2", 3, field.integer_domain())
+        # collect mode builds its points without ProjPoint.__init__
+        points = enum_curve_points_proj(conic, 4).points
+        assert len(points) > 2 and not hasattr(points[-1], "__dict__")
+        for point in points:
+            back = roundtrip(point)
+            assert type(back) is ProjPoint and back == point and hash(back) == hash(point)
+            assert repr(back) == repr(point) and str(back) == str(point)
+            assert back == ProjPoint(point.field, point.coords, point.height)
+
+    def test_every_record_class_is_sampled(self):
+        import sys
+
+        import ratgrowth.cli  # noqa: F401  (imports every module)
+
+        found = {
+            value.__name__
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "ratgrowth"
+            for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == name and "_fields" in value.__dict__
+        }
+        assert found == set(RECORD_REPRS) and len(found) == 29
+
+    @pytest.mark.parametrize("name", sorted(RECORD_REPRS))
+    def test_record_repr_is_the_dataclass_one(self, name):
+        assert repr(_records()[name]) == RECORD_REPRS[name]
+
+    @pytest.mark.parametrize("name", sorted(RECORD_REPRS))
+    @pytest.mark.parametrize("roundtrip", ROUNDTRIPS, ids=["pickle", "deepcopy"])
+    def test_record_equality_hash_and_roundtrip(self, name, roundtrip):
+        value = _records()[name]
+        cls = type(value)
+        twin = cls(*[getattr(value, field) for field in cls._fields])
+        back = roundtrip(value)
+        assert type(back) is cls and twin == value and back == value and not twin != value
+        assert repr(back) == repr(value)
+        if name in MUTABLE_RECORDS:
+            assert cls.__hash__ is None
+            with pytest.raises(TypeError):
+                hash(value)
+        elif name == "_CoverPlan":
+            # frozen, but hashing reaches its list fields, as a dataclass's did
+            with pytest.raises(TypeError, match="unhashable type: 'list'"):
+                hash(value)
+        else:
+            assert hash(twin) == hash(value) == hash(back)
+        # equality holds only within one class, whatever the field values
+        assert value != tuple(getattr(value, field) for field in cls._fields)
+
+    @pytest.mark.parametrize("name", sorted(RECORD_REPRS))
+    def test_frozen_records_refuse_assignment(self, name):
+        value = _records()[name]
+        first = type(value)._fields[0]
+        if name in MUTABLE_RECORDS:
+            setattr(value, first, "changed")
+            assert getattr(value, first) == "changed"
+            return
+        with pytest.raises(AttributeError):
+            setattr(value, first, "changed")
+        with pytest.raises(AttributeError):
+            delattr(value, first)
+        with pytest.raises(AttributeError):
+            value.not_a_field = 1
+        assert repr(value) == RECORD_REPRS[name]
+
+    def test_equality_only_within_one_class(self):
+        from ratgrowth.harness import FamilySpec
+        from ratgrowth.records import record
+
+        @record(frozen=True)
+        class Lookalike:
+            name: str
+            template: str
+
+        spec, other = FamilySpec("a", "b"), Lookalike("a", "b")
+        assert spec != other and other != spec and hash(spec) == hash(other)
+        assert repr(other).endswith("Lookalike(name='a', template='b')")
+
+    def test_keyword_and_default_construction(self):
+        from ratgrowth.algebra.primes import PrimeIdealDesc
+        from ratgrowth.detmethod import ClassRecord
+        from ratgrowth.harness import BoundSpec
+
+        p5 = PrimeIdealDesc(norm=5, generator=5)
+        assert p5 == PrimeIdealDesc(5, 5)
+        record = ClassRecord(prime=p5, residue_point=(1, 0), mu=1, class_size=2, aux_status="ok")
+        assert record.aux_poly is None and record == ClassRecord(p5, (1, 0), 1, 2, "ok", None)
+        assert BoundSpec("Curve") == BoundSpec("Curve", c=1.0, kappa=12, d_K=1) != BoundSpec("Curve", 2.0)
+        for args, kwargs in [((), {}), (("Curve", 1.0, 12, 1, 0), {}), (("Curve",), {"theorem": "Curve"}),
+                             (("Curve",), {"kappa_": 1})]:
+            with pytest.raises(TypeError):
+                BoundSpec(*args, **kwargs)
+
+        from ratgrowth.records import record
+
+        with pytest.raises(TypeError, match="without a default follows"):
+
+            @record
+            class Misordered:
+                a: int = 0
+                b: int
+
+    def test_post_init_still_refuses_bad_input(self):
+        from ratgrowth.algebra.primes import PrimeIdealDesc
+        from ratgrowth.globalfield import GlobalField
+        from ratgrowth.harness import BoundSpec
+
+        for build in (lambda: GlobalField("Fq(t)", 4), lambda: GlobalField("Q", 2),
+                      lambda: CoeffDomain.prime_field(6), lambda: PrimeIdealDesc(6, 6),
+                      lambda: BoundSpec("NoSuchTheorem")):
+            with pytest.raises(ValueError):
+                build()
+
+    def test_lift_is_outside_equality_and_repr(self):
+        from ratgrowth.reduction import ReducedHypersurface
+
+        value = _records()["ReducedHypersurface"]
+        other = ReducedHypersurface(*[getattr(value, f) for f in ReducedHypersurface._fields[:-1]],
+                                    lift=poly_parse("x0", 3, value.lift.domain))
+        assert other.lift != value.lift and "lift" not in repr(value)
+        assert other == value and hash(other) == hash(value) and repr(other) == repr(value)
 
 
 class TestCoeffDomain:
@@ -297,7 +522,7 @@ class TestModulusDecidedOnce:
     @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])
     def test_identity_is_the_four_fields(self, dom, roundtrip):
-        assert [f.name for f in dataclasses.fields(CoeffDomain)] == ["kind", "p", "q", "pi"]
+        assert CoeffDomain._fields == ("kind", "p", "q", "pi")
         twin = CoeffDomain(dom.kind, dom.p, dom.q, dom.pi)
         assert twin == dom and hash(twin) == hash(dom) and repr(twin) == repr(dom)
         assert "modulus" not in repr(dom)

@@ -293,7 +293,8 @@ class TestCurvePoints:
         def build(*args):
             raise AssertionError("count mode built a point")
 
-        monkeypatch.setattr(enumeration, "ProjPoint", build)
+        # collect mode builds its points through globalfield._proj_point
+        monkeypatch.setattr(enumeration, "_proj_point", build)
         for (f, H), res in zip(cases, collected):
             counted = enum_curve_points_proj(f, H, EnumOptions(collect=False))
             assert (counted.count, counted.points) == (res.count, None)
