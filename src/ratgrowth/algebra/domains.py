@@ -18,12 +18,16 @@ The residue-field kind covers F_q[t]/(pi) for function-field primes of
 any degree; for prime degree 1 callers usually prefer prime_field(q)
 via evaluation at the root of pi.  No floating point is used anywhere.
 
-``CoeffDomain.ring`` is the raw ring that the exact elimination and the
-evaluation columns run on.  For every kind but F_q[t] it is the domain
-itself: the raw form of an element is the element, with its plain
-operators.  For F_q[t] it is a ``_PackedRing``: FqPoly's packed ints,
-multiplied, subtracted and divided by fqpoly's packed kernels and wrapped
-back into FqPoly only where they leave the elimination.
+``CoeffDomain.ring`` is the raw ring that every evaluation runs on: the
+exact elimination and its columns, form evaluation and the curve scan.
+For every kind but F_q[t] it is the domain itself: the raw form of an
+element is the element, with its plain operators.  For F_q[t] it is a
+``_PackedRing``: FqPoly's packed ints, added, multiplied, subtracted and
+divided by fqpoly's packed kernels and wrapped back into FqPoly only where
+they leave the ring.  A raw ring has ``raw`` and ``cook`` (into the raw
+form and back), ``add``, ``mul``, ``rem``, ``times``, ``plus`` and
+``power`` (sums, products and powers left for one reduction by the
+modulus at the end) and ``zeros``, the curve scan's kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from functools import lru_cache, partial, reduce
 
 from ..records import record
 from .fqpoly import FqPoly, FqRational, fq_gcd, fq_lcm, fq_xgcd, is_irreducible, poly_from_index
-from .fqpoly import _clmul, _divmod2, _divmod_odd, _kronecker, _layout, _make, _sub_odd
+from .fqpoly import _clmul, _divmod2, _divmod_odd, _fold, _kronecker, _layout, _make, _power, _sub_odd
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -163,10 +167,34 @@ class CoeffDomain:
         return _packed_ring(self.q) if self.kind == POLY_RING else self
 
     # over the domain itself the raw form of a sequence of elements is the
-    # elements (raw: a list, cook: a tuple), columns are products by the
-    # plain operators, reduced once by the modulus, and the elimination
-    # steps with the plain operators too (it has no step of its own)
-    raw, cook, times = staticmethod(list), staticmethod(tuple), staticmethod(operator.mul)
+    # elements (raw: a list, cook: a tuple), values are formed by the plain
+    # operators and reduced once by the modulus, and the elimination steps
+    # with the plain operators too (it has no step of its own)
+    raw, cook, rem = staticmethod(list), staticmethod(tuple), staticmethod(operator.mod)
+    times, plus, power = staticmethod(operator.mul), staticmethod(operator.add), staticmethod(operator.pow)
+
+    def zeros(self, staged, last, candidates, modulus=None):
+        """The curve scan's kernel, summing with inline plain operators: the
+        candidates at which prefix `last` of a row that enumeration._collapse
+        staged vanishes, exactly or modulo `modulus`; all if it is zero."""
+        columns = []
+        for col, acc, pairs in staged:
+            for column, c in pairs:
+                acc = acc + c * column[last]
+            if acc:
+                columns.append((col, acc))
+        if not columns:
+            return candidates
+        if modulus:
+            return [iv for iv in candidates if not sum([c * column[iv] for column, c in columns]) % modulus]
+        hits = []
+        for iv in candidates:
+            acc = 0
+            for column, c in columns:
+                acc = acc + c * column[iv]
+            if not acc:
+                hits.append(iv)
+        return hits
 
     # -- element handling ----------------------------------------------------
 
@@ -319,14 +347,7 @@ class CoeffDomain:
         return list(values)
 
     def pow(self, a, n: int):
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return _power(self.mul, self.one, a, n)
 
     def elements(self):
         """Iterate all elements of a finite domain in canonical order."""
@@ -421,9 +442,9 @@ class CoeffDomain:
 
 
 class _PackedRing:
-    """F_q[t] as the raw ring of the elimination: FqPoly's packed ints,
-    with fqpoly's packed kernels for the products, the step and the exact
-    division (see the fqpoly module docstring)."""
+    """F_q[t] as a raw ring: FqPoly's packed ints, with fqpoly's packed
+    kernels for the sums, products, the elimination step and the divisions
+    (see the fqpoly module docstring)."""
 
     one, zero, modulus = 1, 0, None
     is_zero = staticmethod(operator.not_)
@@ -431,12 +452,38 @@ class _PackedRing:
     def __init__(self, q: int) -> None:
         self.q, self.ring = q, self
         if q == 2:
-            self.mul, self.sub, self._divmod = _clmul, operator.xor, _divmod2
+            self.add = self.sub = operator.xor
+            self.mul, self._divmod = _clmul, _divmod2
         else:
             lay = _layout(q)
-            self.mul, self.sub = partial(_kronecker, lay), partial(_sub_odd, lay)
-            self._divmod = partial(_divmod_odd, lay)
-        self.times, self.neg = self.mul, partial(self.sub, 0)
+            # a sum of two packed elements has slots below 2q: one fold reduces it
+            self.add, self.sub = lambda a, b: _fold(lay, a + b, lay.size), partial(_sub_odd, lay)
+            self.mul, self._divmod = partial(_kronecker, lay), partial(_divmod_odd, lay)
+        self.times, self.plus, self.neg = self.mul, self.add, partial(self.sub, 0)
+        self.power = partial(_power, self.mul, 1)
+        self.rem = lambda a, b: self._divmod(a, b)[1]
+
+    def zeros(self, staged, last, candidates, modulus=None):
+        """CoeffDomain.zeros on packed ints, by the packed add and mul."""
+        mul, add, columns = self.mul, self.add, []
+        for col, acc, pairs in staged:
+            for column, c in pairs:
+                acc = add(acc, mul(c, column[last]))
+            if acc:
+                columns.append((col, acc))
+        if not columns:
+            return candidates
+        if modulus:
+            sums = (reduce(add, [mul(c, column[iv]) for column, c in columns]) for iv in candidates)
+            return [iv for iv, acc in zip(candidates, sums) if not self.rem(acc, modulus)]
+        hits = []
+        for iv in candidates:
+            acc = 0
+            for column, c in columns:
+                acc = add(acc, mul(c, column[iv]))
+            if not acc:
+                hits.append(iv)
+        return hits
 
     @staticmethod
     def raw(values) -> list:

@@ -21,9 +21,10 @@ coefficients by construction.
   no slot goes negative.
 
 The kernels on packed ints (``_clmul`` and ``_divmod2`` for q = 2,
-``_kronecker``, ``_divmod_odd`` and ``_sub_odd`` for odd q) are module
-functions: FqPoly's operators wrap their results, and the raw ring of
-F_q[t] in ``domains`` runs the exact elimination on them unwrapped.
+``_kronecker``, ``_divmod_odd``, ``_fold`` and ``_sub_odd`` for odd q) are
+module functions: FqPoly's operators wrap their results, and the raw ring
+of F_q[t] in ``domains`` runs the elimination, the curve scan and form
+evaluation on them unwrapped.
 
 ``FqRational`` is a normalized numerator/denominator pair, i.e. an element
 of F_q(t).  q is restricted to primes so residue arithmetic stays on plain
@@ -35,6 +36,7 @@ values of one q are ordered by their canonical index.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 
 def _check_same_q(a: "FqPoly", b: "FqPoly") -> None:
@@ -173,6 +175,17 @@ def _divmod2(a: int, b: int) -> tuple[int, int]:
         quo |= 1 << shift
         shift = a.bit_length() - n
     return quo, a
+
+
+def _power(mul, one, x, n: int):
+    """x^n for n >= 0 by square and multiply, with the product mul; the
+    one power loop of the package."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        x, n = mul(x, x), n >> 1
+    return result
 
 
 def _width(q: int) -> int:
@@ -354,14 +367,7 @@ class FqPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent for FqPoly")
-        result = FqPoly.one(self.q)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(mul, FqPoly.one(self.q), self, n)
 
     def scale(self, c: int) -> "FqPoly":
         q = self.q

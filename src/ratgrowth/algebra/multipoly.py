@@ -11,9 +11,10 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from math import comb
-from operator import itemgetter
+from operator import mul
 
 from .domains import CoeffDomain
+from .fqpoly import _power
 from .linalg import ExactMatrix, kernel_vector
 
 
@@ -177,14 +178,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.domain, self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(mul, MultiPoly.constant(self.domain, self.nvars, 1), self, n)
 
     def scale(self, c) -> "MultiPoly":
         dom = self.domain
@@ -248,19 +242,14 @@ class MultiPoly:
     # -- evaluation / substitution -------------------------------------------
 
     def evaluate(self, point):
-        """Evaluate at a tuple of domain elements (exact)."""
+        """Evaluate at a tuple of domain elements (exact), on the domain's
+        raw ring: one power table per coordinate, shared by the terms."""
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
-        dom = self.domain
-        vals = [dom.coerce(x) for x in point]
-        acc = dom.zero
-        for exps, c in self.terms.items():
-            term = c
-            for x, e in zip(vals, exps):
-                if e:
-                    term = dom.mul(term, dom.pow(x, e))
-            acc = dom.add(acc, term)
-        return acc
+        dom, ring = self.domain, self.domain.ring
+        exponents = {e for exps in self.terms for e in exps}
+        powers = _power_tables(ring, ring.raw(map(dom.coerce, point)), exponents)
+        return ring.cook([_raw_value(ring, zip(self.terms, ring.raw(self.terms.values())), powers)])[0]
 
     def partial(self, i: int) -> "MultiPoly":
         """Formal partial derivative with respect to x_i."""
@@ -279,7 +268,8 @@ class MultiPoly:
         """Substitute x_i -> x_i + a_i; the result's coefficients are the
         Taylor coefficients of self at the point."""
         dom = self.domain
-        a = [dom.coerce(x) for x in point]
+        # powers[e][i] is a_i^e, for every e up to the largest exponent
+        powers = _power_tables(dom, map(dom.coerce, point), range(max(map(max, self.terms), default=0) + 1))
         out: dict[tuple[int, ...], object] = {}
         for exps, c in self.terms.items():
             # expand prod_i (x_i + a_i)^{e_i} term by term
@@ -287,14 +277,11 @@ class MultiPoly:
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
-                powers = [dom.one]
-                for _ in range(e):
-                    powers.append(dom.mul(powers[-1], a[i]))
                 nxt = []
                 for base_e, base_c in partials:
                     for k in range(e + 1):
                         coeff = dom.mul(base_c, dom.coerce(comb(e, k)))
-                        coeff = dom.mul(coeff, powers[e - k])
+                        coeff = dom.mul(coeff, powers[e - k][i])
                         if dom.is_zero(coeff):
                             continue
                         ne = base_e[:i] + (k,) + base_e[i + 1 :]
@@ -595,24 +582,53 @@ def monomials_up_to_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-def _power_tables(ring, top: int, values) -> list:
-    """Per raw value x, its powers x^0, ..., x^top in the ring (at least up
-    to x^1)."""
-    one, mul, tables = ring.one, ring.mul, []
-    for x in values:
-        table = [one, x]
-        for _ in range(top - 1):
-            table.append(mul(table[-1], x))
-        tables.append(table)
-    return tables
+def _power_tables(ring, values, exponents) -> dict:
+    """The powers of raw values in the ring: row e lists x^e for every x in
+    values, for each exponent and for 0 and 1.  Taken in increasing order,
+    row e is row e - 1 times x where that row is there, at one product per
+    value, and otherwise x^e by the ring's power, reduced once."""
+    values, m, power = list(values), ring.modulus, ring.power
+    mul = ring.times if m is None else ring.mul
+    rows = {0: [ring.one] * len(values), 1: values}
+    for e in sorted(exponents):
+        if e in rows:
+            continue
+        if e - 1 in rows:
+            rows[e] = list(map(mul, rows[e - 1], values))
+        else:
+            row = [power(x, e) for x in values]
+            rows[e] = row if m is None else [x % m for x in row]
+    return rows
+
+
+def _raw_value(ring, terms, powers):
+    """The sum of the raw terms (exponents, coefficient) at the point with
+    power tables `powers`, reduced once by the ring's modulus."""
+    times, plus, acc = ring.times, ring.plus, ring.zero
+    for exps, c in terms:
+        for i, e in enumerate(exps):
+            if e:
+                c = times(c, powers[e][i])
+        acc = plus(acc, c)
+    return acc if ring.modulus is None else acc % ring.modulus
+
+
+def vanishing(dom: CoeffDomain, forms, points):
+    """Per point (a tuple over dom), whether one of the forms over dom
+    vanishes there: the forms are tried in turn on its power tables."""
+    ring, exponents = dom.ring, {e for form in forms for exps in form.terms for e in exps}
+    compiled = [list(zip(form.terms, ring.raw(form.terms.values()))) for form in forms]
+    for point in points:
+        powers = _power_tables(ring, ring.raw(map(dom.coerce, point)), exponents)
+        yield any(not _raw_value(ring, terms, powers) for terms in compiled)
 
 
 class _MonomialColumns:
     """The evaluation matrix of the monomials at the points, read one column
     at a time, as the elimination reads it, in the raw ring of the domain
     (CoeffDomain.ring: F_q[t]'s packed ints, else the elements).  The
-    powers of every coordinate are tabulated once, up to the largest
-    exponent in the monomial list; a column is computed only when asked
+    powers of every coordinate are tabulated once, at the exponents it has
+    in the monomial list; a column is computed only when asked
     for, at one product per entry and variable past the first that occurs
     in its monomial and one reduction per entry (a ring homomorphism, so
     the entry is the same)."""
@@ -621,21 +637,20 @@ class _MonomialColumns:
 
     def __init__(self, dom: CoeffDomain, monomials, points):
         ring = dom.ring
-        top = max(map(max, monomials), default=0)
         self.domain, self.monomials, self.rows = ring, monomials, len(points)
         # no points, no columns, as an ExactMatrix without rows has none
         self.cols = len(monomials) if points else 0
-        # powers[i][r] is the power table of coordinate i of point r
+        # powers[i][e][r] is coordinate i of point r to the power e
         self.powers = [
-            _power_tables(ring, top, ring.raw(map(dom.coerce, values)))
-            for values in zip(*points)
+            _power_tables(ring, ring.raw(map(dom.coerce, values)), set(exponents))
+            for values, exponents in zip(zip(*points), zip(*monomials))
         ]
 
     def column(self, c: int) -> list:
         ring, col = self.domain, None
         for tables, e in zip(self.powers, self.monomials[c]):
             if e:
-                factors = map(itemgetter(e), tables)
+                factors = tables[e]
                 col = list(factors) if col is None else list(map(ring.times, col, factors))
         if col is None:  # the constant monomial
             return [ring.one] * self.rows
@@ -664,14 +679,14 @@ def interpolant(dom: CoeffDomain, monomials, points) -> MultiPoly | None:
     built from the vector's support, columns 0..fc, made primitive with the
     last monomial of that support leading: positive over Z, monic over
     F_q[t], 1 over a field.  The vanishing is checked exactly before the
-    form is returned."""
+    form is returned, by evaluating the form itself at the points, apart
+    from the elimination's columns."""
     vec = kernel_vector(_MonomialColumns(dom, monomials, points))
     if vec is None:
         return None
     fc = max(i for i, c in enumerate(vec) if c)
     coeffs = dom.primitive(vec[fc::-1])[::-1]
     form = _from_terms(dom, len(monomials[0]), dict(zip(monomials, coeffs)))
-    for pt in points:
-        if not dom.is_zero(form.evaluate(pt)):
-            raise AssertionError("interpolant fails to vanish on its points")
+    if not all(vanishing(dom, [form], points)):
+        raise AssertionError("interpolant fails to vanish on its points")
     return form

@@ -119,9 +119,12 @@ def rational_primes_below(limit: float) -> tuple[int, ...]:
 
 def primes_in_range(lo: float, hi: float, q: int | None = None) -> list[PrimeIdealDesc]:
     """All prime ideals with lo < norm < hi (strict) of Q (q None) or of
-    F_q(t), sorted by norm and then by the canonical generator order."""
+    F_q(t), sorted by norm and then by the canonical generator order.  q
+    must be prime: F_q[t] is only implemented for prime q."""
     if not (1 <= lo < hi):
         raise ValueError(f"need 1 <= lo < hi, got ({lo}, {hi})")
+    if q is not None and not _is_prime_int(q):
+        raise ValueError(f"q = {q} is not a prime: F_q(t) needs a prime q")
     if q is None:
         return [PrimeIdealDesc._listed(p, p) for p in rational_primes_below(hi) if p > lo]
     out: list[PrimeIdealDesc] = []

@@ -22,6 +22,7 @@ from .algebra.multipoly import (
     interpolant,
     monomials_of_degree,
     monomials_up_to_degree,
+    vanishing,
 )
 from .algebra.primes import PrimeIdealDesc, primes_in_range
 from .baselines import EMU_A_BASELINE
@@ -513,12 +514,10 @@ def _cover(plan: _CoverPlan) -> CoverResult:
         else:
             aux_polys.extend((poly, f"high_mult_chunk:{i}") for i, poly in enumerate(polys))
 
-    # pointwise cover verification, exact
-    uncovered = [
-        p
-        for p in plan.points
-        if not any(poly.domain.is_zero(poly.evaluate(chart.coords(p))) for poly, _ in aux_polys)
-    ]
+    # pointwise cover verification, exact: each point's powers are shared by the forms
+    forms = [poly for poly, _ in aux_polys]
+    covered = vanishing(plan.field.integer_domain(), forms, map(chart.coords, plan.points))
+    uncovered = [p for p, hit in zip(plan.points, covered) if not hit]
 
     counts = {
         "points": len(plan.points),

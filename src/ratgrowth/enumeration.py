@@ -17,7 +17,7 @@ from itertools import chain, product
 from math import isqrt
 
 from .algebra.fqpoly import all_polys
-from .algebra.multipoly import MultiPoly
+from .algebra.multipoly import MultiPoly, _power_tables
 from .algebra.primes import PrimeIdealDesc, primes_in_range
 from .globalfield import (
     GlobalField,
@@ -25,6 +25,8 @@ from .globalfield import (
     _proj_point,
     field_for_poly,
     is_canonical_lead,
+    primitive_lift,
+    primitive_normalize,
 )
 from .records import record
 
@@ -171,23 +173,7 @@ def enum_proj_points(
 
 def brute_force_proj_points(n: int, H: int, field: GlobalField) -> set[ProjPoint]:
     """Oracle: all raw tuples in the box, normalized into a set."""
-    from .globalfield import primitive_normalize
-
-    values = field.box(H)
-    out: set[ProjPoint] = set()
-
-    def rec(prefix: list, remaining: int):
-        if remaining == 0:
-            if any(prefix):
-                out.add(primitive_normalize(field, tuple(prefix)))
-            return
-        for v in values:
-            prefix.append(v)
-            rec(prefix, remaining - 1)
-            prefix.pop()
-
-    rec([], n + 1)
-    return out
+    return {primitive_normalize(field, raw) for raw in product(field.box(H), repeat=n + 1) if any(raw)}
 
 
 # ---------------------------------------------------------------------------
@@ -195,32 +181,22 @@ def brute_force_proj_points(n: int, H: int, field: GlobalField) -> set[ProjPoint
 # ---------------------------------------------------------------------------
 
 
-def _power_table(field: GlobalField, values: list, exponents) -> dict[int, list]:
-    """exponent -> [value^e for value in values]."""
-    table: dict[int, list] = {}
-    for e in sorted(set(exponents)):
-        if e == 0:
-            table[0] = [field.one] * len(values)
-        else:
-            table[e] = [v**e for v in values]
-    return table
-
-
 def _grouped_terms(f: MultiPoly, solve: int) -> dict[int, list]:
     """f's terms grouped by the exponent of the solve variable, each as
-    (exponents of the other variables, coefficient)."""
+    (exponents of the other variables, raw coefficient)."""
     grouped: dict[int, list] = {}
-    for exps, c in f.terms.items():
+    for exps, c in zip(f.terms, f.domain.ring.raw(f.terms.values())):
         rest = exps[:solve] + exps[solve + 1 :]
         grouped.setdefault(exps[solve], []).append((rest, c))
     return grouped
 
 
-def _collapse(grouped: dict, tables: list, head, solve_table: list, zero) -> list:
-    """f on the row of prefixes head + (last,), with the head substituted:
-    per solve exponent, (its power column, the constant coefficient, pairs
-    (power column of the last coordinate, coefficient)), the terms of one
-    last exponent merged and zero sums dropped."""
+def _collapse(grouped: dict, tables: list, head, solve_table: list, ring) -> list:
+    """f on the row of prefixes head + (last,), with the head substituted,
+    on the raw ring: per solve exponent, (its power column, the constant
+    coefficient, pairs (power column of the last coordinate, coefficient)),
+    the terms of one last exponent merged and zero sums dropped."""
+    times, plus, zero = ring.times, ring.plus, ring.zero
     last_table = tables[len(head)]
     staged = []
     for k, terms in grouped.items():
@@ -228,25 +204,14 @@ def _collapse(grouped: dict, tables: list, head, solve_table: list, zero) -> lis
         for exps, c in terms:
             for table, e, i in zip(tables, exps, head):
                 if e:
-                    c = c * table[e][i]
-            merged[exps[-1]] = merged.get(exps[-1], zero) + c
+                    c = times(c, table[e][i])
+            e = exps[-1]
+            merged[e] = plus(merged[e], c) if e in merged else c
         const = merged.pop(0, zero)
         pairs = [(last_table[e], c) for e, c in merged.items() if c]
         if const or pairs:
             staged.append((solve_table[k], const, pairs))
     return staged
-
-
-def _prefix_columns(staged: list, last: int) -> list:
-    """The univariate of a collapsed row at index last, as pairs (solve
-    power column, coefficient); [] where it vanishes identically."""
-    columns = []
-    for col, acc, pairs in staged:
-        for column, c in pairs:
-            acc = acc + c * column[last]
-        if acc:
-            columns.append((col, acc))
-    return columns
 
 
 def _solve_sieve_primes(field: GlobalField, nvals: int) -> list[PrimeIdealDesc]:
@@ -290,41 +255,42 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
     Classes are numbered by their canonical representatives: 0..p-1 over
     Q, the polynomials of degree below deg(pi) by index over F_q(t).  The
     zeros come from exact evaluation of the primitive part of f at those
-    representatives with the row collapse of the scan, then one reduction
-    of the value, so no residue-field arithmetic is needed.  The primitive
-    part vanishes where f does, and a prime that divides the content of f
-    still sieves.  Where it is homogeneous, f(l x, z) = l^d f(x, z / l):
-    roots are found at the zero key and the keys led by the class 1 only,
-    and times l they are the roots at the keys l x."""
+    representatives on the raw ring of O_K, with the row collapse and the
+    kernel of the scan, then one reduction of the value, so no
+    residue-field arithmetic is needed.  The primitive part vanishes where
+    f does, and a prime that divides the content of f still sieves.  Where
+    it is homogeneous, f(l x, z) = l^d f(x, z / l): roots are found at the
+    zero key and the keys led by the class 1 only, and times l they are
+    the roots at the keys l x."""
     if not primes:
         return []
-    coeffs = f.domain.clear_denominators(f.terms.values())
-    f = MultiPoly(field.integer_domain(), f.nvars, zip(f.terms, coeffs)).primitive_part()
-    n = f.nvars
-    grouped = _grouped_terms(f, solve)
-    zero = f.domain.zero
+    f = primitive_lift(f)
+    ring, n = f.domain.ring, f.nvars
+    grouped, raw = _grouped_terms(f, solve), ring.raw(values)
     out = []
     for prime in primes:
         gen = prime.generator
-        reps = list(range(gen)) if field.is_rational else list(all_polys(field.q, gen.degree - 1))
+        reps = ring.raw(range(gen) if field.is_rational else all_polys(field.q, gen.degree - 1))
+        gen = ring.raw([gen])[0]
+        index = {r: i for i, r in enumerate(reps)}
         classes = range(len(reps))
-        powers = [_power_table(field, reps, [e[i] for e in f.terms]) for i in range(n)]
+        powers = [_power_tables(ring, reps, {e[i] for e in f.terms}) for i in range(n)]
         fixed = powers[:solve] + powers[solve + 1 :]
-        residues = [field.key(v % gen) for v in values]
+        residues = [index[ring.rem(v, gen)] for v in raw]
         buckets: list[list[int]] = [[] for _ in reps]
         for iv, r in enumerate(residues):
             buckets[r].append(iv)
         heads = list(product(classes, repeat=n - 2))
         # row l of the product table maps each class x to l x
-        scales = [[field.key(a * b % gen) for b in reps] for a in reps[1:]] if f.is_homogeneous else [classes]
+        scales = ([[index[ring.rem(ring.times(a, b), gen)] for b in reps] for a in reps[1:]]
+                  if f.is_homogeneous else [classes])
         rows = _lead_rows(n - 1, len(reps), 0, [1]) if f.is_homogeneous else [(h, classes) for h in heads]
         by_roots: dict[tuple, frozenset] = {}
         sets = {}
         for head, axis in rows:
-            staged = _collapse(grouped, fixed, head, powers[solve], zero)
+            staged = _collapse(grouped, fixed, head, powers[solve], ring)
             for last in axis:
-                columns = _prefix_columns(staged, last)
-                roots = [r for r in classes if not sum((c * col[r] for col, c in columns), zero) % gen]
+                roots = ring.zeros(staged, last, classes, gen)
                 for scale in scales:
                     scaled = tuple(sorted(scale[r] for r in roots))
                     if scaled not in by_roots:
@@ -335,7 +301,7 @@ def _sieve_tables(f: MultiPoly, field: GlobalField, primes, solve: int, values: 
     return out
 
 
-def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, sieve: list,
+def _scan(f: MultiPoly, values: list, solve: int, rows, sieve: list,
           budget: int, spent: int, emit_row, counted: int = 0) -> int:
     """Hand each row's prefixes and the solve indices that complete them to
     a zero of f to emit_row(head)(last, hits), in scan order; return the
@@ -343,25 +309,32 @@ def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, siev
     prefixes come in rows (head, axis): head + (last,) for each index last
     in axis, and a prefix without a zero is not emitted.
 
+    The scan runs on the raw ring of O_K (F_q[t]'s packed ints over
+    F_q(t)), on f over O_K (its primitive lift if its coefficients lie in
+    a field) and the box values converted once; the indices it hands on
+    index the values as given.
     For each prefix, the candidates are the solve indices that every sieve
     table admits, and each is decided by exact evaluation of the univariate
-    that f collapses to there, staged once per row by `_collapse`.  Where
-    that univariate is zero its sum has no term, so every candidate is a
-    zero and none is evaluated.  Each row looks up the sieve table of its
-    head once, so a prefix costs one list index per prime.  Every candidate
-    adds one to the work `spent` before the scan, and work past `budget`
-    raises BudgetExceededError."""
-    tables = [_power_table(field, values, [e[i] for e in f.terms]) for i in range(f.nvars)]
+    that f collapses to there, staged once per row by `_collapse`, in the
+    ring's kernel `zeros`.  Where that univariate is zero its sum has no
+    term, so every candidate is a zero and none is evaluated.  Each row
+    looks up the sieve table of its head once, so a prefix costs one list
+    index per prime.  Every candidate adds one to the work `spent` before
+    the scan, and work past `budget` raises BudgetExceededError."""
+    if f.domain.is_field:
+        f = primitive_lift(f)
+    ring = f.domain.ring
+    raw = ring.raw(values)
+    tables = [_power_tables(ring, raw, {e[i] for e in f.terms}) for i in range(f.nvars)]
     fixed, solve_table = tables[:solve] + tables[solve + 1 :], tables[solve]
-    grouped = _grouped_terms(f, solve)
-    zero = field.zero
+    grouped, zeros = _grouped_terms(f, solve), ring.zeros
     every = range(len(values))
     work, admitted = spent, 0
     for head, axis in rows:
         lookups = [(residues, table[tuple(residues[i] for i in head)]) for residues, table in sieve]
         first, rest = lookups[:counted], lookups[counted:]
         emit = emit_row(head)
-        staged = _collapse(grouped, fixed, head, solve_table, zero)
+        staged = _collapse(grouped, fixed, head, solve_table, ring)
         for last in axis:
             candidates = every
             if counted:
@@ -377,17 +350,7 @@ def _scan(f: MultiPoly, field: GlobalField, values: list, solve: int, rows, siev
             work += len(candidates)
             if work > budget:
                 raise BudgetExceededError(budget, budget + 1)
-            columns = _prefix_columns(staged, last)
-            if not columns:
-                emit(last, candidates)
-                continue
-            hits = []
-            for iv in candidates:
-                acc = zero
-                for column, c in columns:
-                    acc = acc + c * column[iv]
-                if not acc:
-                    hits.append(iv)
+            hits = zeros(staged, last, candidates)
             if hits:
                 emit(last, hits)
     return admitted
@@ -508,7 +471,7 @@ def _enum_proj_zeros(f: MultiPoly, H: int, options: EnumOptions | None) -> Point
 
         return emit
 
-    _scan(f, field, values, solve, _lead_rows(n, nvals, izero, leads), sieve, options.budget, spent, emit_row)
+    _scan(f, values, solve, _lead_rows(n, nvals, izero, leads), sieve, options.budget, spent, emit_row)
     points = None
     if collect:
         kept.sort()
@@ -530,19 +493,9 @@ def enum_curve_points_proj(
 
 def brute_force_curve_points(f: MultiPoly, H: int) -> set[ProjPoint]:
     """Oracle: evaluate f on every raw box triple, normalize the zeros."""
-    from .globalfield import primitive_normalize
-
     field = field_for_poly(f)
-    values = field.box(H)
-    out: set[ProjPoint] = set()
-    for a in values:
-        for b in values:
-            for c in values:
-                if not (a or b or c):
-                    continue
-                if not f.evaluate((a, b, c)):
-                    out.add(primitive_normalize(field, (a, b, c)))
-    return out
+    box = product(field.box(H), repeat=3)
+    return {primitive_normalize(field, raw) for raw in box if any(raw) and not f.evaluate(raw)}
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +551,7 @@ def enum_affine_hypersurface(
 
         return emit
 
-    admitted = _scan(f, field, values, solve, rows, sieve, options.budget, spent, emit_row, len(user))
+    admitted = _scan(f, values, solve, rows, sieve, options.budget, spent, emit_row, len(user))
     keyed = sorted(found)
     elapsed = time.perf_counter() - start
     return PointSetResult(
@@ -610,22 +563,8 @@ def enum_affine_hypersurface(
 
 
 def brute_force_affine_points(f: MultiPoly, B: int) -> set[tuple]:
-    field = field_for_poly(f)
-    values = field.box(B)
-    out: set[tuple] = set()
-
-    def rec(prefix: list, remaining: int):
-        if remaining == 0:
-            if not f.evaluate(tuple(prefix)):
-                out.add(tuple(prefix))
-            return
-        for v in values:
-            prefix.append(v)
-            rec(prefix, remaining - 1)
-            prefix.pop()
-
-    rec([], f.nvars)
-    return out
+    """Oracle: evaluate f on every raw box tuple."""
+    return {raw for raw in product(field_for_poly(f).box(B), repeat=f.nvars) if not f.evaluate(raw)}
 
 
 def run_query(query: PointQuery) -> PointSetResult:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from .algebra.domains import CoeffDomain, _is_prime_int
-from .algebra.fqpoly import FqPoly, fq_factor, fq_gcd, poly_from_index, poly_to_index
+from .algebra.fqpoly import FqPoly, fq_factor, fq_gcd, poly_from_index
 from .algebra.multipoly import MultiPoly
 from .algebra.primes import PrimeIdealDesc
 from .records import record
@@ -125,11 +125,6 @@ class GlobalField:
             return -1 if x < 0 else 1
         return pow(x.leading_coeff, -1, self.q) if x else 1
 
-    def key(self, x) -> int:
-        """The canonical index of an O_K element: x itself over Q, the index
-        sum(c_i q^i) over F_q(t)."""
-        return x if self.is_rational else poly_to_index(x)
-
     @property
     def gcd(self):
         """The gcd function of O_K, math.gcd resp. fq_gcd, for a loop to
@@ -169,6 +164,16 @@ def field_for_poly(f: MultiPoly) -> GlobalField:
     raise ValueError(f"no global field matches coefficients in {f.domain.describe()}")
 
 
+def primitive_lift(f: MultiPoly) -> MultiPoly:
+    """The primitive (content-one) representative of f over O_K (Z or
+    F_q[t]), led by the grevlex-leading coefficient as in
+    MultiPoly.primitive_part: the polynomial every reduction of f reduces."""
+    if f.is_zero:
+        raise ValueError("cannot reduce the zero polynomial")
+    coeffs = f.domain.clear_denominators(f.terms.values())
+    return MultiPoly(field_for_poly(f).integer_domain(), f.nvars, zip(f.terms, coeffs)).primitive_part()
+
+
 def is_canonical_lead(field: GlobalField, x) -> bool:
     """Whether x can lead a primitive representative: positive over Q,
     monic over F_q(t)."""
@@ -196,33 +201,24 @@ class Place:
         return cls("finite", prime=prime)
 
 
-def _ord_int(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("ord of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _ord_poly(f: FqPoly, pi: FqPoly) -> int:
-    if not f:
+def _ord(x, p) -> int:
+    """The exponent of the prime p in x != 0: an int over Q, an FqPoly and
+    a monic irreducible over F_q(t)."""
+    if not x:
         raise ValueError("ord of zero")
     v = 0
     while True:
-        quo, rem = divmod(f, pi)
+        quo, rem = divmod(x, p)
         if rem:
             return v
-        f, v = quo, v + 1
+        x, v = quo, v + 1
 
 
 def ord_at(field: GlobalField, x, prime: PrimeIdealDesc) -> int:
     """The valuation ord_p(x) for nonzero x in K."""
     x = field.coerce(x)
-    if field.is_rational:
-        return _ord_int(x.numerator, prime.generator) - _ord_int(x.denominator, prime.generator)
-    return _ord_poly(x.num, prime.generator) - _ord_poly(x.den, prime.generator)
+    num, den = (x.numerator, x.denominator) if field.is_rational else (x.num, x.den)
+    return _ord(num, prime.generator) - _ord(den, prime.generator)
 
 
 def abs_value(field: GlobalField, x, place: Place) -> Fraction:
@@ -315,10 +311,6 @@ class ProjPoint:
     coords: tuple
     height: int
 
-    def __reduce__(self):
-        # the default slot restore would go through the refusing __setattr__
-        return ProjPoint, (self.field, self.coords, self.height)
-
     def __str__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
 
@@ -374,6 +366,8 @@ class ResiduePoint:
     """A projective point over a finite residue field, normalized so the
     first nonzero coordinate is 1."""
 
+    __slots__ = ("domain", "coords")
+
     domain: CoeffDomain
     coords: tuple
 
@@ -388,6 +382,18 @@ class ResiduePoint:
         return tuple(self.domain.sort_key(c) for c in self.coords)
 
 
+_set_domain = ResiduePoint.domain.__set__
+_set_residues = ResiduePoint.coords.__set__
+
+
+def _residue_point(dom: CoeffDomain, coords: tuple) -> ResiduePoint:
+    """A ResiduePoint from normalized coordinates, built without __init__."""
+    p = _new(ResiduePoint)
+    _set_domain(p, dom)
+    _set_residues(p, coords)
+    return p
+
+
 def reduce_point_mod_p(point: ProjPoint, prime: PrimeIdealDesc) -> ResiduePoint:
     """Coordinate-wise reduction of the primitive representative."""
     field = point.field
@@ -400,4 +406,4 @@ def reduce_point_mod_p(point: ProjPoint, prime: PrimeIdealDesc) -> ResiduePoint:
             f"primitive point {point} reduced to zero mod {prime}; "
             "this indicates non-primitive input"
         )
-    return ResiduePoint(dom, scaled)
+    return _residue_point(dom, scaled)

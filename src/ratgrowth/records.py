@@ -12,8 +12,8 @@ assignment and deletion.  A record keeps what a dataclass gives:
 - a hash of the compared fields on frozen records, ``__hash__ = None`` on
   mutable ones;
 - the dataclass repr, ``Name(field=value, ...)``;
-- pickling and ``copy.deepcopy`` through the instance ``__dict__``.  A
-  frozen record with ``__slots__`` defines its own ``__reduce__``.
+- pickling and ``copy.deepcopy`` through the instance ``__dict__``; a
+  frozen record with ``__slots__`` gets a ``__reduce__`` through ``__init__``.
 
 Methods that the class body defines itself are kept.  ``cls._fields`` is
 the tuple of field names.
@@ -102,6 +102,8 @@ def _install(cls, frozen, hidden):
     methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__}
     if frozen:
         methods.update(__setattr__=_refuse_set, __delattr__=_refuse_del)
+    if frozen and slots:  # the default slot restore would go through the refusing __setattr__
+        methods["__reduce__"] = lambda self: (cls, tuple(getattr(self, name) for name in names))
     for name, method in methods.items():
         if name not in own:
             setattr(cls, name, method)

@@ -19,7 +19,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import count, product
+from itertools import accumulate, count, product, repeat
 from math import comb
 from operator import getitem, lt, mul, sub
 
@@ -27,7 +27,7 @@ from .algebra.domains import CoeffDomain
 from .algebra.multipoly import MultiPoly, interpolant, monomials_of_degree
 from .algebra.primes import PrimeIdealDesc
 from .enumeration import BudgetExceededError
-from .globalfield import field_for_poly
+from .globalfield import field_for_poly, primitive_lift
 from .records import record
 
 
@@ -54,17 +54,6 @@ class MultiplicityReport:
     point: tuple
     mu: int
     context: str  # "hypersurface" | "cycle"
-
-
-def primitive_lift(f: MultiPoly) -> MultiPoly:
-    """The primitive (content-one) representative of f over O_K (Z or
-    F_q[t]), led by the grevlex-leading coefficient as in
-    MultiPoly.primitive_part: the polynomial every reduction of f reduces."""
-    if f.is_zero:
-        raise ValueError("cannot reduce the zero polynomial")
-    dom = field_for_poly(f).integer_domain()
-    exps, coeffs = zip(*f.sorted_terms())
-    return MultiPoly(dom, f.nvars, zip(exps, dom.primitive(f.domain.clear_denominators(coeffs))))
 
 
 def _check_owned(field, prime: PrimeIdealDesc) -> None:
@@ -159,13 +148,8 @@ class _TaylorPlan:
             field, reduce = self.dom, self.dom.coerce
         else:
             field, reduce = prime.residue_field, prime.residue
-        mul, zero = field.mul, self.dom.zero
-        powers = []
-        for a, top in zip(coords, self.tops):
-            row = [field.one]
-            for _ in range(top):
-                row.append(mul(row[-1], a))
-            powers.append(row)
+        mul, one, zero = field.mul, field.one, self.dom.zero
+        powers = [list(accumulate(repeat(a, top), mul, initial=one)) for a, top in zip(coords, self.tops)]
         last = self.degree if stop is None else min(stop - 1, self.degree)
         for k in range(last + 1):
             if k == len(self.orders):
@@ -283,10 +267,7 @@ def _line_scan(dom: CoeffDomain, charts: list, stop: int) -> list:
     binom = [[comb(b, a) % char for a in range(b + 1)] for b in range(top + 1)]
 
     def powers(a) -> list:
-        row = [dom.one]
-        for _ in range(top):
-            row.append(dom.mul(row[-1], a))
-        return row
+        return list(accumulate(repeat(a, top), dom.mul, initial=dom.one))
 
     table = [powers(a) for a in elems] if n >= 3 else None
     locus = []

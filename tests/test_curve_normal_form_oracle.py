@@ -52,6 +52,8 @@ FIELDS = [
     (CoeffDomain.integers(), (5, 12)),
     (CoeffDomain.poly_ring(2), (2, 8)),
     (CoeffDomain.poly_ring(3), (3, 9)),
+    # a third odd-slot field; the box of 5 values at H = 1 takes the brute force
+    (CoeffDomain.poly_ring(5), (1, 5)),
 ]
 BRUTE_FORCE_CELLS = 5_000
 
@@ -86,7 +88,7 @@ def normalize_and_dedupe(f, H):
 
         return emit
 
-    _scan(f, field, values, solve, rows, sieve, 10**9, 0, emit_row)
+    _scan(f, values, solve, rows, sieve, 10**9, 0, emit_row)
     found = set(map(field.integer_domain().primitive, zeros))
     found.discard(None)
     points = [ProjPoint(field, coords, height_of_primitive(field, coords)) for coords in found]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratgrowth.algebra.domains import CoeffDomain
-from ratgrowth.algebra.fqpoly import FqPoly
+from ratgrowth.algebra.fqpoly import FqPoly, poly_to_index
 from ratgrowth.algebra.multipoly import MultiPoly, poly_parse
 from ratgrowth.algebra.primes import PrimeIdealDesc
 from ratgrowth.enumeration import (
@@ -788,7 +788,7 @@ def per_key_sieve_tables(f, field, primes, solve, values):
     for prime in primes:
         gen = prime.generator
         reps = list(range(gen)) if field.is_rational else list(all_polys(field.q, gen.degree - 1))
-        residues = [field.key(v % gen) for v in values]
+        residues = [v % gen if field.is_rational else poly_to_index(v % gen) for v in values]
         table = {}
         for key in product(range(len(reps)), repeat=f.nvars - 1):
             coords = [reps[i] for i in key]
@@ -853,9 +853,10 @@ class TestRootTablesByClass:
 
 
 class TestRowCollapse:
-    """Each row of the scan substitutes its head into f once; the staged
-    coefficients, and the univariate that each prefix reads from them, must
-    equal the coefficient forms of f evaluated by `MultiPoly.evaluate`."""
+    """Each row of the scan substitutes its head into f once, on the raw
+    ring of O_K; the staged coefficients must equal the coefficient forms
+    of f evaluated by `MultiPoly.evaluate`, and the ring's kernel `zeros`
+    must keep exactly the solve values at which f evaluates to zero."""
 
     @staticmethod
     def coefficient_forms(f, solve, last):
@@ -871,16 +872,19 @@ class TestRowCollapse:
     def test_staged_rows_match_evaluation(self, field_name):
         from itertools import product
 
-        from ratgrowth.enumeration import _collapse, _grouped_terms, _power_table, _prefix_columns
+        from ratgrowth.algebra.multipoly import _power_tables
+        from ratgrowth.enumeration import _collapse, _grouped_terms
         from ratgrowth.globalfield import field_for_poly
 
-        dropped = 0
+        dropped = vanishing = 0
         for f, _ in staging_cases(field_name):
             field = field_for_poly(f)
+            ring = f.domain.ring
             values = field.box(2 if field.is_rational else field.q)
+            every = range(len(values))
             for solve in range(f.nvars):
                 others = [i for i in range(f.nvars) if i != solve]
-                tables = [_power_table(field, values, [e[i] for e in f.terms]) for i in range(f.nvars)]
+                tables = [_power_tables(ring, ring.raw(values), {e[i] for e in f.terms}) for i in range(f.nvars)]
                 fixed, solve_table = [tables[i] for i in others], tables[solve]
                 k_of = {id(col): k for k, col in solve_table.items()}
                 e_of = {id(col): e for e, col in fixed[-1].items()}
@@ -892,7 +896,7 @@ class TestRowCollapse:
                         point[i] = values[ih]
                     at_head = {ke: g.evaluate(tuple(point)) for ke, g in forms.items()}
                     dropped += sum(not v for v in at_head.values())
-                    staged = _collapse(grouped, fixed, head, solve_table, field.zero)
+                    staged = _collapse(grouped, fixed, head, solve_table, ring)
                     # every kept sum is nonzero, and every nonzero sum is kept
                     got = {}
                     for col, const, pairs in staged:
@@ -901,13 +905,18 @@ class TestRowCollapse:
                         got.update({(k, e_of[id(column)]): c for column, c in pairs})
                         if const:
                             got[k, 0] = const
+                    got = dict(zip(got, ring.cook(got.values())))
                     assert got == {ke: v for ke, v in at_head.items() if v}, (str(f), solve, head)
                     for last, value in enumerate(values):
                         point[others[-1]] = value
-                        want = {}
-                        for (k, e), g in forms.items():
-                            want[k] = want.get(k, field.zero) + g.evaluate(tuple(point)) * value**e
-                        got = {k_of[id(col)]: c for col, c in _prefix_columns(staged, last)}
-                        assert got == {k: c for k, c in want.items() if c}, (str(f), solve, head, last)
-        # the boxes reach heads at which some coefficient sums to zero
-        assert dropped
+                        want = []
+                        for iv, z in enumerate(values):
+                            point[solve] = z
+                            if not f.evaluate(tuple(point)):
+                                want.append(iv)
+                        hits = ring.zeros(staged, last, every)
+                        assert list(hits) == want, (str(f), solve, head, last)
+                        vanishing += hits is every
+        # the boxes reach heads at which some coefficient sums to zero, and
+        # prefixes at which f vanishes for every solve value
+        assert dropped and vanishing

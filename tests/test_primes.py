@@ -93,6 +93,34 @@ class TestPrimesInRange:
         with pytest.raises(ValueError):
             primes_in_range(10, 3)
 
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_q_at_most_one_is_refused(self, q):
+        # q ** deg never reaches hi for q <= 1; a q that stops after a few
+        # powers turns such a loop into an error instead of a hang
+        with pytest.raises(ValueError, match=rf"q = {q}\b"):
+            primes_in_range(1, 10, _FewPowers(q))
+
+    @pytest.mark.parametrize("q", [4, 6, 9, 15])
+    def test_composite_q_is_refused(self, q):
+        # F_4(t) is not F_2[t]/(4): no "prime" over Z/q is listed
+        with pytest.raises(ValueError, match=rf"q = {q}\b"):
+            primes_in_range(1, 100, q)
+
+
+class _FewPowers(int):
+    """An int that allows a handful of powers of itself, then raises."""
+
+    def __new__(cls, value: int):
+        self = super().__new__(cls, value)
+        self.left = 8
+        return self
+
+    def __pow__(self, other, mod=None):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError(f"q = {int(self)} was raised to a power too many times")
+        return int(self) ** other
+
 
 class TestChebyshevTheta:
     """Chebyshev's theta(T), the sum of log(norm) over the primes of norm < T,
