@@ -21,13 +21,14 @@ via evaluation at the root of pi.  No floating point is used anywhere.
 ``CoeffDomain.ring`` is the raw ring that every evaluation runs on: the
 exact elimination and its columns, form evaluation and the curve scan.
 For every kind but F_q[t] it is the domain itself: the raw form of an
-element is the element, with its plain operators.  For F_q[t] it is a
-``_PackedRing``: FqPoly's packed ints, added, multiplied, subtracted and
-divided by fqpoly's packed kernels and wrapped back into FqPoly only where
-they leave the ring.  A raw ring has ``raw`` and ``cook`` (into the raw
-form and back), ``add``, ``mul``, ``rem``, ``times``, ``plus`` and
-``power`` (sums, products and powers left for one reduction by the
-modulus at the end) and ``zeros``, the curve scan's kernel.
+element is the element, with its plain operators.  For F_q[t] it is
+fqpoly's ``PackedRing`` of q, which FqPoly's operators also call: FqPoly's
+packed ints, added, multiplied, subtracted and divided by its kernels and
+wrapped back into FqPoly only where they leave the ring.  A raw ring has
+``raw`` and ``cook`` (into the raw form and back), ``add``, ``mul``,
+``rem``, ``times``, ``plus`` and ``power`` (sums, products and powers
+left for one reduction by the modulus at the end) and ``zeros``, the
+curve scan's kernel.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 from ..records import record
-from .fqpoly import FqPoly, FqRational, fq_gcd, fq_lcm, fq_xgcd, is_irreducible, poly_from_index
-from .fqpoly import _clmul, _divmod2, _divmod_odd, _fold, _kronecker, _layout, _make, _power, _sub_odd
+from .fqpoly import FqPoly, FqRational, fq_gcd, fq_lcm, fq_xgcd, is_irreducible, packed_ring, poly_from_index
+from .fqpoly import _make, _power
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -50,10 +51,6 @@ RESIDUE_FIELD = "residue_field"
 
 _FIELD_KINDS = frozenset({RATIONALS, PRIME_FIELD, RATIONAL_FUNCTIONS, RESIDUE_FIELD})
 _FF_KINDS = frozenset({POLY_RING, RATIONAL_FUNCTIONS, RESIDUE_FIELD})
-
-
-def _unchanged(x):
-    return x
 
 
 def _is_prime_int(n: int) -> bool:
@@ -163,8 +160,8 @@ class CoeffDomain:
 
     @property
     def ring(self):
-        """The raw ring: a _PackedRing for F_q[t], else this domain."""
-        return _packed_ring(self.q) if self.kind == POLY_RING else self
+        """The raw ring: fqpoly's PackedRing for F_q[t], else this domain."""
+        return packed_ring(self.q) if self.kind == POLY_RING else self
 
     # over the domain itself the raw form of a sequence of elements is the
     # elements (raw: a list, cook: a tuple), values are formed by the plain
@@ -439,89 +436,3 @@ class CoeffDomain:
         if k == RESIDUE_FIELD:
             return f"F_{self.q}[t]/({self.pi})"
         raise AssertionError(k)
-
-
-class _PackedRing:
-    """F_q[t] as a raw ring: FqPoly's packed ints, with fqpoly's packed
-    kernels for the sums, products, the elimination step and the divisions
-    (see the fqpoly module docstring)."""
-
-    one, zero, modulus = 1, 0, None
-    is_zero = staticmethod(operator.not_)
-
-    def __init__(self, q: int) -> None:
-        self.q, self.ring = q, self
-        if q == 2:
-            self.add = self.sub = operator.xor
-            self.mul, self._divmod = _clmul, _divmod2
-        else:
-            lay = _layout(q)
-            # a sum of two packed elements has slots below 2q: one fold reduces it
-            self.add, self.sub = lambda a, b: _fold(lay, a + b, lay.size), partial(_sub_odd, lay)
-            self.mul, self._divmod = partial(_kronecker, lay), partial(_divmod_odd, lay)
-        self.times, self.plus, self.neg = self.mul, self.add, partial(self.sub, 0)
-        self.power = partial(_power, self.mul, 1)
-        self.rem = lambda a, b: self._divmod(a, b)[1]
-
-    def zeros(self, staged, last, candidates, modulus=None):
-        """CoeffDomain.zeros on packed ints, by the packed add and mul."""
-        mul, add, columns = self.mul, self.add, []
-        for col, acc, pairs in staged:
-            for column, c in pairs:
-                acc = add(acc, mul(c, column[last]))
-            if acc:
-                columns.append((col, acc))
-        if not columns:
-            return candidates
-        if modulus:
-            sums = (reduce(add, [mul(c, column[iv]) for column, c in columns]) for iv in candidates)
-            return [iv for iv, acc in zip(candidates, sums) if not self.rem(acc, modulus)]
-        hits = []
-        for iv in candidates:
-            acc = 0
-            for column, c in columns:
-                acc = add(acc, mul(c, column[iv]))
-            if not acc:
-                hits.append(iv)
-        return hits
-
-    @staticmethod
-    def raw(values) -> list:
-        """The packed ints of a sequence of FqPoly."""
-        return [x.packed for x in values]
-
-    def cook(self, values) -> tuple:
-        """A sequence of packed ints wrapped back into FqPoly."""
-        q = self.q
-        return tuple(_make(q, v) for v in values)
-
-    def step(self, piv, top, divide, xs, ms):
-        """One Bareiss step on a column: divide(piv * x - m * top) per entry."""
-        mul, sub = self.mul, self.sub
-        return [divide(sub(mul(piv, x), mul(m, top))) for x, m in zip(xs, ms)]
-
-    def divider(self, b: int):
-        """The exact map a -> a / b on packed ints; a nonzero remainder
-        raises ArithmeticError.  Dividing by 1, as the first step does,
-        leaves a as it is."""
-        if not b:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if b == 1:
-            return _unchanged
-        divmod_, q = self._divmod, self.q
-
-        def divide(a):
-            quo, rem = divmod_(a, b)
-            if rem:
-                raise ArithmeticError(f"{_make(q, b)} does not divide {_make(q, a)} in F_{q}[t]")
-            return quo
-
-        return divide
-
-    def exact_div(self, a: int, b: int) -> int:
-        return self.divider(b)(a)
-
-
-@lru_cache(maxsize=None)
-def _packed_ring(q: int) -> _PackedRing:
-    return _PackedRing(q)

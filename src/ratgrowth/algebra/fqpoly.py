@@ -20,11 +20,11 @@ coefficients by construction.
   once, at the end.  Subtraction adds q - b_i to every slot of b first, so
   no slot goes negative.
 
-The kernels on packed ints (``_clmul`` and ``_divmod2`` for q = 2,
-``_kronecker``, ``_divmod_odd``, ``_fold`` and ``_sub_odd`` for odd q) are
-module functions: FqPoly's operators wrap their results, and the raw ring
-of F_q[t] in ``domains`` runs the elimination, the curve scan and form
-evaluation on them unwrapped.
+One ``PackedRing`` per q (``packed_ring(q)``) makes that choice once: the
+slot width, ``pack``, ``unpack`` and the kernels on packed ints.  FqPoly's
+constructor, queries and operators wrap what it computes, and as the raw
+ring of F_q[t] (``CoeffDomain.ring``) it runs the elimination, the curve
+scan and form evaluation unwrapped.
 
 ``FqRational`` is a normalized numerator/denominator pair, i.e. an element
 of F_q(t).  q is restricted to primes so residue arithmetic stays on plain
@@ -35,8 +35,8 @@ values of one q are ordered by their canonical index.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import mul
+import operator
+from functools import lru_cache, partial, reduce
 
 
 def _check_same_q(a: "FqPoly", b: "FqPoly") -> None:
@@ -44,27 +44,7 @@ def _check_same_q(a: "FqPoly", b: "FqPoly") -> None:
         raise ValueError(f"mixed characteristics: F_{a.q}[t] vs F_{b.q}[t]")
 
 
-# -- packed slots for odd q ----------------------------------------------------
-
-
-class _Layout:
-    """The slot layout of packed F_q[t] elements for one odd q."""
-
-    __slots__ = ("q", "size", "bits", "mod", "q_slot")
-
-    def __init__(self, q: int) -> None:
-        size = 1
-        while 2 * q - 2 >> 8 * size:
-            size *= 2
-        self.q, self.size, self.bits = q, size, 8 * size
-        self.q_slot = q.to_bytes(size, "little")
-        # byte -> byte table reducing every one-byte slot at once
-        self.mod = bytes(x % q for x in range(256)) if size == 1 else None
-
-
-@lru_cache(maxsize=None)
-def _layout(q: int) -> _Layout:
-    return _Layout(q)
+# -- kernels on packed ints ----------------------------------------------------
 
 
 def _unpack(v: int, bits: int) -> list:
@@ -73,7 +53,7 @@ def _unpack(v: int, bits: int) -> list:
     return [v >> i & mask for i in range(0, v.bit_length(), bits)]
 
 
-def _pack(lay: _Layout, coeffs) -> int:
+def _pack(lay: "PackedRing", coeffs) -> int:
     """Pack coefficients that are already reduced into [0, q)."""
     if lay.size == 1:
         return int.from_bytes(bytes(coeffs), "little")
@@ -81,7 +61,7 @@ def _pack(lay: _Layout, coeffs) -> int:
     return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
 
 
-def _fold(lay: _Layout, v: int, size: int) -> int:
+def _fold(lay: "PackedRing", v: int, size: int) -> int:
     """Reduce every `size`-byte slot of v mod q and pack the residues."""
     if size == 1:
         data = v.to_bytes(-(-v.bit_length() // 8), "little")
@@ -99,7 +79,7 @@ def _spread(v: int, n: int, size: int, wide: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _kronecker(lay: _Layout, a: int, b: int) -> int:
+def _kronecker(lay: "PackedRing", a: int, b: int) -> int:
     """The product of two packed elements over odd q: one integer product
     of the operands in slots that hold every convolution sum."""
     size = lay.size
@@ -113,7 +93,7 @@ def _kronecker(lay: _Layout, a: int, b: int) -> int:
     return _fold(lay, a * b, wide)
 
 
-def _divmod_odd(lay: _Layout, a: int, b: int) -> tuple[int, int]:
+def _divmod_odd(lay: "PackedRing", a: int, b: int) -> tuple[int, int]:
     """Long division of packed elements over odd q; b is nonzero.
 
     Each step adds c t^s b with c = -lead/lead(b) in [0, q), which clears
@@ -141,7 +121,7 @@ def _divmod_odd(lay: _Layout, a: int, b: int) -> tuple[int, int]:
     return _pack(lay, digits[::-1]), _fold(lay, a & (1 << w * (nb - 1)) - 1, wide)
 
 
-def _sub_odd(lay: _Layout, a: int, b: int) -> int:
+def _sub_odd(lay: "PackedRing", a: int, b: int) -> int:
     """a - b for packed elements over odd q: q - b_i in every slot of b
     keeps the sum of slots nonnegative and below 2q, so one fold reduces it."""
     nb = -(-b.bit_length() // lay.bits)
@@ -188,9 +168,111 @@ def _power(mul, one, x, n: int):
     return result
 
 
-def _width(q: int) -> int:
-    """Bits per coefficient slot."""
-    return 1 if q == 2 else _layout(q).bits
+class PackedRing:
+    """F_q[t] on FqPoly's packed ints for one q (``packed_ring``): the slot
+    width ``bits``, ``pack`` (reduced coefficients to a packed int),
+    ``unpack`` (its slots, low first) and the kernels, picked once for
+    q = 2 or odd q; for odd q also the slot layout the kernels read.  It
+    is F_q[t]'s raw ring too (see the domains module docstring)."""
+
+    one, zero, modulus = 1, 0, None
+    is_zero = staticmethod(operator.not_)
+
+    def __init__(self, q: int) -> None:
+        self.q, self.ring = q, self
+        if q == 2:
+            # one bit a coefficient: a packed int's binary digits are its coefficients
+            self.bits = 1
+            self.pack = lambda coeffs: int("".join(map(str, coeffs))[::-1] or "0", 2)
+            self.unpack = lambda v: tuple(map(int, bin(v)[:1:-1])) if v else ()
+            self.add = self.sub = operator.xor
+            self.mul, self.divmod = _clmul, _divmod2
+        else:
+            size = 1
+            while 2 * q - 2 >> 8 * size:
+                size *= 2
+            self.size, self.bits = size, 8 * size
+            self.q_slot = q.to_bytes(size, "little")
+            # byte -> byte table reducing every one-byte slot at once
+            self.mod = bytes(x % q for x in range(256)) if size == 1 else None
+            self.pack, self.unpack = partial(_pack, self), partial(_unpack, bits=self.bits)
+            # a sum of two packed elements has slots below 2q: one fold reduces it
+            self.add, self.sub = lambda a, b: _fold(self, a + b, size), partial(_sub_odd, self)
+            self.mul, self.divmod = partial(_kronecker, self), partial(_divmod_odd, self)
+        self.times, self.plus, self.neg = self.mul, self.add, partial(self.sub, 0)
+        self.power = partial(_power, self.mul, 1)
+        self.rem = lambda a, b: self.divmod(a, b)[1]
+
+    def zeros(self, staged, last, candidates, modulus=None):
+        """CoeffDomain.zeros on packed ints, by the packed add and mul."""
+        mul, add, columns = self.mul, self.add, []
+        for col, acc, pairs in staged:
+            for column, c in pairs:
+                acc = add(acc, mul(c, column[last]))
+            if acc:
+                columns.append((col, acc))
+        if not columns:
+            return candidates
+        if modulus:
+            sums = (reduce(add, [mul(c, column[iv]) for column, c in columns]) for iv in candidates)
+            return [iv for iv, acc in zip(candidates, sums) if not self.rem(acc, modulus)]
+        hits = []
+        for iv in candidates:
+            acc = 0
+            for column, c in columns:
+                acc = add(acc, mul(c, column[iv]))
+            if not acc:
+                hits.append(iv)
+        return hits
+
+    @staticmethod
+    def raw(values) -> list:
+        """The packed ints of a sequence of FqPoly."""
+        return [x.packed for x in values]
+
+    def cook(self, values) -> tuple:
+        """A sequence of packed ints wrapped back into FqPoly."""
+        q = self.q
+        return tuple(_make(q, v) for v in values)
+
+    def step(self, piv, top, divide, xs, ms):
+        """One Bareiss step on a column: divide(piv * x - m * top) per entry."""
+        mul, sub = self.mul, self.sub
+        return [divide(sub(mul(piv, x), mul(m, top))) for x, m in zip(xs, ms)]
+
+    def divider(self, b: int):
+        """The exact map a -> a / b on packed ints; a nonzero remainder
+        raises ArithmeticError.  Dividing by 1, as the first step does,
+        leaves a as it is."""
+        if not b:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if b == 1:
+            return operator.pos  # +a is a itself
+        divmod_, q = self.divmod, self.q
+
+        def divide(a):
+            quo, rem = divmod_(a, b)
+            if rem:
+                raise ArithmeticError(f"{_make(q, b)} does not divide {_make(q, a)} in F_{q}[t]")
+            return quo
+
+        return divide
+
+    def exact_div(self, a: int, b: int) -> int:
+        return self.divider(b)(a)
+
+
+# q -> its PackedRing.  An FqPoly exists only once its q's ring does, so its
+# operators read it by subscript; constructors given q build it (packed_ring).
+_RINGS: dict = {}
+
+
+def packed_ring(q: int) -> PackedRing:
+    """The PackedRing of F_q[t], built on first use."""
+    ring = _RINGS.get(q)
+    if ring is None:
+        ring = _RINGS[q] = PackedRing(q)
+    return ring
 
 
 class FqPoly:
@@ -204,55 +286,43 @@ class FqPoly:
     __slots__ = ("q", "packed")
 
     def __init__(self, q: int, coeffs) -> None:
-        if q == 2:
-            v = 0
-            for i, c in enumerate(coeffs):
-                if c % 2:
-                    v |= 1 << i
-        else:
-            v = _pack(_layout(q), [c % q for c in coeffs])
         _set_q(self, q)
-        _set_packed(self, v)
+        _set_packed(self, packed_ring(q).pack([c % q for c in coeffs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("FqPoly is immutable")
 
     def __reduce__(self):  # the default slot restore would call __setattr__
-        return _make, (self.q, self.packed)
+        return _make_any, (self.q, self.packed)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, q: int) -> "FqPoly":
-        return _make(q, 0)
+        return _make_any(q, 0)
 
     @classmethod
     def one(cls, q: int) -> "FqPoly":
-        return _make(q, 1)
+        return _make_any(q, 1)
 
     @classmethod
     def const(cls, q: int, c: int) -> "FqPoly":
-        return _make(q, c % q)
+        return _make_any(q, c % q)
 
     @classmethod
     def t(cls, q: int) -> "FqPoly":
-        return _make(q, 1 << _width(q))
+        return _make(q, 1 << packed_ring(q).bits)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
         """The coefficients, low degree first, without trailing zeros."""
-        v = self.packed
-        if self.q == 2:
-            return tuple(map(int, bin(v)[:1:-1])) if v else ()
-        return tuple(_unpack(v, _layout(self.q).bits))
+        return tuple(_RINGS[self.q].unpack(self.packed))
 
     @property
     def degree(self) -> int:
-        if self.q == 2:
-            return self.packed.bit_length() - 1
-        return -(-self.packed.bit_length() // _layout(self.q).bits) - 1
+        return (self.packed.bit_length() - 1) // _RINGS[self.q].bits
 
     @property
     def is_zero(self) -> bool:
@@ -260,9 +330,8 @@ class FqPoly:
 
     @property
     def leading_coeff(self) -> int:
-        if not self.packed:
-            return 0
-        return self.packed >> _width(self.q) * self.degree
+        v, bits = self.packed, _RINGS[self.q].bits
+        return v >> (v.bit_length() - 1) // bits * bits if v else 0
 
     @property
     def is_monic(self) -> bool:
@@ -309,42 +378,31 @@ class FqPoly:
         b = other.packed if type(other) is FqPoly and other.q == q else self._operand(other)
         if b is None:
             return NotImplemented
-        if q == 2:
-            return _make(2, self.packed ^ b)
-        lay = _layout(q)
-        return _make(q, _fold(lay, self.packed + b, lay.size))
+        return _make(q, _RINGS[q].add(self.packed, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        q = self.q
-        return self if q == 2 else _make(q, _sub_odd(_layout(q), 0, self.packed))
+        return _make(self.q, _RINGS[self.q].neg(self.packed))
 
     def __sub__(self, other):
         q = self.q
         b = other.packed if type(other) is FqPoly and other.q == q else self._operand(other)
         if b is None:
             return NotImplemented
-        if q == 2:
-            return _make(2, self.packed ^ b)
-        return _make(q, _sub_odd(_layout(q), self.packed, b))
+        return _make(q, _RINGS[q].sub(self.packed, b))
 
     def __rsub__(self, other):
         if not isinstance(other, int):
             return NotImplemented
-        q = self.q
-        if q == 2:
-            return _make(2, self.packed ^ other % 2)
-        return _make(q, _sub_odd(_layout(q), other % q, self.packed))
+        return _make(self.q, _RINGS[self.q].sub(other % self.q, self.packed))
 
     def __mul__(self, other):
         q = self.q
         b = other.packed if type(other) is FqPoly and other.q == q else self._operand(other)
         if b is None:
             return NotImplemented
-        if q == 2:
-            return _make(2, _clmul(self.packed, b))
-        return _make(q, _kronecker(_layout(q), self.packed, b))
+        return _make(q, _RINGS[q].mul(self.packed, b))
 
     __rmul__ = __mul__
 
@@ -355,7 +413,7 @@ class FqPoly:
             return NotImplemented
         if not b:
             raise ZeroDivisionError("division by the zero polynomial")
-        quo, rem = _divmod2(self.packed, b) if q == 2 else _divmod_odd(_layout(q), self.packed, b)
+        quo, rem = _RINGS[q].divmod(self.packed, b)
         return _make(q, quo), _make(q, rem)
 
     def __floordiv__(self, other):
@@ -367,7 +425,7 @@ class FqPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent for FqPoly")
-        return _power(mul, FqPoly.one(self.q), self, n)
+        return _power(operator.mul, FqPoly.one(self.q), self, n)
 
     def scale(self, c: int) -> "FqPoly":
         q = self.q
@@ -376,7 +434,7 @@ class FqPoly:
             return _make(q, 0)
         if c == 1 or not self.packed:
             return self
-        return _make(q, _kronecker(_layout(q), self.packed, c))
+        return _make(q, _RINGS[q].mul(self.packed, c))
 
     def monic(self) -> "FqPoly":
         lead = self.leading_coeff
@@ -391,7 +449,7 @@ class FqPoly:
             # f(0) is the constant bit; f(1) the parity of the coefficients
             return v & 1 if a % 2 == 0 else v.bit_count() & 1
         acc = 0
-        for c in reversed(_unpack(v, _layout(q).bits)):
+        for c in reversed(_RINGS[q].unpack(v)):
             acc = (acc * a + c) % q
         return acc
 
@@ -424,11 +482,17 @@ _set_packed = FqPoly.packed.__set__
 
 
 def _make(q: int, packed: int) -> FqPoly:
-    """An FqPoly from an already packed int (no validation)."""
+    """An FqPoly from an already packed int, over a q with a ring (no validation)."""
     p = _new(FqPoly)
     _set_q(p, q)
     _set_packed(p, packed)
     return p
+
+
+def _make_any(q: int, packed: int) -> FqPoly:
+    """_make for a q given by the caller: builds its ring first if need be."""
+    packed_ring(q)
+    return _make(q, packed)
 
 
 def fq_gcd(a: FqPoly, b: FqPoly) -> FqPoly:
@@ -466,13 +530,13 @@ def poly_from_index(q: int, idx: int) -> FqPoly:
     """Decode the canonical integer encoding sum(c_i * q^i) -> polynomial."""
     if idx < 0:
         raise ValueError(f"negative polynomial index {idx}")
-    if q == 2:
-        return _make(2, idx)
+    if q == 2:  # the index is the packed int
+        return _make_any(2, idx)
     coeffs = []
     while idx:
         idx, c = divmod(idx, q)
         coeffs.append(c)
-    return _make(q, _pack(_layout(q), coeffs))
+    return _make(q, packed_ring(q).pack(coeffs))
 
 
 def poly_to_index(f: FqPoly) -> int:
@@ -492,7 +556,7 @@ def all_polys(q: int, max_deg: int):
 
 def monic_polys_of_degree(q: int, n: int):
     """All monic degree-n polynomials, ordered by the index of their tail."""
-    lead = 1 << n * _width(q)
+    lead = 1 << n * packed_ring(q).bits
     for idx in range(q**n):
         yield _make(q, poly_from_index(q, idx).packed | lead)
 

@@ -26,7 +26,7 @@ from .detmethod import (
 from .enumeration import PointQuery, enum_curve_points_proj, run_query
 from .globalfield import GlobalField, primitive_normalize, reduce_point_mod_p
 from .harness import run_experiment
-from .reduction import high_mult_locus, mult_at_point, reduce_curve_mod_p
+from .reduction import high_mult_locus, is_projective_point, mult_at_point, reduce_curve_mod_p
 
 
 class UsageError(Exception):
@@ -101,11 +101,17 @@ def cmd_mult(args) -> dict:
     if args.prime:
         prime = _prime_for(field, args.prime)
         reduced = reduce_curve_mod_p(f, prime)
-        rp = reduce_point_mod_p(primitive_normalize(field, point), prime)
-        report = mult_at_point(reduced.f_p, rp.coords)
+        # an affine point reduces coordinatewise, as the affine cover's chart does
+        if projective := is_projective_point(f, point):
+            rp = reduce_point_mod_p(primitive_normalize(field, point), prime)
+            coords, shown = rp.coords, str(rp)
+        else:
+            coords = tuple(map(prime.residue, point))
+            shown = "(" + ", ".join(map(str, coords)) + ")"
+        report = mult_at_point(reduced.f_p, coords, projective)
         return {
             "mu": report.mu,
-            "point": str(rp),
+            "point": shown,
             "prime": str(prime.generator),
             "reduced_degree": reduced.reduced_degree,
             "good": reduced.good,

@@ -550,11 +550,22 @@ def _cover(plan: _CoverPlan) -> CoverResult:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(params, *names) -> None:
+    """Refuse an infinite or NaN float field of params, by name."""
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @record(frozen=True)
 class CoverParams:
     M: float = 4.0
     N: float = 4.0
     budget: int = 50_000_000
+
+    def __post_init__(self):
+        _require_finite(self, "M", "N")
 
 
 def cover_high_mult(
@@ -621,6 +632,9 @@ class AffineCoverParams:
     a: float = EMU_A_BASELINE
     budget: int = 50_000_000
     primes: tuple[PrimeIdealDesc, ...] | None = None
+
+    def __post_init__(self):
+        _require_finite(self, "M", "a")
 
 
 def cover_pipeline_affine(

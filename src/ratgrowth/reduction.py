@@ -316,6 +316,13 @@ def _affine_mult(
     return plans["affine"].order([dom.coerce(x) for x in point], stop, prime)
 
 
+def is_projective_point(f: MultiPoly, point) -> bool:
+    """How mult_at_point reads a point unless told: projective when f is
+    homogeneous in 3 or more variables and the point is nonzero.  Bivariate
+    input is an affine plane curve; an all-zero point is affine (a cone vertex)."""
+    return f.is_homogeneous and len(point) == f.nvars >= 3 and any(point)
+
+
 def mult_at_point(
     f: MultiPoly, point, projective: bool | None = None,
     stop: int | None = None, plans: dict | None = None, prime: PrimeIdealDesc | None = None,
@@ -337,14 +344,7 @@ def mult_at_point(
     if f.is_zero:
         raise ValueError("multiplicity of the zero polynomial is undefined")
     if projective is None:
-        # bivariate input defaults to affine plane curves; an all-zero point
-        # can only be affine (a cone vertex)
-        projective = (
-            f.is_homogeneous
-            and len(point) == f.nvars
-            and f.nvars >= 3
-            and any(bool(c) for c in point)
-        )
+        projective = is_projective_point(f, point)
     if not projective:
         if len(point) != f.nvars:
             raise ValueError("affine point arity mismatch")
@@ -602,6 +602,8 @@ def high_mult_locus(f_p: MultiPoly, k, cap_degree: int, strict: bool = True) -> 
     dom = f_p.domain
     if dom.size is None:
         raise TypeError("high-multiplicity scan needs a finite residue field")
+    if isinstance(k, float) and not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
     kf = Fraction(k)
     if kf < 1:
         raise ValueError("need k >= 1")

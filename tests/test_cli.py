@@ -173,6 +173,30 @@ class TestMult:
         assert code == 1
         assert payload["error"] == "ParseError" and "position" in payload["message"]
 
+    # an affine point is reduced coordinate by coordinate, as the affine
+    # cover's chart does; it used to be read as a projective point
+    @pytest.mark.parametrize(
+        "point, prime, shown",
+        [("2,4", "3", "(2, 1)"), ("0,0", "2", "(0, 0)")],
+        ids=["on-the-curve", "origin"],
+    )
+    def test_affine_point_mod_prime(self, capsys, point, prime, shown):
+        code, payload = run_cli(
+            capsys,
+            "mult", "--poly", "x1-x0^2", "--nvars", "2", "--point", point, "--prime", prime,
+        )
+        assert code == 0
+        assert (payload["mu"], payload["point"], payload["prime"]) == (1, shown, prime)
+
+    def test_affine_point_mod_function_field_prime(self, capsys):
+        # (t, t^2 + 1) lies on x1 = x0^2 + 1, and so does its residue mod t
+        code, payload = run_cli(
+            capsys,
+            "mult", "--field", "Fq(t):q=3", "--poly", "x1 - x0^2 - 1", "--nvars", "2",
+            "--point", "t, t^2 + 1", "--prime", "t",
+        )
+        assert code == 0 and (payload["mu"], payload["point"]) == (1, "(0, 1)")
+
     def test_non_constant_prime_text_named(self, capsys):
         code, payload = run_cli(
             capsys,
@@ -258,6 +282,34 @@ class TestCoverFlags:
         _, plain = run_cli(capsys, *self.PROJECTIVE)
         _, line = run_cli(capsys, *self.PROJECTIVE, "--N", "0.4")
         assert (plain["high_mult"]["d_prime"], line["high_mult"]["d_prime"]) == (11, 1)
+
+
+class TestNonFiniteParameters:
+    # inf and nan used to raise OverflowError, run with a one-prime window
+    # or write -Infinity into the JSON; each is now a ValueError naming the
+    # parameter
+    CONIC = ("cover", "--poly", "x0*x2-x1^2", "--height", "10")
+    AFFINE = ("cover", "--affine", "--poly", "x0*x1*x2 - 1", "--nvars", "3", "--height", "4")
+    HIGHMULT = ("highmult", "--poly", "x0^4", "--prime", "5")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (CONIC + ("--M", "inf"), "M must be finite, got inf"),
+            (CONIC + ("--M", "nan"), "M must be finite, got nan"),
+            (CONIC + ("--N", "inf"), "N must be finite, got inf"),
+            (CONIC + ("--N", "nan"), "N must be finite, got nan"),
+            (AFFINE + ("--M=-inf",), "M must be finite, got -inf"),
+            (AFFINE + ("--a", "inf"), "a must be finite, got inf"),
+            (HIGHMULT + ("--k", "inf"), "k must be finite, got inf"),
+            (HIGHMULT + ("--k", "nan"), "k must be finite, got nan"),
+        ],
+        ids=["M-inf", "M-nan", "N-inf", "N-nan", "affine-M", "affine-a", "k-inf", "k-nan"],
+    )
+    def test_refused_with_the_parameter_named(self, capsys, argv, message):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 1
+        assert payload == {"error": "ValueError", "message": message}
 
 
 class TestDetcert:

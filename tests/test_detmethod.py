@@ -436,6 +436,21 @@ class TestAffinePipeline:
             assert "valuation_monitor_rhs" in m
 
 
+class TestParams:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "params, name",
+        [(CoverParams, "M"), (CoverParams, "N"), (AffineCoverParams, "M"), (AffineCoverParams, "a")],
+    )
+    def test_non_finite_refused(self, params, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            params(**{name: value})
+
+    def test_finite_values_kept(self):
+        assert CoverParams(M=2, N=0.5) == CoverParams(2, 0.5)
+        assert AffineCoverParams(a=7).a == 7
+
+
 class TestWrappedReductionNames:
     """Tracers wrap reduce_point_mod_p and mult_at_point where detmethod
     holds them; the covering core must look both up at call time."""

@@ -6,7 +6,12 @@ first, no trailing zeros) and computes with the quadratic loops that
 ``FqPoly`` must give the oracle's coefficients.
 """
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -165,7 +170,10 @@ def same(f, o):
     assert f.leading_coeff == o.leading_coeff
 
 
-QS = st.sampled_from([2, 3, 5, 7])
+# one-bit, one-byte and (q = 131: 2q - 2 = 260) two-byte slots
+QS = st.sampled_from([2, 3, 5, 7, 131])
+# trial factoring at q = 131 is too slow for the suite
+FACTOR_QS = st.sampled_from([2, 3, 5, 7])
 # raw coefficients outside [0, q), negative ones included; up to degree 80
 RAW = st.lists(st.integers(min_value=-40, max_value=40), max_size=81)
 INTS = st.integers(min_value=-50, max_value=50)
@@ -258,7 +266,7 @@ def test_gcd_and_xgcd(q, raw_a, raw_b):
 
 
 @settings(max_examples=40, deadline=None)
-@given(QS, st.lists(INTS, min_size=1, max_size=7))
+@given(FACTOR_QS, st.lists(INTS, min_size=1, max_size=7))
 def test_factor_small_degree(q, raw):
     f, o = both(q, raw)
     if not o:
@@ -340,6 +348,33 @@ def test_wide_kronecker_slots(q):
             same(quo, oquo)
             same(rem, orem)
             assert f.evaluate(q - 2) == o.evaluate(q - 2)
+
+
+def test_every_constructor_builds_its_ring():
+    """Each public constructor given a q builds that q's ring, which the
+    operators then read by subscript: a fresh process shows it, one new q
+    per constructor, unpickling included."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = """if True:
+        import pickle, sys
+        from ratgrowth.algebra.fqpoly import (
+            FqPoly, all_polys, monic_polys_of_degree, poly_from_index)
+        built = [FqPoly.zero(2), FqPoly.one(3), FqPoly.const(5, 7), FqPoly.t(7),
+                 FqPoly(11, [1, 2]), poly_from_index(13, 14), next(all_polys(17, 1)),
+                 next(monic_polys_of_degree(19, 1)), pickle.loads(sys.stdin.buffer.read())]
+        print([str(f * f - f + 1) for f in built])
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(FqPoly(131, [0, 130])),
+        env=env, capture_output=True, check=True,
+    )
+    # the same values in this process, where every ring is built already
+    want = [str(f * f - f + 1) for f in (
+        FqPoly(2, []), FqPoly(3, [1]), FqPoly(5, [2]), FqPoly(7, [0, 1]), FqPoly(11, [1, 2]),
+        FqPoly(13, [1, 1]), FqPoly(17, []), FqPoly(19, [0, 1]), FqPoly(131, [0, 130]),
+    )]
+    assert out.stdout.decode().strip() == str(want)
 
 
 @pytest.mark.parametrize("q", [2, 3])

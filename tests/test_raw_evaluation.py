@@ -1,12 +1,13 @@
 """Form evaluation on the raw ring (`CoeffDomain.ring`) against a plain
-term-by-term oracle, and the packed ring's sums and remainders against
-FqPoly's operators.
+term-by-term oracle, and the packed ring's kernels against FqPoly's
+operators and against schoolbook arithmetic on coefficient lists.
 
 The oracle multiplies each coordinate in once per unit of its exponent
 with the domain's own `mul` and sums the terms with its `add`, on the
 domain's elements: no power table, no packed int, no shared power."""
 
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,14 @@ def test_raw_evaluation_matches_the_oracle(dom, seed):
     assert flags == [any(not term_by_term(f, p) for f in forms) for p in points]
 
 
+def convolve(a, b) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 @pytest.mark.parametrize("q", [2, 3, 131])
 @settings(max_examples=30, deadline=None)
 @given(a=st.integers(0, 10**12), b=st.integers(0, 10**12))
@@ -88,3 +97,17 @@ def test_packed_sums_and_remainders_match_fqpoly(q, a, b):
     assert ring.add(x.packed, 0) == x.packed
     if y:
         assert ring.rem(x.packed, y.packed) == (x % y).packed
+    # FqPoly's operators call these same kernels, so each is also checked
+    # against FqPoly(q, coefficients) of a schoolbook result
+    xs, ys = x.coeffs, y.coeffs
+    assert ring.sub(x.packed, y.packed) == (x - y).packed
+    assert ring.sub(x.packed, y.packed) == FqPoly(q, [u - v for u, v in zip_longest(xs, ys, fillvalue=0)]).packed
+    assert ring.neg(x.packed) == (-x).packed == FqPoly(q, [-u for u in xs]).packed
+    assert ring.mul(x.packed, y.packed) == (x * y).packed == FqPoly(q, convolve(xs, ys)).packed
+    if y:
+        quo, rem = ring.divmod(x.packed, y.packed)
+        assert (quo, rem) == ((x // y).packed, (x % y).packed)
+        quo, rem = ring.cook([quo, rem])
+        # x = quo y + rem with deg rem < deg y, on coefficient lists
+        back = [u + v for u, v in zip_longest(convolve(quo.coeffs, ys), rem.coeffs, fillvalue=0)]
+        assert FqPoly(q, back) == x and rem.degree < y.degree

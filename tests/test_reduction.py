@@ -533,6 +533,12 @@ class TestHighMultLocus:
         loc = high_mult_locus(conic, 1.5, 5)
         assert loc.kind == "empty" and loc.degree == 0
 
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+    def test_non_finite_k_refused(self, k):
+        # Fraction(inf) raised OverflowError, Fraction(nan) named no parameter
+        with pytest.raises(ValueError, match="^k must be finite"):
+            high_mult_locus(poly_parse("x0", 3, GF5) ** 4, k, 5)
+
     def test_all_points_sentinel(self):
         line = poly_parse("x0", 3, GF5)
         loc = high_mult_locus(line, 2, 5)  # D/k = 1/2 < 1
