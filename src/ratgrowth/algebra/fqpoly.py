@@ -496,11 +496,12 @@ def _make_any(q: int, packed: int) -> FqPoly:
 
 
 def fq_gcd(a: FqPoly, b: FqPoly) -> FqPoly:
-    """Monic gcd in F_q[t]."""
+    """Monic gcd in F_q[t], by Euclid on the packed ints."""
     _check_same_q(a, b)
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    divmod_, x, y = _RINGS[a.q].divmod, a.packed, b.packed
+    while y:
+        x, y = y, divmod_(x, y)[1]
+    return _make(a.q, x).monic()
 
 
 def fq_lcm(a: FqPoly, b: FqPoly) -> FqPoly:
@@ -530,8 +531,6 @@ def poly_from_index(q: int, idx: int) -> FqPoly:
     """Decode the canonical integer encoding sum(c_i * q^i) -> polynomial."""
     if idx < 0:
         raise ValueError(f"negative polynomial index {idx}")
-    if q == 2:  # the index is the packed int
-        return _make_any(2, idx)
     coeffs = []
     while idx:
         idx, c = divmod(idx, q)
@@ -540,8 +539,6 @@ def poly_from_index(q: int, idx: int) -> FqPoly:
 
 
 def poly_to_index(f: FqPoly) -> int:
-    if f.q == 2:
-        return f.packed
     idx = 0
     for c in reversed(f.coeffs):
         idx = idx * f.q + c
