@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from ..records import record
-from .fqpoly import FqPoly, FqRational, fq_gcd, fq_lcm, fq_xgcd, is_irreducible, packed_ring, poly_from_index
+from .fqpoly import FqPoly, FqRational, fq_gcd, fq_lcm, fq_xgcd, is_irreducible, is_prime, packed_ring, poly_from_index
 from .fqpoly import _make, _power
 
 INTEGERS = "integers"
@@ -53,21 +53,6 @@ _FIELD_KINDS = frozenset({RATIONALS, PRIME_FIELD, RATIONAL_FUNCTIONS, RESIDUE_FI
 _FF_KINDS = frozenset({POLY_RING, RATIONAL_FUNCTIONS, RESIDUE_FIELD})
 
 
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 @record(frozen=True)
 class CoeffDomain:
     """One of the supported exact coefficient domains."""
@@ -78,9 +63,9 @@ class CoeffDomain:
     pi: FqPoly | None = None  # modulus for residue_field
 
     def __post_init__(self):
-        if self.kind == PRIME_FIELD and not _is_prime_int(self.p or 0):
+        if self.kind == PRIME_FIELD and not is_prime(self.p or 0):
             raise ValueError(f"prime_field modulus {self.p} is not prime")
-        if self.kind in _FF_KINDS and not _is_prime_int(self.q or 0):
+        if self.kind in _FF_KINDS and not is_prime(self.q or 0):
             raise ValueError(f"function-field characteristic {self.q} is not prime")
         if self.kind == RESIDUE_FIELD:
             if self.pi is None or self.pi.q != self.q or not self.pi.is_monic:

@@ -26,6 +26,15 @@ constructor, queries and operators wrap what it computes, and as the raw
 ring of F_q[t] (``CoeffDomain.ring``) it runs the elimination, the curve
 scan and form evaluation unwrapped.
 
+Factoring lives here too, as the lowest module: ``int_prime_factors`` and
+``fq_prime_factors`` yield the prime factors (p, e) of an integer resp. of
+a polynomial in ascending order, by trial division.  Over F_q[t] the
+divisors are ``monic_irreducibles_of_degree``, which sieves each degree
+with the lower ones.  ``is_prime``, ``is_irreducible``, ``fq_factor``, the
+Moebius function and the places of a global-field element all read these
+two.  Integer trial division stops at the divisor ``_TRIAL_LIMIT`` and
+refuses a cofactor it cannot settle, naming the number.
+
 ``FqRational`` is a normalized numerator/denominator pair, i.e. an element
 of F_q(t).  q is restricted to primes so residue arithmetic stays on plain
 integers.  Everything is immutable and hashable, which lets the rest of the
@@ -37,6 +46,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, partial, reduce
+from itertools import chain
 
 
 def _check_same_q(a: "FqPoly", b: "FqPoly") -> None:
@@ -558,23 +568,62 @@ def monic_polys_of_degree(q: int, n: int):
         yield _make(q, poly_from_index(q, idx).packed | lead)
 
 
-@lru_cache(maxsize=None)
-def _irreducible_cache(q: int, packed: int) -> bool:
-    f = _make(q, packed)
-    if f.degree < 1:
-        return False
-    if f.degree == 1:
-        return True
-    # trial division by all monic polynomials of degree 1..deg/2
-    for d in range(1, f.degree // 2 + 1):
-        for g in monic_polys_of_degree(q, d):
-            if not (f % g):
-                return False
-    return True
+# The largest trial divisor of int_prime_factors: trial division up to it
+# takes about half a second, and a cofactor it leaves unresolved is refused.
+_TRIAL_LIMIT = 10**7
+
+
+def int_prime_factors(n: int):
+    """Yield the prime factors (p, e) of an integer n >= 1, p ascending, by
+    trial division.  Raises ValueError naming n when a cofactor above
+    _TRIAL_LIMIT^2 has no prime factor up to _TRIAL_LIMIT: deciding it
+    would take larger divisors."""
+    m = n
+    for p in chain((2,), range(3, _TRIAL_LIMIT + 1, 2)):
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            yield p, e
+    if m > _TRIAL_LIMIT**2:
+        raise ValueError(f"{n} is too large to factor: no divisor up to {_TRIAL_LIMIT} splits its cofactor {m}")
+    if m > 1:
+        yield m, 1
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime: its least prime factor is n itself."""
+    return n > 1 and next(int_prime_factors(n)) == (n, 1)
+
+
+def fq_prime_factors(f: FqPoly):
+    """Yield the monic irreducible factors (pi, e) of f != 0 in (degree,
+    index) order, by trial division by monic_irreducibles_of_degree."""
+    g = f.monic()
+    d = 1
+    while 2 * d <= g.degree:
+        for pi in monic_irreducibles_of_degree(f.q, d):
+            e = 0
+            quo, rem = divmod(g, pi)
+            while not rem:
+                g, e = quo, e + 1
+                quo, rem = divmod(g, pi)
+            if e:
+                yield pi, e
+                if 2 * d > g.degree:
+                    break
+        d += 1
+    # g has no factor of degree <= deg(g) / 2, so it is 1 or irreducible
+    if g.degree >= 1:
+        yield g, 1
 
 
 def is_irreducible(f: FqPoly) -> bool:
-    return _irreducible_cache(f.q, f.packed)
+    """Whether f is irreducible: its first monic factor is f itself."""
+    return f.degree >= 1 and next(fq_prime_factors(f)) == (f.monic(), 1)
 
 
 @lru_cache(maxsize=None)
@@ -595,18 +644,8 @@ def count_monic_irreducibles(q: int, n: int) -> int:
 
 
 def _moebius(n: int) -> int:
-    result, m = 1, n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
+    exponents = [e for _, e in int_prime_factors(n)]
+    return 0 if max(exponents, default=1) > 1 else (-1) ** len(exponents)
 
 
 def fq_factor(f: FqPoly) -> list[tuple[FqPoly, int]]:
@@ -616,27 +655,7 @@ def fq_factor(f: FqPoly) -> list[tuple[FqPoly, int]]:
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    factors: list[tuple[FqPoly, int]] = []
-    g = f.monic()
-    d = 1
-    while g.degree >= 1:
-        if d > g.degree // 2:
-            factors.append((g, 1))
-            break
-        for pi in monic_irreducibles_of_degree(f.q, d):
-            if g.degree < d:
-                break
-            e = 0
-            while True:
-                quo, rem = divmod(g, pi)
-                if rem:
-                    break
-                g, e = quo, e + 1
-            if e:
-                factors.append((pi, e))
-        d += 1
-    factors.sort(key=lambda fe: (fe[0].degree, poly_to_index(fe[0])))
-    return factors
+    return list(fq_prime_factors(f))
 
 
 class FqRational:

@@ -1,9 +1,12 @@
 """Prime ideals of Z and F_q[t]: their residue maps and enumeration by norm.
 
 Ideals are described by a generator (a prime number, or a monic
-irreducible polynomial) together with its norm.  All tests are
-deterministic: trial division for integers, exhaustive factor search
-for polynomials.
+irreducible polynomial) together with its norm.  A descriptor built from
+outside input tests its generator with fqpoly's ``is_prime`` resp.
+``is_irreducible``, which read the first factor of fqpoly's trial-division
+generators.  ``primes_in_range`` lists primes that a sieve, resp.
+``monic_irreducibles_of_degree``, has already proved prime.
+``recheck_prime`` verifies a prime independently of both tests.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ import math
 from functools import cached_property, lru_cache
 
 from ..records import record
-from .domains import CoeffDomain, _is_prime_int
+from .domains import CoeffDomain
 from .fqpoly import (
     FqPoly,
+    all_polys,
     is_irreducible,
+    is_prime,
     monic_irreducibles_of_degree,
     poly_to_index,
 )
@@ -32,7 +37,7 @@ class PrimeIdealDesc:
     def __post_init__(self):
         g = self.generator
         if isinstance(g, int):
-            if not _is_prime_int(g):
+            if not is_prime(g):
                 raise ValueError(f"{g} is not prime")
             if self.norm != g:
                 raise ValueError(f"norm {self.norm} != p = {g}")
@@ -46,9 +51,9 @@ class PrimeIdealDesc:
 
     @classmethod
     def _listed(cls, generator, norm: int) -> "PrimeIdealDesc":
-        """A prime that primes_in_range has just sieved or listed as a monic
-        irreducible, built without __post_init__'s primality test, which
-        outside input keeps."""
+        """A prime that a sieve, a listing of monic irreducibles or a
+        factorization has just proved prime, built without __post_init__'s
+        primality test, which outside input keeps."""
         desc = object.__new__(cls)
         object.__setattr__(desc, "generator", generator)
         object.__setattr__(desc, "norm", norm)
@@ -121,9 +126,12 @@ def primes_in_range(lo: float, hi: float, q: int | None = None) -> list[PrimeIde
     """All prime ideals with lo < norm < hi (strict) of Q (q None) or of
     F_q(t), sorted by norm and then by the canonical generator order.  q
     must be prime: F_q[t] is only implemented for prime q."""
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not abs(bound) < math.inf:
+            raise ValueError(f"{name} must be finite, got {bound}")
     if not (1 <= lo < hi):
         raise ValueError(f"need 1 <= lo < hi, got ({lo}, {hi})")
-    if q is not None and not _is_prime_int(q):
+    if q is not None and not is_prime(q):
         raise ValueError(f"q = {q} is not a prime: F_q(t) needs a prime q")
     if q is None:
         return [PrimeIdealDesc._listed(p, p) for p in rational_primes_below(hi) if p > lo]
@@ -154,8 +162,6 @@ def recheck_prime(desc: PrimeIdealDesc) -> bool:
                 return False
             f += 6
         return True
-    from .fqpoly import all_polys
-
     if g.degree < 1:
         return False
     for h in all_polys(g.q, g.degree - 1):

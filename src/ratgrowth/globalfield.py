@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .algebra.domains import CoeffDomain, _is_prime_int
-from .algebra.fqpoly import FqPoly, fq_factor, fq_gcd, poly_from_index
+from .algebra.domains import CoeffDomain
+from .algebra.fqpoly import FqPoly, fq_gcd, fq_prime_factors, int_prime_factors, is_prime, poly_from_index
 from .algebra.multipoly import MultiPoly
 from .algebra.primes import PrimeIdealDesc
 from .records import record
@@ -37,7 +37,7 @@ class GlobalField:
             if self.q is not None:
                 raise ValueError("Q carries no q")
         elif self.kind == "Fq(t)":
-            if not _is_prime_int(self.q or 0):
+            if not is_prime(self.q or 0):
                 raise ValueError(f"function-field constant field size {self.q} must be prime")
         else:
             raise NotImplementedError(
@@ -244,42 +244,20 @@ def abs_value(field: GlobalField, x, place: Place) -> Fraction:
     return Fraction(1, prime.norm**v) if v >= 0 else Fraction(prime.norm ** (-v))
 
 
-def _prime_factors_int(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def places_with_nontrivial_value(field: GlobalField, x) -> list[Place]:
     """The finite list of places where |x|_v can differ from 1."""
     x = field.coerce(x)
     if not x:
         raise ValueError("zero has no place decomposition")
-    out: list[Place] = []
+    # x's numerator and denominator are coprime: no prime divides both
     if field.is_rational:
-        out.append(Place.archimedean())
-        for p in sorted(set(_prime_factors_int(x.numerator) + _prime_factors_int(x.denominator))):
-            out.append(Place.finite(PrimeIdealDesc(p, p)))
-        return out
-    out.append(Place.infinite())
-    seen = set()
-    for f in (x.num, x.den):
-        if f.is_constant:
-            continue
-        for pi, _ in fq_factor(f):
-            if pi not in seen:
-                seen.add(pi)
-                out.append(Place.finite(PrimeIdealDesc(pi, field.size(pi))))
-    return out
+        primes = sorted(p for n in (x.numerator, x.denominator) for p, _ in int_prime_factors(abs(n)))
+        return [Place.archimedean()] + [Place.finite(PrimeIdealDesc._listed(p, p)) for p in primes]
+    return [Place.infinite()] + [
+        Place.finite(PrimeIdealDesc._listed(pi, field.size(pi)))
+        for f in (x.num, x.den)
+        for pi, _ in fq_prime_factors(f)
+    ]
 
 
 def product_formula_check(field: GlobalField, x) -> Fraction:

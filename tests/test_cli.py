@@ -206,6 +206,16 @@ class TestMult:
         assert code == 1
         assert payload == {"error": "ValueError", "message": "'x + t' is not an element of F_3[t]"}
 
+    def test_large_prime_refused_by_name(self, capsys):
+        # trial division to the square root of 10^18 + 3 would take about
+        # 50 s; the divisors stop at 10^7 and the number is named
+        code, payload = run_cli(
+            capsys,
+            "mult", "--poly", "x0^2+x1^2-x2^2", "--point", "3,4,5", "--prime", "1000000000000000003",
+        )
+        assert code == 1 and payload["error"] == "ValueError"
+        assert payload["message"].startswith("1000000000000000003 is too large to factor")
+
 
 class TestHighMult:
     def test_line_power(self, capsys):

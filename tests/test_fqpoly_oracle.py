@@ -24,6 +24,7 @@ from ratgrowth.algebra.fqpoly import (
     fq_factor,
     fq_gcd,
     fq_xgcd,
+    is_irreducible,
     poly_from_index,
     poly_to_index,
 )
@@ -269,6 +270,7 @@ def test_gcd_and_xgcd(q, raw_a, raw_b):
 @given(FACTOR_QS, st.lists(INTS, min_size=1, max_size=7))
 def test_factor_small_degree(q, raw):
     f, o = both(q, raw)
+    assert is_irreducible(f) == oracle_is_irreducible(o)
     if not o:
         with pytest.raises(ValueError):
             fq_factor(f)

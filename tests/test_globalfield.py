@@ -21,6 +21,7 @@ from ratgrowth.globalfield import (
     height_of_primitive,
     height_proj,
     is_canonical_lead,
+    places_with_nontrivial_value,
     primitive_normalize,
     product_formula_check,
     reduce_point_mod_p,
@@ -251,6 +252,12 @@ class TestProductFormula:
         vt1 = abs_value(F2, x, Place.finite(PrimeIdealDesc(t + 1, 2)))
         vinf = abs_value(F2, x, Place.infinite())
         assert (vt, vt1, vinf) == (Fraction(1, 2), Fraction(2), Fraction(1))
+
+    def test_large_number_with_small_factors(self):
+        x = Fraction(10**20, 3**40)
+        places = places_with_nontrivial_value(Q, x)
+        assert [str(place.prime) for place in places[1:]] == ["2", "3", "5"]
+        assert product_formula_check(Q, x) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**9))

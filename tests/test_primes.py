@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratgrowth.algebra import fqpoly
 from ratgrowth.algebra.fqpoly import FqPoly, count_monic_irreducibles, monic_polys_of_degree
 from ratgrowth.algebra.primes import (
     PrimeIdealDesc,
@@ -105,6 +106,41 @@ class TestPrimesInRange:
         # F_4(t) is not F_2[t]/(4): no "prime" over Z/q is listed
         with pytest.raises(ValueError, match=rf"q = {q}\b"):
             primes_in_range(1, 100, q)
+
+    # inf used to raise OverflowError over Q and never return over F_q(t);
+    # _FewPowers(2) turns the second into an error, not a hang
+    @pytest.mark.parametrize(
+        "lo, hi, q, message",
+        [
+            (1, math.inf, None, "hi must be finite, got inf"),
+            (1, math.inf, 2, "hi must be finite, got inf"),
+            (1, math.nan, 2, "hi must be finite, got nan"),
+            (math.inf, math.inf, None, "lo must be finite, got inf"),
+        ],
+        ids=["hi-inf-Q", "hi-inf-F2", "hi-nan-F2", "lo-inf"],
+    )
+    def test_non_finite_bound_refused_by_name(self, lo, hi, q, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            primes_in_range(lo, hi, None if q is None else _FewPowers(q))
+
+
+class TestIntegerTrialDivision:
+    def test_primality_matches_the_sieve(self):
+        tested = [n for n in range(-5, 10**5) if fqpoly.is_prime(n)]
+        assert tested == list(rational_primes_below(10**5))
+
+    def test_unresolved_cofactor_refused_by_name(self, monkeypatch):
+        # with trial divisors up to 1000, a cofactor above 1000^2 that no
+        # divisor splits is refused; what the divisors settle still answers
+        monkeypatch.setattr(fqpoly, "_TRIAL_LIMIT", 1000)
+        for n in (1000003, 1000003 * 1000033):
+            with pytest.raises(ValueError, match=rf"^{n} is too large to factor"):
+                PrimeIdealDesc(n, n)
+        n = 2**10 * 1000003
+        with pytest.raises(ValueError, match=rf"^{n} is too large to factor"):
+            list(fqpoly.int_prime_factors(n))
+        assert fqpoly.is_prime(999983) and not fqpoly.is_prime(2 * 1000003)
+        assert list(fqpoly.int_prime_factors(10**20)) == [(2, 20), (5, 20)]
 
 
 class _FewPowers(int):
