@@ -30,10 +30,13 @@ Factoring lives here too, as the lowest module: ``int_prime_factors`` and
 ``fq_prime_factors`` yield the prime factors (p, e) of an integer resp. of
 a polynomial in ascending order, by trial division.  Over F_q[t] the
 divisors are ``monic_irreducibles_of_degree``, which sieves each degree
-with the lower ones.  ``is_prime``, ``is_irreducible``, ``fq_factor``, the
-Moebius function and the places of a global-field element all read these
-two.  Integer trial division stops at the divisor ``_TRIAL_LIMIT`` and
-refuses a cofactor it cannot settle, naming the number.
+with the lower ones.  ``is_prime``, ``fq_factor``, the Moebius function
+and the places of a global-field element all read these two.  Integer
+trial division stops at the divisor ``_TRIAL_LIMIT`` and refuses a
+cofactor it cannot settle, naming the number.  ``is_irreducible`` tests one
+polynomial by Rabin's criterion on the packed ints, in n Frobenius powers
+and a gcd per prime divisor of its degree n, so it lists no irreducibles;
+the sieve lists them.
 
 ``FqRational`` is a normalized numerator/denominator pair, i.e. an element
 of F_q(t).  q is restricted to primes so residue arithmetic stays on plain
@@ -622,14 +625,38 @@ def fq_prime_factors(f: FqPoly):
 
 
 def is_irreducible(f: FqPoly) -> bool:
-    """Whether f is irreducible: its first monic factor is f itself."""
-    return f.degree >= 1 and next(fq_prime_factors(f)) == (f.monic(), 1)
+    """Whether f is irreducible, by Rabin's test on the packed ints: f of
+    degree n >= 1 is irreducible iff t^(q^n) = t mod f and t^(q^(n/r)) - t
+    is prime to f for every prime r | n."""
+    n, q, m = f.degree, f.q, f.packed
+    if n < 1:
+        return False
+    ring = _RINGS[q]
+    mul, rem, sub = ring.mul, ring.rem, ring.sub
+
+    def mulmod(a: int, b: int) -> int:
+        return rem(mul(a, b), m)
+
+    t = rem(1 << ring.bits, m)
+    checks = {n // r for r, _ in int_prime_factors(n)}
+    x = t  # t^(q^i) mod f after step i
+    for i in range(1, n + 1):
+        x = _power(mulmod, 1, x, q)
+        if i in checks:
+            g, h = m, sub(x, t)
+            while h:
+                g, h = h, rem(g, h)
+            if g >> ring.bits:  # the gcd has positive degree
+                return False
+    return x == t
 
 
 @lru_cache(maxsize=None)
 def monic_irreducibles_of_degree(q: int, n: int) -> tuple:
-    """All monic irreducible degree-n polynomials, canonically ordered."""
-    return tuple(g for g in monic_polys_of_degree(q, n) if is_irreducible(g))
+    """All monic irreducible degree-n polynomials, canonically ordered: the
+    monic polynomials whose first factor, by trial division by the lists of
+    the lower degrees, is themselves."""
+    return tuple(g for g in monic_polys_of_degree(q, n) if next(fq_prime_factors(g), None) == (g, 1))
 
 
 def count_monic_irreducibles(q: int, n: int) -> int:

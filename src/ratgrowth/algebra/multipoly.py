@@ -4,6 +4,11 @@ Terms live in a dict mapping exponent tuples to nonzero coefficients.
 The global monomial order is graded reverse lexicographic with
 x0 > x1 > ... ; it fixes printing, parsing round-trips and the ordering
 of monomial bases.
+
+``poly_parse`` reads polynomial text in one regex pass into tokens (ASCII
+integers, variables, names and single characters; whitespace separates
+tokens and never joins them) and a recursive descent over the tokens.
+Every error is a ``ParseError`` at the position of the token it names.
 """
 
 from __future__ import annotations
@@ -388,12 +393,15 @@ def _from_terms(domain: CoeffDomain, nvars: int, terms: dict) -> MultiPoly:
 # -- parsing -------------------------------------------------------------------
 
 _ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
-# a run of the characters that str.isspace accepts
-_SPACES = re.compile(r"\s*")
+# one token: an ASCII integer, x<k>, a name t|x|y|z|w that no word character
+# follows, or any other character; whitespace separates tokens and is skipped
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<var>x[0-9]+)|(?P<name>[txyzw](?!\w))|(?P<char>\S)")
 
 
 class _Parser:
-    """Recursive-descent parser for the polynomial grammar.
+    """Recursive-descent parser for the polynomial grammar, over the tokens
+    of one regex pass, (kind, text, position), closed by an "end" token at
+    the length of the text.
 
     atoms: integer | x<k> | x|y|z|w (nvars <= 4) | t (function-field
     domains) | parenthesized expression; operators + - * / ^ with the
@@ -401,70 +409,48 @@ class _Parser:
     """
 
     def __init__(self, text: str, nvars: int, domain: CoeffDomain):
-        self.text = text
-        self.pos = 0
+        self.tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        self.tokens.append(("end", "", len(text)))
+        self.i = 0
         self.nvars = nvars
         self.domain = domain
 
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
-
     def peek(self) -> str:
-        """The next character that is not whitespace, which pos then
-        points at; "" at the end."""
-        ch = self.text[self.pos : self.pos + 1]
-        if ch.isspace():
-            self.pos = _SPACES.match(self.text, self.pos).end()
-            ch = self.text[self.pos : self.pos + 1]
-        return ch
+        """The text of the next token; "" at the end."""
+        return self.tokens[self.i][1]
 
-    def take(self) -> str:
-        """The character that the last peek returned; every take follows
-        one, so pos points at it."""
-        ch = self.text[self.pos : self.pos + 1]
-        self.pos += 1
-        return ch
+    def take(self) -> tuple:
+        """The next token, which is then consumed."""
+        token = self.tokens[self.i]
+        self.i += 1
+        return token
+
+    def unexpected(self, token: tuple):
+        """Refuse a token that no rule reads, or the end of the text."""
+        _, text, pos = token
+        raise ParseError(f"unexpected character {text[0]!r}" if text else "unexpected end of input", pos)
 
     def parse(self) -> MultiPoly:
         result = self.expr()
         if self.peek():
-            self.error(f"unexpected character {self.peek()!r}")
+            self.unexpected(self.take())
         return result
 
     def expr(self) -> MultiPoly:
-        ch = self.peek()
-        if ch == "-":
-            self.take()
-            acc = -self.term()
-        else:
-            if ch == "+":
-                self.take()
-            acc = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.take()
-                acc = acc + self.term()
-            elif ch == "-":
-                self.take()
-                acc = acc - self.term()
-            else:
-                return acc
+        """Terms joined by + and -; a leading sign applies to the first."""
+        sign = self.take()[1] if self.peek() in ("+", "-") else "+"
+        acc = -self.term() if sign == "-" else self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()[1]
+            acc = acc - self.term() if op == "-" else acc + self.term()
+        return acc
 
     def term(self) -> MultiPoly:
         acc = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.take()
-                acc = acc * self.factor()
-            elif ch == "/":
-                op_pos = self.pos
-                self.take()
-                divisor = self.factor()
-                acc = self._divide(acc, divisor, op_pos)
-            else:
-                return acc
+        while self.peek() in ("*", "/"):
+            _, op, op_pos = self.take()
+            acc = acc * self.factor() if op == "*" else self._divide(acc, self.factor(), op_pos)
+        return acc
 
     def _divide(self, acc: MultiPoly, divisor: MultiPoly, op_pos: int) -> MultiPoly:
         if not divisor.is_constant:
@@ -485,68 +471,44 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            if self.peek() == "-":
-                self.error("negative exponent")
-            num_pos = self.pos
-            digits = ""
-            while self.peek().isdigit():
-                digits += self.take()
-            if not digits:
-                raise ParseError("expected integer exponent after '^'", num_pos)
-            return base ** int(digits)
+            kind, text, pos = self.take()
+            if text == "-":
+                raise ParseError("negative exponent", pos)
+            if kind != "int":
+                raise ParseError("expected integer exponent after '^'", pos)
+            return base ** int(text)
         return base
 
     def atom(self) -> MultiPoly:
-        ch = self.peek()
-        start = self.pos
-        if ch == "(":
-            self.take()
+        token = kind, text, pos = self.take()
+        dom, nvars = self.domain, self.nvars
+        if text == "(":
             inner = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.take()
+            _, close, close_pos = self.take()
+            if close != ")":
+                raise ParseError("expected ')'", close_pos)
             return inner
-        if ch == "-":
-            self.take()
+        if text == "-":
             return -self.atom()
-        if ch.isdigit():
-            digits = ""
-            while self.peek().isdigit():
-                digits += self.take()
-            return MultiPoly.constant(self.domain, self.nvars, int(digits))
-        if ch == "t" and not self._lookahead_is_name_char(1):
-            if not self.domain.is_function_field_kind:
-                self.error("'t' is reserved for function-field domains")
-            self.take()
-            return MultiPoly.constant(self.domain, self.nvars, self.domain.t_element())
-        if ch == "x" and self._lookahead_digit(1):
-            self.take()
-            digits = ""
-            while self.peek().isdigit():
-                digits += self.take()
-            idx = int(digits)
-            if idx >= self.nvars:
-                raise ParseError(f"variable x{idx} out of range (nvars={self.nvars})", start)
-            return MultiPoly.variable(self.domain, self.nvars, idx)
-        if ch in _ALIASES and not self._lookahead_is_name_char(1):
-            if self.nvars > 4:
-                self.error("aliases x,y,z,w only apply for nvars <= 4")
-            idx = _ALIASES[ch]
-            if idx >= self.nvars:
-                raise ParseError(f"alias {ch!r} out of range (nvars={self.nvars})", start)
-            self.take()
-            return MultiPoly.variable(self.domain, self.nvars, idx)
-        self.error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
-
-    # the lookaheads follow a peek, so pos is already past any whitespace
-
-    def _lookahead_digit(self, offset: int) -> bool:
-        j = self.pos + offset
-        return j < len(self.text) and self.text[j].isdigit()
-
-    def _lookahead_is_name_char(self, offset: int) -> bool:
-        j = self.pos + offset
-        return j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_")
+        if kind == "int":
+            return MultiPoly.constant(dom, nvars, int(text))
+        if kind == "var":
+            idx = int(text[1:])
+            if idx >= nvars:
+                raise ParseError(f"variable x{idx} out of range (nvars={nvars})", pos)
+            return MultiPoly.variable(dom, nvars, idx)
+        if kind == "name" and text == "t":
+            if not dom.is_function_field_kind:
+                raise ParseError("'t' is reserved for function-field domains", pos)
+            return MultiPoly.constant(dom, nvars, dom.t_element())
+        if kind == "name":
+            if nvars > 4:
+                raise ParseError("aliases x,y,z,w only apply for nvars <= 4", pos)
+            idx = _ALIASES[text]
+            if idx >= nvars:
+                raise ParseError(f"alias {text!r} out of range (nvars={nvars})", pos)
+            return MultiPoly.variable(dom, nvars, idx)
+        self.unexpected(token)
 
 
 def poly_parse(text: str, nvars: int, domain: CoeffDomain) -> MultiPoly:

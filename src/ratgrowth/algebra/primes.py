@@ -2,9 +2,9 @@
 
 Ideals are described by a generator (a prime number, or a monic
 irreducible polynomial) together with its norm.  A descriptor built from
-outside input tests its generator with fqpoly's ``is_prime`` resp.
-``is_irreducible``, which read the first factor of fqpoly's trial-division
-generators.  ``primes_in_range`` lists primes that a sieve, resp.
+outside input tests its generator with fqpoly's ``is_prime``, which reads
+the first factor of the integer trial division, resp. ``is_irreducible``,
+Rabin's test.  ``primes_in_range`` lists primes that a sieve, resp.
 ``monic_irreducibles_of_degree``, has already proved prime.
 ``recheck_prime`` verifies a prime independently of both tests.
 """

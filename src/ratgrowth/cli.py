@@ -38,13 +38,12 @@ def _parse_field(value: str) -> GlobalField:
 
 
 def _ring_element(field: GlobalField, text: str):
-    """An element of O_K from its text: an integer over Q, a polynomial in
-    t over F_q(t)."""
-    if field.is_rational:
-        return int(text)
-    f = poly_parse(text, 1, field.integer_domain())
+    """An element of O_K from its text, read as a constant polynomial in one
+    variable over O_K: an integer over Q, a polynomial in t over F_q(t)."""
+    dom = field.integer_domain()
+    f = poly_parse(text, 1, dom)
     if not f.is_constant:
-        raise ValueError(f"{text!r} is not an element of F_{field.q}[t]")
+        raise ValueError(f"{text!r} is not an element of {dom.describe()}")
     return f.coefficient((0,))
 
 

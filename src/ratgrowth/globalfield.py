@@ -8,6 +8,7 @@ logs only appear at reporting boundaries.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -59,12 +60,12 @@ class GlobalField:
 
     @classmethod
     def parse(cls, descriptor: str) -> "GlobalField":
-        """CLI field descriptors: "Q" or "Fq(t):q=3"."""
+        """CLI field descriptors: "Q" or "Fq(t):q=3", q in ASCII digits."""
         s = descriptor.strip()
         if s == "Q":
             return cls.rationals()
-        if s.startswith("Fq(t):q="):
-            return cls.function_field(int(s[len("Fq(t):q=") :]))
+        if m := re.fullmatch(r"Fq\(t\):q=([0-9]+)", s):
+            return cls.function_field(int(m[1]))
         raise ValueError(f"unknown field descriptor {descriptor!r}")
 
     @property

@@ -53,6 +53,22 @@ class TestCount:
         )
         assert code == 0 and payload["count"] == 9
 
+    # whitespace separates tokens and never joins digits: this curve was
+    # counted as x0*x2 = 12*x1^2
+    def test_digits_split_by_whitespace_refused(self, capsys):
+        code, payload = run_cli(
+            capsys, "count", "--projective", "--poly", "x0*x2 - 1 2*x1^2", "--height", "5"
+        )
+        assert code == 1
+        assert payload == {"error": "ParseError", "message": "unexpected character '2' (at position 10)"}
+
+    def test_field_q_is_ascii_digits(self, capsys):
+        code, payload = run_cli(
+            capsys, "count", "--field", "Fq(t):q=1_1", "--projective", "--nvars", "3", "--height", "2"
+        )
+        assert code == 1
+        assert payload == {"error": "ValueError", "message": "unknown field descriptor 'Fq(t):q=1_1'"}
+
 
 class TestCountBounds:
     # usage errors exit 2 with the message on stderr, as argparse's own
@@ -197,14 +213,64 @@ class TestMult:
         )
         assert code == 0 and (payload["mu"], payload["point"]) == (1, "(0, 1)")
 
-    def test_non_constant_prime_text_named(self, capsys):
+    # over Q too, an element of O_K is read by the polynomial grammar in one
+    # variable, so a non-constant one is named as over F_q(t)
+    @pytest.mark.parametrize(
+        "field, prime, message",
+        [("Fq(t):q=3", "x + t", "'x + t' is not an element of F_3[t]"), ("Q", "x", "'x' is not an element of Z")],
+    )
+    def test_non_constant_prime_text_named(self, capsys, field, prime, message):
         code, payload = run_cli(
             capsys,
-            "mult", "--field", "Fq(t):q=3", "--poly", "x0*x2 - x1^2",
-            "--point", "1,0,0", "--prime", "x + t",
+            "mult", "--field", field, "--poly", "x0*x2 - x1^2",
+            "--point", "1,0,0", "--prime", prime,
         )
         assert code == 1
-        assert payload == {"error": "ValueError", "message": "'x + t' is not an element of F_3[t]"}
+        assert payload == {"error": "ValueError", "message": message}
+
+    # int() used to read "1_0" as 10
+    def test_rational_point_text_is_a_parse_error(self, capsys):
+        code, payload = run_cli(
+            capsys, "mult", "--poly", "x0^2+x1^2-x2^2", "--point", "1_0,2,3"
+        )
+        assert code == 1
+        assert payload == {"error": "ParseError", "message": "unexpected character '_' (at position 1)"}
+
+    def test_rational_elements_read_as_constants(self, capsys):
+        code, payload = run_cli(
+            capsys, "mult", "--poly", "x0^2+x1^2-x2^2", "--point", " 3, -4, +5", "--prime", "(2 + 3)"
+        )
+        assert code == 0
+        assert (payload["mu"], payload["point"], payload["prime"]) == (1, "(1 : 2 : 0)", "5")
+
+    # Rabin's test settles a prime of degree 61, whose trial division listed
+    # the irreducibles of every degree up to 30 and did not finish; listing
+    # is refused here so that it fails instead
+    @pytest.fixture
+    def no_listing(self, monkeypatch):
+        from ratgrowth.algebra import fqpoly
+
+        def refuse(q, n):
+            raise AssertionError(f"listed the irreducibles of degree {n}")
+
+        monkeypatch.setattr(fqpoly, "monic_irreducibles_of_degree", refuse)
+
+    def test_large_function_field_prime(self, capsys, no_listing):
+        code, payload = run_cli(
+            capsys,
+            "mult", "--field", "Fq(t):q=2", "--poly", "x0^2+x1^2-x2^2", "--point", "1,0,1",
+            "--prime", "t^61+t^5+t^2+t+1",
+        )
+        assert code == 0 and (payload["mu"], payload["prime"]) == (2, "t^61+t^5+t^2+t+1")
+
+    def test_reducible_function_field_prime_named(self, capsys, no_listing):
+        code, payload = run_cli(
+            capsys,
+            "mult", "--field", "Fq(t):q=2", "--poly", "x0^2+x1^2-x2^2", "--point", "1,0,1",
+            "--prime", "(t^31+t^3+1)*(t^31+t^6+1)",
+        )
+        assert code == 1
+        assert payload == {"error": "ValueError", "message": "t^62+t^37+t^34+t^9+t^6+t^3+1 is not monic irreducible"}
 
     def test_large_prime_refused_by_name(self, capsys):
         # trial division to the square root of 10^18 + 3 would take about

@@ -3,12 +3,14 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratgrowth.algebra import fqpoly
 from ratgrowth.algebra.domains import CoeffDomain
 from ratgrowth.algebra.multipoly import poly_parse
 from ratgrowth.algebra.fqpoly import (
@@ -106,6 +108,21 @@ class TestIrreducibility:
             pytest.skip("beyond the exhaustive window")
         enumerated = len(monic_irreducibles_of_degree(q, n))
         assert enumerated == count_monic_irreducibles(q, n)
+
+    def test_rabin_settles_large_degrees(self, monkeypatch):
+        # trial division would list the irreducibles of every degree up to
+        # 31 first; Rabin's test lists none, and answers in milliseconds
+        def no_listing(q, n):
+            raise AssertionError(f"listed the irreducibles of degree {n}")
+
+        monkeypatch.setattr(fqpoly, "monic_irreducibles_of_degree", no_listing)
+        t = FqPoly.t(2)
+        start = time.perf_counter()
+        assert is_irreducible(t**61 + t**5 + t**2 + t + 1)
+        assert is_irreducible(t**31 + t**3 + 1) and is_irreducible(t**31 + t**6 + 1)
+        assert not is_irreducible((t**31 + t**3 + 1) * (t**31 + t**6 + 1))
+        assert not is_irreducible((t**31 + t**3 + 1) ** 2)
+        assert time.perf_counter() - start < 1.0
 
     def test_monic_enumeration_complete(self):
         assert len(list(monic_polys_of_degree(2, 3))) == 8

@@ -71,6 +71,13 @@ class TestField:
         f = GlobalField.parse("Fq(t):q=3")
         assert f.q == 3 and f.d_K == 1
 
+    # q is ASCII digits: int() used to read "1_1" as 11 and "١١" as 11
+    @pytest.mark.parametrize("descriptor", ["Fq(t):q=1_1", "Fq(t):q=١١", "Fq(t):q= 3", "Fq(t):q=+3", "Fq(t):q="])
+    def test_descriptor_q_is_ascii_digits(self, descriptor):
+        with pytest.raises(ValueError) as err:
+            GlobalField.parse(descriptor)
+        assert str(err.value) == f"unknown field descriptor {descriptor!r}"
+
 
 # -- oracles: the per-field helpers that GlobalField's O_K methods replaced ----
 

@@ -88,6 +88,58 @@ class TestParser:
         with pytest.raises(ParseError):
             poly_parse("x0^-2", 3, ZZ)
 
+    # one row per ParseError branch, with whitespace before the failing
+    # token or at the end of the text: the message and the position of the
+    # token it names, or of the end of the text
+    @pytest.mark.parametrize(
+        "text, nvars, dom, message, pos",
+        [
+            ("x0 +  $", 3, ZZ, "unexpected character '$'", 6),
+            ("x0 + x1 )", 3, ZZ, "unexpected character ')'", 8),
+            ("x0 x1", 3, ZZ, "unexpected character 'x'", 3),
+            ("2x0", 3, ZZ, "unexpected character 'x'", 1),
+            ("x0 +  tx", 3, F2T, "unexpected character 't'", 6),
+            ("x0 +  ", 3, ZZ, "unexpected end of input", 6),
+            ("x0 -", 3, ZZ, "unexpected end of input", 4),
+            ("(x0 + x1  ", 3, ZZ, "expected ')'", 10),
+            ("(x0 + x1 x2)", 3, ZZ, "expected ')'", 9),
+            ("x0^  -2", 3, ZZ, "negative exponent", 5),
+            ("x0 ^ x1", 3, ZZ, "expected integer exponent after '^'", 5),
+            ("x0^ ", 3, ZZ, "expected integer exponent after '^'", 4),
+            ("x1 + 2*t", 3, ZZ, "'t' is reserved for function-field domains", 7),
+            ("x0 +  x5", 3, ZZ, "variable x5 out of range (nvars=3)", 6),
+            ("x +  z", 2, ZZ, "alias 'z' out of range (nvars=2)", 5),
+            ("x0 +  y", 5, ZZ, "aliases x,y,z,w only apply for nvars <= 4", 6),
+            ("x0 /  x1", 2, QQ, "'/' only divides by coefficient constants", 3),
+            ("x0  / (1 - 1)", 2, QQ, "division by zero", 4),
+            ("3*x0  / 2 ", 2, ZZ, "coefficient not in domain after division", 6),
+            ("x0 / t ", 2, F2T, "coefficient not in domain after division", 3),
+        ],
+    )
+    def test_error_table(self, text, nvars, dom, message, pos):
+        with pytest.raises(ParseError) as err:
+            poly_parse(text, nvars, dom)
+        assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
+    # whitespace separates tokens and never joins digits, and an integer is
+    # ASCII digits: each text used to be read as another polynomial, or
+    # failed with a bare ValueError from int()
+    @pytest.mark.parametrize(
+        "text, nvars, message, pos",
+        [
+            ("1 2*x0", 3, "unexpected character '2'", 2),
+            ("x0^1 2", 3, "unexpected character '2'", 5),
+            ("x1 2", 13, "unexpected character '2'", 3),
+            ("x0^²", 3, "expected integer exponent after '^'", 3),
+            ("٣*x0", 3, "unexpected character '٣'", 0),
+            ("x٣", 3, "unexpected character 'x'", 0),
+        ],
+    )
+    def test_outside_text_read_as_written(self, text, nvars, message, pos):
+        with pytest.raises(ParseError) as err:
+            poly_parse(text, nvars, ZZ)
+        assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
 
 def random_poly(dom, nvars, rng, max_deg=3, nterms=4):
     terms = {}
